@@ -8,7 +8,7 @@ couplings by a monotone gradient flow; the optimized couplings compile into
 a commuting single- and two-qubit circuit.
 """
 
-from . import circuit, cli, gaussian, hamiltonian, linalg, optimizer, oracle, validate, wick
+from . import circuit, gaussian, hamiltonian, linalg, optimizer, oracle, validate, wick
 from .circuit import GateList, emit_ufa, resource_report, to_qasm, verify_dense
 from .gaussian import (
     CovarianceMatrix,
@@ -24,6 +24,7 @@ from .hamiltonian import (
     ManyBodyHamiltonian,
     NonGaussianParams,
     RotatedCoefficients,
+    StateEvaluator,
     energy,
     energy_gradient_omega,
     hubbard_model,

@@ -200,9 +200,14 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
     if "random_seed" in init:
         return optimizer.initial_state(hamil, options, seed=int(init["random_seed"]))
     gamma, omega, tau, _ = load_checkpoint(init["checkpoint"])
-    energy = ham.energy(gamma, omega, hamil)[2]
+    evaluator = ham.StateEvaluator(gamma, omega, hamil)
     return optimizer.OptimizerState(
-        gamma=gamma, omega=omega, tau=tau, energy=energy, step_size=options.dtau0
+        gamma=gamma,
+        omega=omega,
+        tau=tau,
+        energy=ham.energy(gamma, omega, hamil, evaluator=evaluator)[2],
+        step_size=options.dtau0,
+        evaluator=evaluator,
     )
 
 

@@ -29,10 +29,15 @@ class SingularUpdateError(NgfError):
 
 
 class SingularContractionError(NgfError):
-    """The phased contraction matrix is numerically singular for this phase vector."""
+    """The phased contraction matrix is numerically singular for this phase vector.
 
-    def __init__(self, message: str, alpha=None):
+    ``index`` is the position of that phase vector when a stack of them was
+    evaluated at once.
+    """
+
+    def __init__(self, message: str, alpha=None, index: int | None = None):
         self.alpha = alpha
+        self.index = index
         super().__init__(message)
 
 

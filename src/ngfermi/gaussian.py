@@ -22,8 +22,10 @@ PURITY_TOL = 1e-8
 def upsilon(n_modes: int) -> np.ndarray:
     """The symplectic form sigma (x) 1_N as a real 2N x 2N array."""
     eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    out = np.zeros((2 * n_modes, 2 * n_modes))
+    out[:n_modes, n_modes:] = eye
+    out[n_modes:, :n_modes] = -eye
+    return out
 
 
 @dataclass(frozen=True)

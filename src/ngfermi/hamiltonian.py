@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import wick
 from .errors import (
     DimensionError,
     FormatError,
@@ -23,7 +25,8 @@ from .errors import (
     SingularContractionError,
     ValidationError,
 )
-from .gaussian import _as_gamma, upsilon
+from .gaussian import CovarianceMatrix, _as_gamma, upsilon
+from .linalg import BlockContractionKind, block_contract_all
 from .wick import Contraction, contract, expectation_from, wrap_angles
 
 SYMMETRY_TOL = 1e-10
@@ -40,6 +43,8 @@ class NonGaussianParams:
         w = np.asarray(self.omega, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"omega must be square, got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("omega has non-finite entries")
         if np.max(np.abs(w - w.T), initial=0.0) > SYMMETRY_TOL:
             raise ValidationError("omega must be symmetric")
         if np.max(np.abs(np.diag(w)), initial=0.0) > SYMMETRY_TOL:
@@ -104,6 +109,8 @@ class ManyBodyHamiltonian:
             raise DimensionError(f"f must be {n}x{n}, got {f.shape}")
         if h.shape != (n, n, n, n):
             raise DimensionError(f"h must be {n}^4, got {h.shape}")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(h))):
+            raise ValidationError("Hamiltonian coefficients must be finite")
         if np.max(np.abs(f - f.conj().T), initial=0.0) > SYMMETRY_TOL:
             raise ValidationError("one-body matrix must be Hermitian")
         check_two_body_symmetries(h)
@@ -118,6 +125,14 @@ class ManyBodyHamiltonian:
     def two_body_entries(self) -> np.ndarray:
         """Indices (p,q,r,s) of nonzero two-body entries, shape (k, 4)."""
         return np.argwhere(self.h != 0.0)
+
+    @cached_property
+    def _term_indices(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+        """Nonzero one-body (k1, 2) and two-body (k2, 4) index arrays, and
+        every term's indices as a tuple, one-body terms first."""
+        f_idx = np.argwhere(self.f != 0.0)
+        h_idx = self.two_body_entries()
+        return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
 
 @dataclass(frozen=True)
@@ -167,86 +182,182 @@ def rotate_coefficients(hamil: ManyBodyHamiltonian, omega) -> RotatedCoefficient
     return RotatedCoefficients(hamil.n_modes, w, f_fa, h_fa)
 
 
-class _ContractionCache:
-    """Per-evaluation cache of contraction bundles keyed by phase vector.
+class StateEvaluator:
+    """Energy, mean-field matrix and coupling gradient of one (gamma, omega) state.
 
-    One instance lives inside a single energy/gradient/mean-field call, so
-    there is no shared mutable state across threads; identical phase vectors
-    always reuse the same bundle within an evaluation.
+    Every nonzero term of the flux-rotated Hamiltonian is a phased operator
+    string.  The evaluator groups the terms by their wrapped phase vector
+    (rounded to 14 decimals) and builds one contraction bundle per distinct
+    phase vector: the K coefficients come from one batched Pfaffian and the
+    K contraction matrices from one batched direct solve.  The derivative
+    factors Q and L are built, batched, when the mean-field matrix is asked
+    for.  :meth:`energy`, :meth:`mean_field_h` and :meth:`gradient` all read
+    from these bundles, so a state's bundles are built once however many of
+    the three are asked for.
     """
 
-    def __init__(self, gamma: np.ndarray):
-        self.gamma = gamma
-        self._store: dict[bytes, Contraction] = {}
-
-    def get(self, alpha: np.ndarray) -> Contraction:
-        key = np.round(wrap_angles(alpha), 14).tobytes()
-        bundle = self._store.get(key)
-        if bundle is None:
+    def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian):
+        self.gamma = gamma if isinstance(gamma, CovarianceMatrix) else CovarianceMatrix(gamma)
+        self.omega = omega
+        self.hamil = hamil
+        n = hamil.n_modes
+        if self.gamma.n_modes != n:
+            raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {n}")
+        w = _as_omega(omega, n)
+        self._w = w
+        f_idx, h_idx, self._terms = hamil._term_indices
+        p1, q1 = f_idx.T
+        p, q, r, s = h_idx.T
+        alphas = np.concatenate(
+            [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
+        ).reshape(-1, n)
+        index: dict[bytes, int] = {}
+        first: list[int] = []
+        term_key = []
+        for t, key in enumerate(np.round(wrap_angles(alphas), 14)):
+            k = index.setdefault(key.tobytes(), len(index))
+            if k == len(first):
+                first.append(t)
+            term_key.append(k)
+        self._one_body = list(zip(self._terms[: len(f_idx)], term_key))
+        self._two_body = list(zip(self._terms[len(f_idx):], term_key[len(f_idx):]))
+        self._first_term = first
+        self._alphas = alphas[first]
+        coeffs = wick.a_coeff(self.gamma, self._alphas)
+        try:
+            g_mats = wick.g_matrix(self.gamma, self._alphas)
+        except SingularContractionError as exc:
+            raise self._term_error(exc) from exc
+        gpm = block_contract_all(g_mats, BlockContractionKind.PLUS_MINUS)
+        gpp = block_contract_all(g_mats, BlockContractionKind.PLUS_PLUS)
+        gmm = block_contract_all(g_mats, BlockContractionKind.MINUS_MINUS)
+        self.bundles: list[Contraction] = []
+        for k, alpha in enumerate(self._alphas):
             bundle = contract(self.gamma, alpha)
-            self._store[key] = bundle
-        return bundle
+            bundle.preset(
+                coeff=coeffs[k],
+                g=g_mats[k],
+                g_dag_plain=gpm[k],
+                g_dag_dag=gpp[k],
+                g_plain_plain=gmm[k],
+            )
+            self.bundles.append(bundle)
+
+    def built_for(self, gamma, omega, hamil: ManyBodyHamiltonian) -> bool:
+        """Whether this evaluator was built from exactly these objects."""
+        return self.gamma is gamma and self.omega is omega and self.hamil is hamil
+
+    def _term_error(self, exc: SingularContractionError) -> SingularContractionError:
+        """The error of a batched routine, naming the failing phase vector's first term."""
+        term = self._terms[self._first_term[exc.index]]
+        label = "one-body term (p,q)" if len(term) == 2 else "two-body term (p,q,r,s)"
+        return SingularContractionError(
+            f"{label}=({','.join(map(str, term))}): {exc}", alpha=exc.alpha, index=exc.index
+        )
+
+    def _pieces(self) -> list[tuple[complex, np.ndarray, np.ndarray, np.ndarray]]:
+        """Coefficient and the three contraction blocks of every bundle."""
+        return [(b.coeff, b.g_dag_plain, b.g_dag_dag, b.g_plain_plain) for b in self.bundles]
+
+    def energy(self) -> tuple[float, float, float]:
+        """One-body, two-body and total energy; see :func:`energy`."""
+        f, h, w = self.hamil.f, self.hamil.h, self._w
+        # f_fa[p,q] * e^{i alpha_pq(p)} = f_pq, so the pair phase cancels exactly.
+        pieces = self._pieces()
+        e1 = 0.0 + 0.0j
+        for (p, q), k in self._one_body:
+            coeff, gpm, _, _ = pieces[k]
+            e1 += f[p, q] * 0.25j * coeff * gpm[p, q]
+        e2 = 0.0 + 0.0j
+        for (p, q, r, s), k in self._two_body:
+            coeff, gpm, gpp, gmm = pieces[k]
+            quartic = gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + gpp[p, q] * gmm[r, s]
+            e2 += (
+                -(1.0 / 32.0)
+                * h[p, q, r, s]
+                * np.exp(1j * (w[r, s] - w[p, q]))
+                * coeff
+                * quartic
+            )
+        for label, val in (("one-body", e1), ("two-body", e2)):
+            if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
+                raise NumericsError(
+                    f"{label} energy has imaginary residue {val.imag:.3e}"
+                )
+        return float(e1.real), float(e2.real), float(e1.real + e2.real)
+
+    def mean_field_h(self) -> np.ndarray:
+        """Mean-field matrix of the rotated Hamiltonian; see :func:`mean_field_h`."""
+        f, h, w = self.hamil.f, self.hamil.h, self._w
+        n2 = 2 * self.hamil.n_modes
+        out = np.zeros((n2, n2), dtype=complex)
+        try:
+            q_mats = wick.q_matrix(self.gamma, self._alphas)
+        except SingularContractionError as exc:
+            raise self._term_error(exc) from exc
+        # reshape keeps a (0, 2N, 2N) stack when the Hamiltonian has no terms
+        g_mats = np.array([b.g for b in self.bundles]).reshape(-1, n2, n2)
+        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, g_mats))
+        pieces = self._pieces()
+        for (p, q), k in self._one_body:
+            coeff, gpm, _, _ = pieces[k]
+            deriv = _rank2_skew(lt_plus[k, :, q], lt_minus[k, :, p])
+            out += (1j * f[p, q] * coeff) * (gpm[p, q] * q_mats[k] + 0.5 * deriv)
+        for (p, q, r, s), k in self._two_body:
+            a_k, gpm, gpp, gmm = pieces[k]
+            ltp, ltm = lt_plus[k], lt_minus[k]
+            coeff = -(1.0 / 16.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a_k
+            term = (4.0 * gpm[p, s] * gpm[q, r] + 2.0 * gpp[p, q] * gmm[r, s]) * q_mats[k]
+            term += 4.0 * gpm[q, r] * _rank2_skew(ltp[:, s], ltm[:, p])
+            term += gmm[r, s] * _rank2_skew(ltm[:, q], ltm[:, p])
+            term += gpp[p, q] * _rank2_skew(ltp[:, s], ltp[:, r])
+            out += coeff * term
+
+        scale = max(1.0, float(np.max(np.abs(out.real))))
+        imag_dev = float(np.max(np.abs(out.imag)))
+        if imag_dev > IMAG_TOL * scale:
+            raise NumericsError(f"mean-field matrix has imaginary residue {imag_dev:.3e}")
+        real = out.real
+        return 0.5 * (real - real.T)
+
+    def gradient(self) -> np.ndarray:
+        """Gradient with respect to the couplings; see :func:`energy_gradient_omega`."""
+        n = self.hamil.n_modes
+        rot = rotate_coefficients(self.hamil, self._w)
+        f_bundle = {pq: self.bundles[k] for pq, k in self._one_body}
+        h_terms = [(pqrs, self.bundles[k]) for pqrs, k in self._two_body]
+        grad = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                val = _gradient_entry(f_bundle, h_terms, rot, i, j)
+                grad[i, j] = val
+                grad[j, i] = val
+        return grad
 
 
-def energy(gamma, omega, hamil: ManyBodyHamiltonian) -> tuple[float, float, float]:
+def _state_evaluator(gamma, omega, hamil, evaluator: StateEvaluator | None) -> StateEvaluator:
+    if evaluator is not None and evaluator.built_for(gamma, omega, hamil):
+        return evaluator
+    return StateEvaluator(gamma, omega, hamil)
+
+
+def energy(
+    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
+) -> tuple[float, float, float]:
     """One-body, two-body and total energy of the flux-attached Ansatz.
 
     Returns ``(E1, E2, E1 + E2)``.  The imaginary residue of each part must
-    stay below 1e-9 or :class:`NumericsError` is raised.
+    stay below 1e-9 or :class:`NumericsError` is raised.  The result is read
+    from ``evaluator`` when it was built from these same objects, and from a
+    fresh :class:`StateEvaluator` otherwise (likewise for
+    :func:`energy_gradient_omega` and :func:`mean_field_h`).
     """
-    g = _as_gamma(gamma)
-    w = _as_omega(omega, hamil.n_modes)
-    cache = _ContractionCache(g)
-    e1 = _energy_one_body(cache, w, hamil)
-    e2 = _energy_two_body(cache, w, hamil)
-    for label, val in (("one-body", e1), ("two-body", e2)):
-        if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-            raise NumericsError(
-                f"{label} energy has imaginary residue {val.imag:.3e}"
-            )
-    return e1.real, e2.real, e1.real + e2.real
+    return _state_evaluator(gamma, omega, hamil, evaluator).energy()
 
 
-def _energy_one_body(cache: _ContractionCache, w: np.ndarray, hamil: ManyBodyHamiltonian) -> complex:
-    # f_fa[p,q] * e^{i alpha_pq(p)} = f_pq, so the pair phase cancels exactly.
-    total = 0.0 + 0.0j
-    for p, q in np.argwhere(hamil.f != 0.0):
-        c = cache.get(w[:, q] - w[:, p])
-        try:
-            total += hamil.f[p, q] * 0.25j * c.coeff * c.g_dag_plain[p, q]
-        except SingularContractionError as exc:
-            raise SingularContractionError(
-                f"one-body term (p,q)=({p},{q}): {exc}", alpha=exc.alpha
-            ) from exc
-    return total
-
-
-def _energy_two_body(cache: _ContractionCache, w: np.ndarray, hamil: ManyBodyHamiltonian) -> complex:
-    total = 0.0 + 0.0j
-    for p, q, r, s in hamil.two_body_entries():
-        c = cache.get(w[:, r] + w[:, s] - w[:, p] - w[:, q])
-        try:
-            gpm = c.g_dag_plain
-            quartic = (
-                gpm[p, s] * gpm[q, r]
-                - gpm[p, r] * gpm[q, s]
-                + c.g_dag_dag[p, q] * c.g_plain_plain[r, s]
-            )
-        except SingularContractionError as exc:
-            raise SingularContractionError(
-                f"two-body term (p,q,r,s)=({p},{q},{r},{s}): {exc}", alpha=exc.alpha
-            ) from exc
-        total += (
-            -(1.0 / 32.0)
-            * hamil.h[p, q, r, s]
-            * np.exp(1j * (w[r, s] - w[p, q]))
-            * c.coeff
-            * quartic
-        )
-    return total
-
-
-def energy_gradient_omega(gamma, omega, hamil: ManyBodyHamiltonian) -> np.ndarray:
+def energy_gradient_omega(
+    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
+) -> np.ndarray:
     """Gradient of the energy with respect to the flux couplings.
 
     Built from the commutator of the rotated Hamiltonian with the
@@ -255,26 +366,13 @@ def energy_gradient_omega(gamma, omega, hamil: ManyBodyHamiltonian) -> np.ndarra
     the (i, j) and (j, i) entries treated as independent parameters of equal
     value (matching the convention used by the flow tensor).
     """
-    g = _as_gamma(gamma)
-    w = _as_omega(omega, hamil.n_modes)
-    n = hamil.n_modes
-    rot = rotate_coefficients(hamil, w)
-    cache = _ContractionCache(g)
-    nz = hamil.two_body_entries()
-    grad = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = _gradient_entry(cache, rot, hamil, nz, i, j)
-            grad[i, j] = val
-            grad[j, i] = val
-    return grad
+    return _state_evaluator(gamma, omega, hamil, evaluator).gradient()
 
 
 def _gradient_entry(
-    cache: _ContractionCache,
+    f_bundle: dict[tuple[int, int], Contraction],
+    h_terms: list[tuple[tuple[int, int, int, int], Contraction]],
     rot: RotatedCoefficients,
-    hamil: ManyBodyHamiltonian,
-    nz: np.ndarray,
     i: int,
     j: int,
 ) -> float:
@@ -282,29 +380,27 @@ def _gradient_entry(
     # one-body contributions, strings c+_i c+_j c_j c_p (and i <-> j)
     for a, b in ((i, j), (j, i)):
         acc = 0.0 + 0.0j
-        for p in range(hamil.n_modes):
-            if hamil.f[a, p] == 0.0:
+        for p in range(rot.n_modes):
+            c = f_bundle.get((a, p))
+            if c is None:
                 continue
-            c = cache.get(rot.alpha(a, p))
             string = ((a, True), (b, True), (b, False), (p, False))
             acc += rot.f_fa[a, p] * expectation_from(c, string)
         total += acc.imag
     # pair-annihilation contribution, strings c+_i c+_j c_p c_q with p < q
     acc = 0.0 + 0.0j
-    for p, q, r, s in nz:
+    for (p, q, r, s), c in h_terms:
         if p != i or q != j or r >= s:
             continue
-        c = cache.get(rot.beta(p, q, r, s))
         string = ((i, True), (j, True), (r, False), (s, False))
         acc += rot.h_fa[p, q, r, s] * expectation_from(c, string)
     total += 2.0 * acc.imag
     # six-operator contribution, strings c+_j c+_i c+_p c_j c_q c_r (and i <-> j)
     for a, b in ((i, j), (j, i)):
         acc = 0.0 + 0.0j
-        for t, p, q, r in nz:
+        for (t, p, q, r), c in h_terms:
             if t != a or q >= r:
                 continue
-            c = cache.get(rot.beta(a, p, q, r))
             string = (
                 (b, True),
                 (a, True),
@@ -322,49 +418,16 @@ def _rank2_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a, b) - np.outer(b, a)
 
 
-def mean_field_h(gamma, omega, hamil: ManyBodyHamiltonian) -> np.ndarray:
+def mean_field_h(
+    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
+) -> np.ndarray:
     """Mean-field matrix of the rotated Hamiltonian: 4 dE/d(gamma).
 
     The derivative follows the ordered-entry convention for structured skew
     matrices: dE = sum_{ij} (dE/dGamma_ij) dGamma_ij over all ordered (i, j).
     Output is real skew-symmetric (2N x 2N).
     """
-    g = _as_gamma(gamma)
-    w = _as_omega(omega, hamil.n_modes)
-    n = hamil.n_modes
-    cache = _ContractionCache(g)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-
-    for p, q in np.argwhere(hamil.f != 0.0):
-        c = cache.get(w[:, q] - w[:, p])
-        deriv = _rank2_skew(c.lt_plus[:, q], c.lt_minus[:, p])
-        out += (1j * hamil.f[p, q] * c.coeff) * (
-            c.g_dag_plain[p, q] * c.q + 0.5 * deriv
-        )
-
-    for p, q, r, s in hamil.two_body_entries():
-        c = cache.get(w[:, r] + w[:, s] - w[:, p] - w[:, q])
-        gpm = c.g_dag_plain
-        gpp = c.g_dag_dag
-        gmm = c.g_plain_plain
-        coeff = (
-            -(1.0 / 16.0)
-            * hamil.h[p, q, r, s]
-            * np.exp(1j * (w[r, s] - w[p, q]))
-            * c.coeff
-        )
-        term = (4.0 * gpm[p, s] * gpm[q, r] + 2.0 * gpp[p, q] * gmm[r, s]) * c.q
-        term += 4.0 * gpm[q, r] * _rank2_skew(c.lt_plus[:, s], c.lt_minus[:, p])
-        term += gmm[r, s] * _rank2_skew(c.lt_minus[:, q], c.lt_minus[:, p])
-        term += gpp[p, q] * _rank2_skew(c.lt_plus[:, s], c.lt_plus[:, r])
-        out += coeff * term
-
-    scale = max(1.0, float(np.max(np.abs(out.real))))
-    imag_dev = float(np.max(np.abs(out.imag)))
-    if imag_dev > IMAG_TOL * scale:
-        raise NumericsError(f"mean-field matrix has imaginary residue {imag_dev:.3e}")
-    real = out.real
-    return 0.5 * (real - real.T)
+    return _state_evaluator(gamma, omega, hamil, evaluator).mean_field_h()
 
 
 def mean_field_o(gamma, dtau_omega) -> np.ndarray:

@@ -11,7 +11,7 @@ the energy does not increase, so accepted steps are monotone by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .gaussian import (
 from .hamiltonian import (
     ManyBodyHamiltonian,
     NonGaussianParams,
+    StateEvaluator,
     energy,
     energy_gradient_omega,
     mean_field_h,
@@ -162,13 +163,20 @@ def dtau_gamma(gamma, h_fa_m: np.ndarray, o_m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Live optimizer state: covariance, couplings, time, energy, step size."""
+    """Live optimizer state: covariance, couplings, time, energy, step size.
+
+    ``evaluator`` holds the state's contraction bundles, so the gradient and
+    the mean-field matrix of the step that starts from this state reuse the
+    bundles its energy was computed from.  It is ignored unless it was built
+    from this state's own gamma and omega objects.
+    """
 
     gamma: CovarianceMatrix
     omega: NonGaussianParams
     tau: float
     energy: float
     step_size: float
+    evaluator: StateEvaluator | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -269,14 +277,10 @@ def step(
     options = options or RunOptions()
     t0 = time.perf_counter()
     if grad is None:
-        grad = (
-            np.zeros((state.omega.n_modes,) * 2)
-            if options.freeze_omega
-            else energy_gradient_omega(state.gamma, state.omega, hamil)
-        )
+        grad = _coupling_gradient(state, hamil, options)
     domega = _coupling_velocity(state, grad, options)
     o_m = mean_field_o(state.gamma, domega)
-    h_m = mean_field_h(state.gamma, state.omega, hamil)
+    h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
     dgamma = dtau_gamma(state.gamma, h_m, o_m)
 
     dtau = state.step_size
@@ -291,12 +295,14 @@ def step(
                 _wrap_symmetric(state.omega.omega + dtau * domega)
             )
             new_gamma = purify(state.gamma.gamma + dtau * dgamma)
-            new_energy = energy(new_gamma, new_omega, hamil)[2]
+            trial = StateEvaluator(new_gamma, new_omega, hamil)
+            new_energy = energy(new_gamma, new_omega, hamil, evaluator=trial)[2]
         except DegeneracyError:
             dtau *= 0.5
             backtracks += 1
             continue
-        if new_energy <= state.energy + ENERGY_INCREASE_TOL:
+        # the difference, not E + tol: that sum can round up past E + 1e-12
+        if new_energy - state.energy <= ENERGY_INCREASE_TOL:
             break
         dtau *= 0.5
         backtracks += 1
@@ -308,6 +314,7 @@ def step(
         tau=state.tau + dtau,
         energy=new_energy,
         step_size=next_size,
+        evaluator=trial,
     )
     wall_ms = (time.perf_counter() - t0) * 1e3
     info = StepInfo(
@@ -317,6 +324,14 @@ def step(
         wall_ms=wall_ms,
     )
     return new_state, info
+
+
+def _coupling_gradient(
+    state: OptimizerState, hamil: ManyBodyHamiltonian, options: RunOptions
+) -> np.ndarray:
+    if options.freeze_omega:
+        return np.zeros((state.omega.n_modes,) * 2)
+    return energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
 
 
 def _wrap_symmetric(omega: np.ndarray) -> np.ndarray:
@@ -337,7 +352,9 @@ def initial_state(
     """Starting point: mean-field covariance (default), random, or explicit.
 
     ``seed`` draws a random pure covariance instead of the mean-field one;
-    the couplings start at zero unless given.
+    the couplings start at zero unless given.  Plain arrays are wrapped in
+    :class:`CovarianceMatrix` and :class:`NonGaussianParams`, and the state
+    holds those objects, so its evaluator is the one its calls read.
     """
     options = options or RunOptions()
     n = hamil.n_modes
@@ -346,10 +363,21 @@ def initial_state(
             gamma = random_pure_covariance(n, np.random.default_rng(seed))
         else:
             gamma = mean_field_covariance(hamil.f, round(filling * n))
+    elif not isinstance(gamma, CovarianceMatrix):
+        gamma = CovarianceMatrix(gamma)
     if omega is None:
         omega = NonGaussianParams(np.zeros((n, n)))
-    e = energy(gamma, omega, hamil)[2]
-    return OptimizerState(gamma=gamma, omega=omega, tau=0.0, energy=e, step_size=options.dtau0)
+    elif not isinstance(omega, NonGaussianParams):
+        omega = NonGaussianParams(omega)
+    ev = StateEvaluator(gamma, omega, hamil)
+    return OptimizerState(
+        gamma=gamma,
+        omega=omega,
+        tau=0.0,
+        energy=energy(gamma, omega, hamil, evaluator=ev)[2],
+        step_size=options.dtau0,
+        evaluator=ev,
+    )
 
 
 def run(
@@ -363,7 +391,8 @@ def run(
     change stays below ``tol_e`` for ``patience`` consecutive accepted steps,
     or after ``max_steps`` steps.  Returns the final state, one record per
     accepted step (plus the step-0 baseline), and the stop reason
-    ("gradient", "energy", "max_steps").
+    ("gradient", "energy", "max_steps").  A record's ``wall_ms`` covers its
+    whole iteration: the coupling gradient and the call to :func:`step`.
     """
     options = options or RunOptions()
     if state is None:
@@ -382,11 +411,8 @@ def run(
     flat_count = 0
     reason = "max_steps"
     for k in range(1, options.max_steps + 1):
-        grad = (
-            np.zeros((state.omega.n_modes,) * 2)
-            if options.freeze_omega
-            else energy_gradient_omega(state.gamma, state.omega, hamil)
-        )
+        t0 = time.perf_counter()
+        grad = _coupling_gradient(state, hamil, options)
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if not options.freeze_omega and grad_norm < options.tol_g:
             reason = "gradient"
@@ -401,7 +427,7 @@ def run(
                 grad_norm=grad_norm,
                 dtau=info.dtau,
                 purity_err=state.gamma.purity_error,
-                wall_ms=info.wall_ms,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
         if abs(prev_energy - state.energy) < options.tol_e:

@@ -130,9 +130,17 @@ def enumerate_pairings(length: int) -> tuple[Pairing, ...]:
 
 
 def _as_alpha(alpha, n_modes: int) -> np.ndarray:
+    """One wrapped phase vector (N,) or a stack of them (K, N)."""
     a = alpha.alpha if isinstance(alpha, PhaseVector) else wrap_angles(np.asarray(alpha, dtype=float))
-    if a.shape != (n_modes,):
+    if a.ndim not in (1, 2) or a.shape[-1] != n_modes:
         raise DimensionError(f"phase vector has shape {a.shape}, expected ({n_modes},)")
+    return a
+
+
+def _as_single_alpha(alpha, n_modes: int) -> np.ndarray:
+    a = _as_alpha(alpha, n_modes)
+    if a.ndim != 1:
+        raise DimensionError(f"expected a single phase vector, got shape {a.shape}")
     return a
 
 
@@ -143,28 +151,39 @@ def sign_prefactor(n_modes: int) -> int:
     return (-1) ** ((n_modes + 1) // 2)
 
 
+def _doubled(values: np.ndarray) -> np.ndarray:
+    """Per-mode values repeated for both Majorana halves: (..., N) -> (..., 2N)."""
+    return np.concatenate([values, values], axis=-1)
+
+
 def gamma_F(gamma, alpha) -> np.ndarray:
-    """Phase-dressed covariance whose Pfaffian gives the scalar coefficient."""
+    """Phase-dressed covariance whose Pfaffian gives the scalar coefficient.
+
+    A stack of K phase vectors gives a (K, 2N, 2N) stack.
+    """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     a = _as_alpha(alpha, n)
     phase = np.exp(1j * a)
-    sq = np.sqrt(1.0 - phase)  # values lie in the right half-plane
-    sq2 = np.concatenate([sq, sq])
-    diag = 1.0 + phase
-    zero = np.zeros((n, n), dtype=complex)
-    second = np.block([[zero, np.diag(diag)], [-np.diag(diag), zero]])
-    return sq2[:, None] * g * sq2[None, :] - second
+    sq2 = _doubled(np.sqrt(1.0 - phase))  # values lie in the right half-plane
+    modes = np.arange(n)
+    second = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    second[..., modes, n + modes] = 1.0 + phase
+    second[..., n + modes, modes] = -(1.0 + phase)
+    return sq2[..., :, None] * g * sq2[..., None, :] - second
 
 
-def a_coeff(gamma, alpha) -> complex:
-    """<exp(i sum alpha(j) n_j)> over the Gaussian state: sign * 2^-N * Pf."""
+def a_coeff(gamma, alpha):
+    """<exp(i sum alpha(j) n_j)> over the Gaussian state: sign * 2^-N * Pf.
+
+    A stack of K phase vectors gives K coefficients from one batched Pfaffian.
+    """
     from .linalg import pfaffian
 
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     gf = gamma_F(g, alpha)
-    gf = 0.5 * (gf - gf.T)
+    gf = 0.5 * (gf - np.swapaxes(gf, -1, -2))
     return sign_prefactor(n) * (0.5 ** n) * pfaffian(gf)
 
 
@@ -175,24 +194,40 @@ def _phase_ok_for_rank1(alpha: np.ndarray) -> bool:
 def _g_denominator(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     n = g.shape[0] // 2
     ups = upsilon(n)
-    one_minus = np.concatenate([1.0 - np.exp(1j * alpha)] * 2)
-    return np.eye(2 * n) + 0.5 * one_minus[:, None] * (ups @ g - np.eye(2 * n))
+    one_minus = _doubled(1.0 - np.exp(1j * alpha))
+    return np.eye(2 * n) + 0.5 * one_minus[..., :, None] * (ups @ g - np.eye(2 * n))
 
 
-def g_matrix(gamma, alpha, method: str = "auto") -> np.ndarray:
+def _check_condition(mats: np.ndarray, a: np.ndarray, what: str) -> None:
+    """Raise for the first matrix of a stack whose condition number exceeds
+    COND_LIMIT; the error carries that matrix's stack index."""
+    cond = np.atleast_1d(np.linalg.cond(mats))
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches inf and nan
+    if bad.size:
+        k = bad[0]
+        raise SingularContractionError(
+            f"{what} condition number {cond[k]:.3e} exceeds {COND_LIMIT:.0e}",
+            alpha=np.atleast_2d(a)[k],
+            index=int(k),
+        )
+
+
+def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Skew contraction matrix (gamma + Upsilon) / (1 + (1-e^{i a})(Y gamma - 1)/2).
 
-    ``method`` selects the inversion path: "direct" solves the linear system,
-    "rank1" assembles the inverse by iterative rank-1 updates (requires every
+    ``method`` selects the inversion path: "direct" solves the linear system
+    and also takes a (K, N) stack of phase vectors, giving a (K, 2N, 2N)
+    stack from one batched solve.  The opt-in "rank1" path assembles the
+    inverse by iterative rank-1 updates (requires every
     |1 - e^{i alpha(j)}| > 1e-12), and "auto" tries the rank-1 path when
     eligible and falls back to the direct solve whenever the assembled
     inverse fails a residual check.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    a = _as_alpha(alpha, n)
     if method == "direct":
-        return _g_direct(g, a)
+        return _g_direct(g, _as_alpha(alpha, n))
+    a = _as_single_alpha(alpha, n)
     if method == "rank1":
         if not _phase_ok_for_rank1(a):
             raise ValidationError(
@@ -214,15 +249,12 @@ def g_matrix(gamma, alpha, method: str = "auto") -> np.ndarray:
 def _g_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = g.shape[0] // 2
     denom = _g_denominator(g, a)
-    cond = np.linalg.cond(denom)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularContractionError(
-            f"contraction denominator condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            alpha=a,
-        )
-    numer = g + upsilon(n)
-    out = np.linalg.solve(denom.T, numer.T).T
-    return 0.5 * (out - out.T)
+    _check_condition(denom, a, "contraction denominator")
+    # b gets as many axes as a: NumPy 1.x reads a b with one axis fewer as
+    # a stack of vectors
+    numer_t = np.broadcast_to((g + upsilon(n)).T, denom.shape)
+    out = np.swapaxes(np.linalg.solve(np.swapaxes(denom, -1, -2), numer_t), -1, -2)
+    return 0.5 * (out - np.swapaxes(out, -1, -2))
 
 
 def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -249,18 +281,19 @@ def _g_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 
     return np.max(np.abs(residual)) <= tol * scale
 
 
-def q_matrix(gamma, alpha, method: str = "auto") -> np.ndarray:
+def q_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Scaled inverse of the phase-dressed covariance driving d(coeff)/d(gamma).
 
-    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}); the rank-1
-    path additionally needs a pure ``gamma`` (it seeds the iteration with
-    -gamma as the base inverse).
+    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}).  The direct
+    path takes a (K, N) stack of phase vectors like :func:`g_matrix`; the
+    opt-in rank-1 path additionally needs a pure ``gamma`` (it seeds the
+    iteration with -gamma as the base inverse).
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    a = _as_alpha(alpha, n)
     if method == "direct":
-        return _q_direct(g, a)
+        return _q_direct(g, _as_alpha(alpha, n))
+    a = _as_single_alpha(alpha, n)
     if method == "rank1":
         if not _phase_ok_for_rank1(a):
             raise ValidationError(
@@ -281,17 +314,11 @@ def q_matrix(gamma, alpha, method: str = "auto") -> np.ndarray:
 
 def _q_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     gf = gamma_F(g, a)
-    cond = np.linalg.cond(gf)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularContractionError(
-            f"phase-dressed covariance condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            alpha=a,
-        )
-    sq = np.sqrt(1.0 - np.exp(1j * a))
-    sq2 = np.concatenate([sq, sq])
+    _check_condition(gf, a, "phase-dressed covariance")
+    sq2 = _doubled(np.sqrt(1.0 - np.exp(1j * a)))
     inv = np.linalg.inv(gf)
-    out = -0.5 * (sq2[:, None] * inv * sq2[None, :])
-    return 0.5 * (out - out.T)
+    out = -0.5 * (sq2[..., :, None] * inv * sq2[..., None, :])
+    return 0.5 * (out - np.swapaxes(out, -1, -2))
 
 
 def _q_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -323,29 +350,45 @@ def _q_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 
 
 
 def l_matrix(gamma, alpha, g_mat: np.ndarray | None = None) -> np.ndarray:
-    """Left factor of the structured derivative of the contraction matrix."""
+    """Left factor of the structured derivative of the contraction matrix.
+
+    Takes a (K, N) stack of phase vectors (and matching contraction
+    matrices) like :func:`g_matrix`.
+    """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     a = _as_alpha(alpha, n)
     if g_mat is None:
         g_mat = g_matrix(g, a)
-    one_minus = np.concatenate([1.0 - np.exp(1j * a)] * 2)
-    return np.eye(2 * n) - 0.5 * (g_mat * one_minus[None, :]) @ upsilon(n)
+    one_minus = _doubled(1.0 - np.exp(1j * a))
+    return np.eye(2 * n) - 0.5 * (g_mat * one_minus[..., None, :]) @ upsilon(n)
+
+
+def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns L^T (1_q, +i_q) and L^T (1_p, -i_p) of one L or a stack.
+
+    The first feeds the "-" row slots of derivatives, the second the "+"
+    column slots.
+    """
+    n = l_mat.shape[-1] // 2
+    upper, lower = l_mat[..., :n, :], l_mat[..., n:, :]
+    return np.swapaxes(upper + 1j * lower, -1, -2), np.swapaxes(upper - 1j * lower, -1, -2)
 
 
 class Contraction:
     """All phase-dependent quantities for one (gamma, alpha) pair, built lazily.
 
     Heavy pieces (the Pfaffian coefficient, the contraction matrix and its
-    blocks, the derivative factors) are computed on first access and reused
-    across the many index tuples of an energy or gradient sum.
+    blocks) are computed on first access, always with the direct solve, and
+    reused across the many index tuples of an energy or gradient sum.  A
+    caller that built some of them in a batched pass over many phase
+    vectors hands them over with :meth:`preset`.
     """
 
-    def __init__(self, gamma, alpha, method: str = "auto"):
+    def __init__(self, gamma, alpha):
         self._gamma = _as_gamma(gamma)
         self.n_modes = self._gamma.shape[0] // 2
-        self.alpha = _as_alpha(alpha, self.n_modes)
-        self._method = method
+        self.alpha = _as_single_alpha(alpha, self.n_modes)
         self._cache: dict[str, np.ndarray | complex] = {}
 
     def _get(self, key: str, builder):
@@ -353,13 +396,17 @@ class Contraction:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def preset(self, **values) -> None:
+        """Install prebuilt pieces (``coeff``, ``g``, ``g_dag_plain``, ...)."""
+        self._cache.update(values)
+
     @property
     def coeff(self) -> complex:
         return self._get("coeff", lambda: a_coeff(self._gamma, self.alpha))
 
     @property
     def g(self) -> np.ndarray:
-        return self._get("g", lambda: g_matrix(self._gamma, self.alpha, self._method))
+        return self._get("g", lambda: g_matrix(self._gamma, self.alpha))
 
     @property
     def phase(self) -> np.ndarray:
@@ -384,28 +431,6 @@ class Contraction:
         return self._get(
             "g_plain_plain",
             lambda: block_contract_all(self.g, BlockContractionKind.MINUS_MINUS),
-        )
-
-    @property
-    def q(self) -> np.ndarray:
-        return self._get("q", lambda: q_matrix(self._gamma, self.alpha, self._method))
-
-    @property
-    def l(self) -> np.ndarray:
-        return self._get("l", lambda: l_matrix(self._gamma, self.alpha, self.g))
-
-    @property
-    def lt_plus(self) -> np.ndarray:
-        """Columns are L^T (1_q, +i_q); used for "-" row slots of derivatives."""
-        return self._get(
-            "lt_plus", lambda: (self.l[: self.n_modes, :] + 1j * self.l[self.n_modes:, :]).T
-        )
-
-    @property
-    def lt_minus(self) -> np.ndarray:
-        """Columns are L^T (1_p, -i_p); used for "+" column slots of derivatives."""
-        return self._get(
-            "lt_minus", lambda: (self.l[: self.n_modes, :] - 1j * self.l[self.n_modes:, :]).T
         )
 
     # -- normalized pair values (with the scalar coefficient divided out) --
@@ -433,9 +458,9 @@ class Contraction:
         return delta - self.pair_dag_plain(m2, m1)
 
 
-def contract(gamma, alpha, method: str = "auto") -> Contraction:
+def contract(gamma, alpha) -> Contraction:
     """Build the lazy contraction bundle for one (gamma, alpha) pair."""
-    return Contraction(gamma, alpha, method=method)
+    return Contraction(gamma, alpha)
 
 
 def pair_expectation(gamma, alpha, kind: PairKind, p: int, q: int) -> complex:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,20 @@ class TestRunCommand:
         records = [json.loads(line) for line in traj2.read_text().splitlines()]
         assert records[0]["energy"] == pytest.approx(checkpointed, abs=1e-12)
         assert all(r["energy"] <= checkpointed + 1e-12 for r in records[1:])
+
+    def test_non_finite_checkpoint_is_config_error(self, tmp_path, capsys):
+        hamil = hubbard_model(2, 1.0, 4.0, 2.0)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        payload = json.loads(ckpt.read_text())
+        payload["gamma"][1] = float("nan")
+        ckpt.write_text(json.dumps(payload))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "Traceback" not in err
 
     def test_deterministic_reruns(self, tmp_path):
         outputs = []
@@ -249,3 +267,18 @@ class TestCircuitCommand:
              str(tmp_path / "a.qasm"), "--out-report", str(tmp_path / "r.json")]
         )
         assert code == EXIT_CONFIG
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ngfermi", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: ngfermi" in proc.stdout

@@ -1,0 +1,183 @@
+"""The per-state evaluator against per-call and per-term references.
+
+The evaluator builds one contraction bundle per distinct phase vector with
+batched linear algebra and shares it between the energy, the mean-field
+matrix and the coupling gradient.  These tests pin that sharing and batching
+change no result, and that a step builds each bundle once.
+"""
+
+import numpy as np
+import pytest
+
+import ngfermi.hamiltonian
+from conftest import random_hamiltonian, random_symmetric_zero_diag
+from ngfermi import wick
+from ngfermi.gaussian import random_pure_covariance
+from ngfermi.hamiltonian import (
+    StateEvaluator,
+    energy,
+    energy_gradient_omega,
+    hubbard_model,
+    mean_field_h,
+)
+from ngfermi.linalg import pfaffian
+from ngfermi.optimizer import RunOptions, initial_state, run
+
+TOL = 1e-12
+
+
+def _rel_dev(a, b) -> float:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return float(np.max(np.abs(a - b), initial=0.0)) / max(1.0, float(np.max(np.abs(b), initial=0.0)))
+
+
+def _terms(hamil):
+    """(indices, phase vector) of every nonzero term, one-body terms first."""
+    out = []
+    for p, q in np.argwhere(hamil.f != 0.0):
+        out.append(((p, q), lambda w, p=p, q=q: w[:, q] - w[:, p]))
+    for p, q, r, s in hamil.two_body_entries():
+        out.append(((p, q, r, s), lambda w, p=p, q=q, r=r, s=s: w[:, r] + w[:, s] - w[:, p] - w[:, q]))
+    return out
+
+
+def _reference_energy(cov, w, hamil) -> float:
+    """The per-term loop with one unbatched bundle per term."""
+    total = 0.0 + 0.0j
+    for idx, alpha in _terms(hamil):
+        c = wick.contract(cov, alpha(w))
+        if len(idx) == 2:
+            p, q = idx
+            total += hamil.f[p, q] * 0.25j * c.coeff * c.g_dag_plain[p, q]
+        else:
+            p, q, r, s = idx
+            gpm = c.g_dag_plain
+            quartic = gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + c.g_dag_dag[p, q] * c.g_plain_plain[r, s]
+            total += -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * c.coeff * quartic
+    return total.real
+
+
+def _skew2(a, b):
+    return np.outer(a, b) - np.outer(b, a)
+
+
+def _reference_mean_field(cov, w, hamil) -> np.ndarray:
+    """The per-term loop with unbatched Q and L for every term."""
+    n2 = 2 * hamil.n_modes
+    out = np.zeros((n2, n2), dtype=complex)
+    for idx, alpha_of in _terms(hamil):
+        alpha = alpha_of(w)
+        c = wick.contract(cov, alpha)
+        q_mat = wick.q_matrix(cov, alpha)
+        ltp, ltm = wick.derivative_columns(wick.l_matrix(cov, alpha))
+        gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        if len(idx) == 2:
+            p, q = idx
+            out += (1j * hamil.f[p, q] * c.coeff) * (gpm[p, q] * q_mat + 0.5 * _skew2(ltp[:, q], ltm[:, p]))
+            continue
+        p, q, r, s = idx
+        coeff = -(1.0 / 16.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * c.coeff
+        term = (4.0 * gpm[p, s] * gpm[q, r] + 2.0 * gpp[p, q] * gmm[r, s]) * q_mat
+        term += 4.0 * gpm[q, r] * _skew2(ltp[:, s], ltm[:, p])
+        term += gmm[r, s] * _skew2(ltm[:, q], ltm[:, p])
+        term += gpp[p, q] * _skew2(ltp[:, s], ltp[:, r])
+        out += coeff * term
+    real = out.real
+    return 0.5 * (real - real.T)
+
+
+@pytest.mark.parametrize("model", ["hubbard-3", "random-4"])
+def test_shared_evaluator_matches_fresh_calls(model, rng):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0) if model == "hubbard-3" else random_hamiltonian(4, rng)
+    n = hamil.n_modes
+    cov = random_pure_covariance(n, rng)
+    w = random_symmetric_zero_diag(n, rng, scale=1.5)
+    ev = StateEvaluator(cov, w, hamil)
+    # reverse of the optimizer's order, so no result relies on an earlier one
+    grad = ev.gradient()
+    h_m = ev.mean_field_h()
+    e = ev.energy()
+    assert _rel_dev(grad, energy_gradient_omega(cov, w, hamil)) < TOL
+    assert _rel_dev(h_m, mean_field_h(cov, w, hamil)) < TOL
+    assert _rel_dev(e, energy(cov, w, hamil)) < TOL
+    assert _rel_dev(e[2], _reference_energy(cov, w, hamil)) < TOL
+    assert _rel_dev(h_m, _reference_mean_field(cov, w, hamil)) < TOL
+    # a foreign evaluator is never read
+    other = StateEvaluator(random_pure_covariance(n, rng), w, hamil)
+    assert energy(cov, w, hamil, evaluator=other) == e
+
+
+def test_batched_pfaffian_matches_single_and_determinant():
+    rng = np.random.default_rng(11)
+    k, n = 24, 24
+    stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    stack = stack - np.swapaxes(stack, 1, 2)
+    # row 0 has a zero first off-diagonal entry: the first pivot must swap
+    stack[0, 0, 1] = stack[0, 1, 0] = 0.0
+    # a zero row and column: exactly singular
+    stack[1, 5, :] = 0.0
+    stack[1, :, 5] = 0.0
+    batched = pfaffian(stack)
+    assert batched.shape == (k,)
+    assert batched[1] == 0.0
+    assert np.all(np.isfinite(batched))
+    for m, pf in zip(stack, batched):
+        det = np.linalg.det(m)
+        assert abs(pf**2 - det) <= TOL * max(1.0, abs(det))
+        single = pfaffian(m)
+        assert abs(single - pf) <= TOL * max(1.0, abs(pf))
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_stacked_g_matrix_matches_single_solves(k, rng):
+    # N=4: k=8 equals 2N, the stack size an older NumPy would misread as a
+    # stack of right-hand-side vectors
+    cov = random_pure_covariance(4, rng)
+    alphas = rng.uniform(-np.pi, np.pi, (k, 4))
+    stacked = wick.g_matrix(cov, alphas)
+    assert stacked.shape == (k, 8, 8)
+    for alpha, g in zip(alphas, stacked):
+        assert _rel_dev(g, wick.g_matrix(cov, alpha)) < TOL
+
+
+def test_initial_state_wraps_plain_arrays(rng):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    cov = random_pure_covariance(6, rng)
+    state = initial_state(hamil, gamma=cov.gamma, omega=np.zeros((6, 6)))
+    assert state.evaluator.built_for(state.gamma, state.omega, hamil)
+    assert state.energy == energy(cov, np.zeros((6, 6)), hamil)[2]
+
+
+def test_evaluator_bundles_match_single_calls_past_dense_cap():
+    # Hubbard L=6 has 12 modes, past the dense oracle's 10-mode cap
+    rng = np.random.default_rng(5)
+    hamil = hubbard_model(6, 1.0, 4.0, 2.0)
+    cov = random_pure_covariance(12, rng)
+    w = random_symmetric_zero_diag(12, rng, scale=0.8)
+    ev = StateEvaluator(cov, w, hamil)
+    keys = {np.round(wick.wrap_angles(alpha(w)), 14).tobytes() for _, alpha in _terms(hamil)}
+    assert len(ev.bundles) == len(keys) > 20
+    for bundle in ev.bundles:
+        assert abs(bundle.coeff - wick.a_coeff(cov, bundle.alpha)) < TOL
+        assert _rel_dev(bundle.g, wick.g_matrix(cov, bundle.alpha, method="direct")) < TOL
+
+
+def test_step_builds_each_bundle_once(monkeypatch):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    options = RunOptions(max_steps=1, tol_g=0.0)
+    state = initial_state(hamil, options, seed=5)
+    built = []  # holds the gamma objects, so their ids stay unique
+    original = ngfermi.hamiltonian.contract
+
+    def counting_contract(gamma, alpha):
+        built.append((gamma, np.round(wick.wrap_angles(alpha), 14).tobytes()))
+        return original(gamma, alpha)
+
+    monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
+    _, records, _ = run(hamil, options, state)
+    assert len(records) == 2
+    # the starting state's bundles came from initial_state and are reused
+    assert built and all(gamma is not state.gamma for gamma, _ in built)
+    pairs = [(id(gamma), key) for gamma, key in built]
+    assert len(pairs) == len(set(pairs))

@@ -91,6 +91,14 @@ class TestCovarianceMatrix:
         with pytest.raises(ValidationError):
             CovarianceMatrix(np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes every "deviation > tol" comparison, so it needs its own check
+        gamma = -upsilon(2)
+        gamma[0, 2], gamma[2, 0] = bad, -bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            CovarianceMatrix(gamma)
+
     def test_purity_error_property(self):
         assert CovarianceMatrix(-upsilon(2)).purity_error < 1e-15
         assert CovarianceMatrix(-0.5 * upsilon(2)).purity_error > 0.1

@@ -34,6 +34,11 @@ class TestNonGaussianParams:
         with pytest.raises(ValidationError):
             NonGaussianParams(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            NonGaussianParams(np.array([[0.0, bad], [bad, 0.0]]))
+
     def test_wrapped_preserves_unitary(self, rng):
         w = random_symmetric_zero_diag(3, rng, scale=8.0)
         wrapped = NonGaussianParams(w).wrapped()
@@ -50,6 +55,17 @@ class TestManyBodyHamiltonian:
         f = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             ManyBodyHamiltonian(2, f, np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("part", ["f", "h"])
+    def test_non_finite_rejected(self, part):
+        f = np.zeros((2, 2))
+        h = np.zeros((2, 2, 2, 2))
+        if part == "f":
+            f[0, 0] = np.nan
+        else:
+            h[0, 1, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            ManyBodyHamiltonian(2, f, h)
 
     def test_two_body_symmetry_violation_names_indices(self):
         h = np.zeros((2, 2, 2, 2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from ngfermi import hamiltonian as ham
 from ngfermi.errors import StagnationError, ValidationError
 from ngfermi.gaussian import random_pure_covariance, upsilon
 from ngfermi.hamiltonian import ManyBodyHamiltonian, mean_field_o
+import ngfermi.optimizer
 from ngfermi.optimizer import (
+    ENERGY_INCREASE_TOL,
     RunOptions,
     b_tensor,
     dtau_gamma,
@@ -199,6 +203,17 @@ class TestStep:
     def test_stagnation_error(self, hubbard):
         options = RunOptions(dtau0=50.0, dtau_min=40.0, tol_g=1e-12)
         state = initial_state(hubbard, options, seed=1)
+        with pytest.raises(StagnationError):
+            step(state, hubbard, options)
+
+    def test_rise_just_past_tolerance_is_rejected(self, hubbard, monkeypatch):
+        # here E + 1e-12 rounds to a value more than 1e-12 above E
+        e0 = -10.697221147942461
+        trial = e0 + ENERGY_INCREASE_TOL
+        assert trial - e0 > ENERGY_INCREASE_TOL
+        options = RunOptions(dtau0=1e-3, dtau_min=5e-4)
+        state = dataclasses.replace(initial_state(hubbard, options, seed=1), energy=e0)
+        monkeypatch.setattr(ngfermi.optimizer, "energy", lambda *args, **kwargs: (0.0, 0.0, trial))
         with pytest.raises(StagnationError):
             step(state, hubbard, options)
 
