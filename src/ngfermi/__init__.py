@@ -13,7 +13,6 @@ from .circuit import GateList, emit_ufa, resource_report, to_qasm, verify_dense
 from .gaussian import (
     CovarianceMatrix,
     GaussianParams,
-    SymplecticForm,
     covariance_from_xi,
     mean_field_covariance,
     occupation_numbers,
@@ -23,7 +22,6 @@ from .gaussian import (
 from .hamiltonian import (
     ManyBodyHamiltonian,
     NonGaussianParams,
-    RotatedCoefficients,
     StateEvaluator,
     energy,
     energy_gradient_omega,
@@ -31,7 +29,6 @@ from .hamiltonian import (
     load_hamiltonian,
     mean_field_h,
     mean_field_o,
-    rotate_coefficients,
     save_hamiltonian,
 )
 from .linalg import (

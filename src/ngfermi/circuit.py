@@ -14,7 +14,6 @@ angles; it is fixed by the dense re-simulation check in :func:`verify_dense`.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -253,7 +252,3 @@ def resource_report(gates: GateList, connectivity: str = "all_to_all") -> dict:
             "includes diagonal self-pairings that emit no gate."
         ),
     }
-
-
-def report_json(gates: GateList, connectivity: str = "all_to_all") -> str:
-    return json.dumps(resource_report(gates, connectivity), indent=2)

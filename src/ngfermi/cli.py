@@ -87,7 +87,6 @@ _TOP_KEYS = {
     "tol_e",
     "patience",
     "max_steps",
-    "threads",
     "outputs",
 }
 
@@ -154,10 +153,6 @@ def parse_config(payload: dict) -> dict:
     outputs = payload.get("outputs", {})
     _reject_unknown(outputs, {"checkpoint", "trajectory"}, "outputs")
 
-    threads = int(payload.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-
     for key in ("tol_g", "tol_e", "dtau0", "dtau_max", "dtau_min"):
         if key in payload and not (float(payload[key]) > 0.0):
             raise ConfigError(f"{key} must be positive")
@@ -187,7 +182,6 @@ def parse_config(payload: dict) -> dict:
         "options": options,
         "outputs": outputs,
         "filling": filling,
-        "threads": threads,
     }
 
 

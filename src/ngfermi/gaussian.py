@@ -8,7 +8,7 @@ symplectic structure is ``Upsilon = sigma (x) 1_N`` with sigma = [[0,1],[-1,0]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,17 +80,6 @@ class CovarianceMatrix:
         """Frobenius norm of gamma^2 + 1."""
         n2 = self.gamma.shape[0]
         return float(np.linalg.norm(self.gamma @ self.gamma + np.eye(n2)))
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The constant form sigma (x) 1_N for a fixed mode count."""
-
-    n_modes: int
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", upsilon(self.n_modes))
 
 
 def _as_gamma(gamma) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gaussian import CovarianceMatrix, _as_gamma, upsilon
 from .linalg import BlockContractionKind, block_contract_all
-from .wick import Contraction, contract, expectation_from, wrap_angles
+from .wick import Contraction, contract, wrap_angles
 
 SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-9
@@ -58,13 +58,6 @@ class NonGaussianParams:
     @property
     def n_modes(self) -> int:
         return self.omega.shape[0]
-
-    def wrapped(self) -> "NonGaussianParams":
-        """Couplings wrapped into (-pi, pi]; the generated unitary is unchanged."""
-        w = wrap_angles(self.omega)
-        w = 0.5 * (w + w.T)
-        np.fill_diagonal(w, 0.0)
-        return NonGaussianParams(w)
 
 
 def _as_omega(omega, n_modes: int | None = None) -> np.ndarray:
@@ -135,53 +128,6 @@ class ManyBodyHamiltonian:
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
 
-@dataclass(frozen=True)
-class RotatedCoefficients:
-    """Coefficients of the flux-rotated Hamiltonian.
-
-    ``f_fa[p, q] = f_pq e^{-i omega_pq}`` and
-
-    ``h_fa[p,q,r,s] = h_pqrs exp(i (omega_rs + omega_pq - omega_pr - omega_ps
-    - omega_qr - omega_qs))``
-
-    so that each rotated term is exactly ``coeff * exp(i sum_k phase(k) n_k) *
-    (operator string)`` with the per-mode phases from :meth:`alpha` and
-    :meth:`beta`.  The two-body coefficient carries the full scalar phase of
-    the operator rotation, which is the product of the pair-exponent factor
-    e^{-i(beta(p)+beta(q))} and the reordering phase e^{i(omega_rs-omega_pq)}.
-    """
-
-    n_modes: int
-    omega: np.ndarray
-    f_fa: np.ndarray
-    h_fa: np.ndarray
-
-    def alpha(self, p: int, q: int) -> np.ndarray:
-        """Per-mode phases of the rotated one-body term: alpha(k) = w_kq - w_kp."""
-        return self.omega[:, q] - self.omega[:, p]
-
-    def beta(self, p: int, q: int, r: int, s: int) -> np.ndarray:
-        """Per-mode phases of the rotated two-body term."""
-        w = self.omega
-        return w[:, r] + w[:, s] - w[:, p] - w[:, q]
-
-
-def rotate_coefficients(hamil: ManyBodyHamiltonian, omega) -> RotatedCoefficients:
-    """Coefficients and phase vectors of the flux-rotated Hamiltonian."""
-    w = _as_omega(omega, hamil.n_modes)
-    f_fa = hamil.f * np.exp(-1j * w)
-    phase4 = (
-        w[None, None, :, :]
-        + w[:, :, None, None]
-        - w[:, None, :, None]
-        - w[:, None, None, :]
-        - w[None, :, :, None]
-        - w[None, :, None, :]
-    )
-    h_fa = hamil.h * np.exp(1j * phase4)
-    return RotatedCoefficients(hamil.n_modes, w, f_fa, h_fa)
-
-
 class StateEvaluator:
     """Energy, mean-field matrix and coupling gradient of one (gamma, omega) state.
 
@@ -192,8 +138,8 @@ class StateEvaluator:
     K contraction matrices from one batched direct solve.  The derivative
     factors Q and L are built, batched, when the mean-field matrix is asked
     for.  :meth:`energy`, :meth:`mean_field_h` and :meth:`gradient` all read
-    from these bundles, so a state's bundles are built once however many of
-    the three are asked for.
+    the same (K, ...) stacks of coefficients and contraction blocks, so a
+    state's bundles are built once however many of the three are asked for.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian):
@@ -221,25 +167,26 @@ class StateEvaluator:
             term_key.append(k)
         self._one_body = list(zip(self._terms[: len(f_idx)], term_key))
         self._two_body = list(zip(self._terms[len(f_idx):], term_key[len(f_idx):]))
+        self._term_key = np.array(term_key, dtype=int)
         self._first_term = first
         self._alphas = alphas[first]
-        coeffs = wick.a_coeff(self.gamma, self._alphas)
+        self._coeffs = wick.a_coeff(self.gamma, self._alphas)
         try:
-            g_mats = wick.g_matrix(self.gamma, self._alphas)
+            self._g = wick.g_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        gpm = block_contract_all(g_mats, BlockContractionKind.PLUS_MINUS)
-        gpp = block_contract_all(g_mats, BlockContractionKind.PLUS_PLUS)
-        gmm = block_contract_all(g_mats, BlockContractionKind.MINUS_MINUS)
+        self._gpm = block_contract_all(self._g, BlockContractionKind.PLUS_MINUS)
+        self._gpp = block_contract_all(self._g, BlockContractionKind.PLUS_PLUS)
+        self._gmm = block_contract_all(self._g, BlockContractionKind.MINUS_MINUS)
         self.bundles: list[Contraction] = []
         for k, alpha in enumerate(self._alphas):
             bundle = contract(self.gamma, alpha)
             bundle.preset(
-                coeff=coeffs[k],
-                g=g_mats[k],
-                g_dag_plain=gpm[k],
-                g_dag_dag=gpp[k],
-                g_plain_plain=gmm[k],
+                coeff=self._coeffs[k],
+                g=self._g[k],
+                g_dag_plain=self._gpm[k],
+                g_dag_dag=self._gpp[k],
+                g_plain_plain=self._gmm[k],
             )
             self.bundles.append(bundle)
 
@@ -255,28 +202,25 @@ class StateEvaluator:
             f"{label}=({','.join(map(str, term))}): {exc}", alpha=exc.alpha, index=exc.index
         )
 
-    def _pieces(self) -> list[tuple[complex, np.ndarray, np.ndarray, np.ndarray]]:
-        """Coefficient and the three contraction blocks of every bundle."""
-        return [(b.coeff, b.g_dag_plain, b.g_dag_dag, b.g_plain_plain) for b in self.bundles]
-
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
         f, h, w = self.hamil.f, self.hamil.h, self._w
-        # f_fa[p,q] * e^{i alpha_pq(p)} = f_pq, so the pair phase cancels exactly.
-        pieces = self._pieces()
+        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
+        # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
+        # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the pair phase cancels exactly.
         e1 = 0.0 + 0.0j
         for (p, q), k in self._one_body:
-            coeff, gpm, _, _ = pieces[k]
-            e1 += f[p, q] * 0.25j * coeff * gpm[p, q]
+            e1 += f[p, q] * 0.25j * a[k] * gpm[k, p, q]
         e2 = 0.0 + 0.0j
         for (p, q, r, s), k in self._two_body:
-            coeff, gpm, gpp, gmm = pieces[k]
-            quartic = gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + gpp[p, q] * gmm[r, s]
+            quartic = (
+                gpm[k, p, s] * gpm[k, q, r] - gpm[k, p, r] * gpm[k, q, s] + gpp[k, p, q] * gmm[k, r, s]
+            )
             e2 += (
                 -(1.0 / 32.0)
                 * h[p, q, r, s]
                 * np.exp(1j * (w[r, s] - w[p, q]))
-                * coeff
+                * a[k]
                 * quartic
             )
         for label, val in (("one-body", e1), ("two-body", e2)):
@@ -295,22 +239,18 @@ class StateEvaluator:
             q_mats = wick.q_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        # reshape keeps a (0, 2N, 2N) stack when the Hamiltonian has no terms
-        g_mats = np.array([b.g for b in self.bundles]).reshape(-1, n2, n2)
-        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, g_mats))
-        pieces = self._pieces()
+        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, self._g))
+        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
         for (p, q), k in self._one_body:
-            coeff, gpm, _, _ = pieces[k]
             deriv = _rank2_skew(lt_plus[k, :, q], lt_minus[k, :, p])
-            out += (1j * f[p, q] * coeff) * (gpm[p, q] * q_mats[k] + 0.5 * deriv)
+            out += (1j * f[p, q] * a[k]) * (gpm[k, p, q] * q_mats[k] + 0.5 * deriv)
         for (p, q, r, s), k in self._two_body:
-            a_k, gpm, gpp, gmm = pieces[k]
             ltp, ltm = lt_plus[k], lt_minus[k]
-            coeff = -(1.0 / 16.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a_k
-            term = (4.0 * gpm[p, s] * gpm[q, r] + 2.0 * gpp[p, q] * gmm[r, s]) * q_mats[k]
-            term += 4.0 * gpm[q, r] * _rank2_skew(ltp[:, s], ltm[:, p])
-            term += gmm[r, s] * _rank2_skew(ltm[:, q], ltm[:, p])
-            term += gpp[p, q] * _rank2_skew(ltp[:, s], ltp[:, r])
+            coeff = -(1.0 / 16.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k]
+            term = (4.0 * gpm[k, p, s] * gpm[k, q, r] + 2.0 * gpp[k, p, q] * gmm[k, r, s]) * q_mats[k]
+            term += 4.0 * gpm[k, q, r] * _rank2_skew(ltp[:, s], ltm[:, p])
+            term += gmm[k, r, s] * _rank2_skew(ltm[:, q], ltm[:, p])
+            term += gpp[k, p, q] * _rank2_skew(ltp[:, s], ltp[:, r])
             out += coeff * term
 
         scale = max(1.0, float(np.max(np.abs(out.real))))
@@ -321,17 +261,74 @@ class StateEvaluator:
         return 0.5 * (real - real.T)
 
     def gradient(self) -> np.ndarray:
-        """Gradient with respect to the couplings; see :func:`energy_gradient_omega`."""
+        """Gradient with respect to the couplings; see :func:`energy_gradient_omega`.
+
+        A term's energy E_t depends on omega through its phase vector,
+        alpha_t(m) = sum_c omega_mc v_t(c) with v_t = +1 on the annihilated
+        and -1 on the created modes, and a two-body term also through its
+        scalar phase e^{i(omega_rs - omega_pq)}.  The chain rule runs through
+        the bundle's own pieces: with x_m = -(1/4) e^{i alpha_m},
+
+            d log A / d alpha_m = x_m gpm[m, m]
+            d gpm[p, q] / d alpha_m = x_m (gpp[p, m] gmm[m, q] - gpm[p, m] gpm[m, q])
+            d gpp[p, q] / d alpha_m = -x_m (gpp[p, m] gpm[q, m] + gpm[p, m] gpp[m, q])
+            d gmm[p, q] / d alpha_m = -x_m (gpm[m, p] gmm[m, q] + gmm[p, m] gpm[m, q])
+
+        which are exact: dA/d alpha_m = i <e^{i alpha n} n_m>, and
+        dG/d alpha_m = (i/2) e^{i alpha_m} (G[:, m] G[N+m, :] - G[:, N+m] G[m, :])
+        because the solve's numerator and denominator give
+        (Upsilon gamma - 1) D^{-1} = Upsilon G.
+        """
         n = self.hamil.n_modes
-        rot = rotate_coefficients(self.hamil, self._w)
-        f_bundle = {pq: self.bundles[k] for pq, k in self._one_body}
-        h_terms = [(pqrs, self.bundles[k]) for pqrs, k in self._two_body]
-        grad = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = _gradient_entry(f_bundle, h_terms, rot, i, j)
-                grad[i, j] = val
-                grad[j, i] = val
+        f, h, w = self.hamil.f, self.hamil.h, self._w
+        f_idx, h_idx, _ = self.hamil._term_indices
+        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
+        keys = self._term_key
+        k1, k2 = keys[: len(f_idx)], keys[len(f_idx):]
+
+        # d/d alpha of one block entry per term, over m and without x_m: (T, N)
+        def d_pm(k, p, q):
+            return gpp[k, p] * gmm[k, :, q] - gpm[k, p] * gpm[k, :, q]
+
+        def d_pp(k, p, q):
+            return -(gpp[k, p] * gpm[k, q] + gpm[k, p] * gpp[k, :, q])
+
+        def d_mm(k, p, q):
+            return -(gpm[k, :, p] * gmm[k, :, q] + gmm[k, p] * gpm[k, :, q])
+
+        eye = np.eye(n)
+        p, q = f_idx.T
+        w1 = 0.25j * f[p, q] * a[k1]
+        e1 = w1 * gpm[k1, p, q]
+        d1 = w1[:, None] * d_pm(k1, p, q)
+        v1 = eye[q] - eye[p]
+
+        p, q, r, s = h_idx.T
+        w2 = -(1.0 / 32.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k2]
+        ps, qr, pr, qs = gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s]
+        pq, rs = gpp[k2, p, q], gmm[k2, r, s]
+        e2 = w2 * (ps * qr - pr * qs + pq * rs)
+        d2 = w2[:, None] * (
+            d_pm(k2, p, s) * qr[:, None]
+            + ps[:, None] * d_pm(k2, q, r)
+            - d_pm(k2, p, r) * qs[:, None]
+            - pr[:, None] * d_pm(k2, q, s)
+            + d_pp(k2, p, q) * rs[:, None]
+            + pq[:, None] * d_mm(k2, r, s)
+        )
+        v2 = eye[r] + eye[s] - eye[p] - eye[q]
+
+        diag = np.diagonal(gpm, axis1=1, axis2=2)
+        e_t = np.concatenate([e1, e2])
+        d_alpha = -0.25 * np.exp(1j * self._alphas[keys]) * (
+            diag[keys] * e_t[:, None] + np.concatenate([d1, d2])
+        )
+        x = d_alpha.real.T @ np.concatenate([v1, v2])  # x[m, c] = dE / d omega_mc
+        # the two-body scalar phase: d Re(E_t) / d omega_rs = Re(i E_t)
+        np.add.at(x, (r, s), -e2.imag)
+        np.add.at(x, (p, q), e2.imag)
+        grad = 0.5 * (x + x.T)
+        np.fill_diagonal(grad, 0.0)
         return grad
 
 
@@ -360,58 +357,14 @@ def energy_gradient_omega(
 ) -> np.ndarray:
     """Gradient of the energy with respect to the flux couplings.
 
-    Built from the commutator of the rotated Hamiltonian with the
-    normal-ordered pair-number operator; only operator strings of length four
-    and six appear.  The result is real symmetric with zero diagonal, with
-    the (i, j) and (j, i) entries treated as independent parameters of equal
-    value (matching the convention used by the flow tensor).
+    Read by the chain rule from the state's contraction bundles, through
+    each term's phase vector and scalar phase; see
+    :meth:`StateEvaluator.gradient`.  The result is real symmetric with zero
+    diagonal, with the (i, j) and (j, i) entries treated as independent
+    parameters of equal value (matching the convention used by the flow
+    tensor).
     """
     return _state_evaluator(gamma, omega, hamil, evaluator).gradient()
-
-
-def _gradient_entry(
-    f_bundle: dict[tuple[int, int], Contraction],
-    h_terms: list[tuple[tuple[int, int, int, int], Contraction]],
-    rot: RotatedCoefficients,
-    i: int,
-    j: int,
-) -> float:
-    total = 0.0
-    # one-body contributions, strings c+_i c+_j c_j c_p (and i <-> j)
-    for a, b in ((i, j), (j, i)):
-        acc = 0.0 + 0.0j
-        for p in range(rot.n_modes):
-            c = f_bundle.get((a, p))
-            if c is None:
-                continue
-            string = ((a, True), (b, True), (b, False), (p, False))
-            acc += rot.f_fa[a, p] * expectation_from(c, string)
-        total += acc.imag
-    # pair-annihilation contribution, strings c+_i c+_j c_p c_q with p < q
-    acc = 0.0 + 0.0j
-    for (p, q, r, s), c in h_terms:
-        if p != i or q != j or r >= s:
-            continue
-        string = ((i, True), (j, True), (r, False), (s, False))
-        acc += rot.h_fa[p, q, r, s] * expectation_from(c, string)
-    total += 2.0 * acc.imag
-    # six-operator contribution, strings c+_j c+_i c+_p c_j c_q c_r (and i <-> j)
-    for a, b in ((i, j), (j, i)):
-        acc = 0.0 + 0.0j
-        for (t, p, q, r), c in h_terms:
-            if t != a or q >= r:
-                continue
-            string = (
-                (b, True),
-                (a, True),
-                (p, True),
-                (b, False),
-                (q, False),
-                (r, False),
-            )
-            acc += rot.h_fa[a, p, q, r] * expectation_from(c, string)
-        total += 2.0 * acc.imag
-    return total
 
 
 def _rank2_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:

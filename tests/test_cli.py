@@ -174,11 +174,12 @@ class TestParseConfig:
                 {"hamiltonian": {"model": "hubbard", "sites": 2}, "init": "zeros"}
             )
 
-    def test_threads_recorded(self):
-        resolved = parse_config(
-            {"hamiltonian": {"model": "hubbard", "sites": 2}, "threads": 2}
-        )
-        assert resolved["threads"] == 2
+    def test_threads_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config({"hamiltonian": {"model": "hubbard", "sites": 2}, "threads": 2})
+        cfg = tmp_path / "run.json"
+        write_config(cfg, threads=2)
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 class TestValidateCommand:

@@ -7,7 +7,6 @@ from ngfermi.errors import DegeneracyError, ValidationError
 from ngfermi.gaussian import (
     CovarianceMatrix,
     GaussianParams,
-    SymplecticForm,
     covariance_from_xi,
     mean_field_covariance,
     occupation_numbers,
@@ -25,10 +24,6 @@ class TestSymplecticForm:
             ups = upsilon(n)
             np.testing.assert_allclose(ups @ ups, -np.eye(2 * n))
             np.testing.assert_allclose(ups.T, -ups)
-
-    def test_dataclass_wrapper(self):
-        form = SymplecticForm(3)
-        np.testing.assert_allclose(form.matrix, upsilon(3))
 
 
 class TestCovarianceFromXi:
