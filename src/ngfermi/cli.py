@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,14 +53,15 @@ def save_checkpoint(path, state: optimizer.OptimizerState) -> None:
 
 def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianParams, float, float]:
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
     required = {"n_modes", "gamma", "omega", "tau", "energy"}
-    if set(payload) != required:
-        raise FormatError(
-            f"checkpoint keys {sorted(payload)} do not match {sorted(required)}"
-        )
-    n = int(payload["n_modes"])
+    if not isinstance(payload, dict) or set(payload) != required:
+        raise FormatError(f"checkpoint must be an object with exactly the keys {sorted(required)}")
     try:
+        n = int(payload["n_modes"])
         gamma = np.asarray(payload["gamma"], dtype=float).reshape(2 * n, 2 * n)
         omega = np.asarray(payload["omega"], dtype=float).reshape(n, n)
         return (
@@ -68,7 +70,7 @@ def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianPar
             float(payload["tau"]),
             float(payload["energy"]),
         )
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, TypeError) as exc:
         raise FormatError(f"checkpoint data invalid: {exc}") from exc
 
 
@@ -92,9 +94,33 @@ _TOP_KEYS = {
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"'{where}' must be an object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(section: dict, key: str, kind: type, default=None, where: str = ""):
+    """``section[key]`` as an integer, a finite number or a string (``kind``).
+
+    An absent key gives ``default`` (an error when that is None); a value
+    of another JSON type, a boolean, inf/NaN or a fraction for an integer is
+    a :class:`ConfigError` naming the key.
+    """
+    name = f"{where}.{key}" if where else key
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"config needs '{name}'")
+        return default
+    value = section[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not (isinstance(value, str) if kind is str else number and (kind is float or value == int(value))):
+        raise ConfigError(f"'{name}' must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
 
 
 def parse_config(payload: dict) -> dict:
@@ -111,14 +137,14 @@ def parse_config(payload: dict) -> dict:
     try:
         if "path" in hsec:
             _reject_unknown(hsec, {"path"}, "hamiltonian")
-            hamil = ham.load_hamiltonian(hsec["path"])
+            hamil = ham.load_hamiltonian(_typed(hsec, "path", str, where="hamiltonian"))
         elif hsec.get("model") == "hubbard":
             _reject_unknown(hsec, {"model", "sites", "t", "u", "mu", "periodic"}, "hamiltonian")
             hamil = ham.hubbard_model(
-                int(hsec["sites"]),
-                float(hsec.get("t", 1.0)),
-                float(hsec.get("u", 0.0)),
-                float(hsec.get("mu", 0.0)),
+                _typed(hsec, "sites", int, where="hamiltonian"),
+                _typed(hsec, "t", float, 1.0, "hamiltonian"),
+                _typed(hsec, "u", float, 0.0, "hamiltonian"),
+                _typed(hsec, "mu", float, 0.0, "hamiltonian"),
                 bool(hsec.get("periodic", False)),
             )
         else:
@@ -132,6 +158,10 @@ def parse_config(payload: dict) -> dict:
         _reject_unknown(init, {"random_seed", "checkpoint"}, "init")
         if len(init) != 1:
             raise ConfigError("'init' object needs exactly one of random_seed/checkpoint")
+        if "checkpoint" in init:
+            _typed(init, "checkpoint", str, where="init")
+        elif _typed(init, "random_seed", int, where="init") < 0:
+            raise ConfigError(f"'init.random_seed' must be non-negative, got {init['random_seed']!r}")
     elif init != "meanfield":
         raise ConfigError(f"unknown init {init!r}")
 
@@ -141,7 +171,7 @@ def parse_config(payload: dict) -> dict:
         _reject_unknown(update, {"simple"}, "omega_update")
         simple = update["simple"]
         _reject_unknown(simple, {"c"}, "omega_update.simple")
-        simple_c = float(simple["c"])
+        simple_c = _typed(simple, "c", float, where="omega_update.simple")
         update_name = "simple"
     elif update in ("hitgd", "simple"):
         update_name = update
@@ -152,27 +182,24 @@ def parse_config(payload: dict) -> dict:
 
     outputs = payload.get("outputs", {})
     _reject_unknown(outputs, {"checkpoint", "trajectory"}, "outputs")
+    outputs = {key: _typed(outputs, key, str, where="outputs") for key in outputs}
 
-    for key in ("tol_g", "tol_e", "dtau0", "dtau_max", "dtau_min"):
-        if key in payload and not (float(payload[key]) > 0.0):
-            raise ConfigError(f"{key} must be positive")
+    defaults = optimizer.RunOptions()
+    numbers = {
+        key: _typed(payload, key, type(getattr(defaults, key)), getattr(defaults, key))
+        for key in ("dtau0", "dtau_max", "dtau_min", "tol_g", "tol_e", "patience", "max_steps")
+    }
     try:
         options = optimizer.RunOptions(
             omega_update=update_name,
             simple_c=simple_c,
             freeze_omega=bool(payload.get("freeze_omega", False)),
-            dtau0=float(payload.get("dtau0", 0.1)),
-            dtau_max=float(payload.get("dtau_max", 1.0)),
-            dtau_min=float(payload.get("dtau_min", 1e-8)),
-            tol_g=float(payload.get("tol_g", 1e-7)),
-            tol_e=float(payload.get("tol_e", 1e-11)),
-            patience=int(payload.get("patience", 10)),
-            max_steps=int(payload.get("max_steps", 5000)),
+            **numbers,
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    filling = float(payload.get("filling", 0.5))
+    filling = _typed(payload, "filling", float, 0.5)
     if not (0.0 <= filling <= 1.0):
         raise ConfigError("filling must lie in [0, 1]")
 
@@ -194,6 +221,10 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
     if "random_seed" in init:
         return optimizer.initial_state(hamil, options, seed=int(init["random_seed"]))
     gamma, omega, tau, _ = load_checkpoint(init["checkpoint"])
+    if gamma.n_modes != hamil.n_modes:
+        raise ConfigError(f"checkpoint has {gamma.n_modes} modes, the Hamiltonian {hamil.n_modes}")
+    if gamma.purity_error > gaussian.PURITY_TOL:
+        raise ConfigError(f"checkpoint gamma is not pure: purity error {gamma.purity_error:.3e}")
     evaluator = ham.StateEvaluator(gamma, omega, hamil)
     return optimizer.OptimizerState(
         gamma=gamma,
@@ -225,9 +256,16 @@ def cmd_run(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     resolved = parse_config(payload)
+    outputs = resolved["outputs"]
+    # append mode creates a missing file and truncates none, so a run that
+    # restarts from its own checkpoint file still reads it whole
+    for key, path in outputs.items():
+        try:
+            open(path, "a", encoding="ascii").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs.{key} {path!r}: {exc}") from exc
     state = _build_initial_state(resolved)
     final, records, reason = optimizer.run(resolved["hamiltonian"], resolved["options"], state)
-    outputs = resolved["outputs"]
     if "trajectory" in outputs:
         with open(outputs["trajectory"], "w", encoding="ascii") as fh:
             for record in records:

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import CovarianceMatrix, _as_gamma, upsilon
-from .linalg import BlockContractionKind, block_contract_all
+from .linalg import BlockContractionKind
 from .wick import Contraction, contract, wrap_angles
 
 SYMMETRY_TOL = 1e-10
@@ -134,12 +134,13 @@ class StateEvaluator:
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
     string.  The evaluator groups the terms by their wrapped phase vector
     (rounded to 14 decimals) and builds one contraction bundle per distinct
-    phase vector: the K coefficients come from one batched Pfaffian and the
-    K contraction matrices from one batched direct solve.  The derivative
-    factors Q and L are built, batched, when the mean-field matrix is asked
-    for.  :meth:`energy`, :meth:`mean_field_h` and :meth:`gradient` all read
-    the same (K, ...) stacks of coefficients and contraction blocks, so a
-    state's bundles are built once however many of the three are asked for.
+    phase vector: K coefficients from one batched Pfaffian, K contraction
+    matrices from one batched direct solve.  Every term's energy
+    E_t = w_t x_t (weight times contraction) is then one gather over the
+    (K, N, N) block stacks.  :meth:`energy` sums the E_t, :meth:`gradient`
+    differentiates them, and :meth:`mean_field_h` adds their derivatives
+    with one sum over the Q stack and one product of L columns; no method
+    loops over terms in Python.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian):
@@ -150,45 +151,52 @@ class StateEvaluator:
         if self.gamma.n_modes != n:
             raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {n}")
         w = _as_omega(omega, n)
-        self._w = w
         f_idx, h_idx, self._terms = hamil._term_indices
-        p1, q1 = f_idx.T
-        p, q, r, s = h_idx.T
+        # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
+        self._modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
         alphas = np.concatenate(
             [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
         ).reshape(-1, n)
-        index: dict[bytes, int] = {}
-        first: list[int] = []
-        term_key = []
-        for t, key in enumerate(np.round(wrap_angles(alphas), 14)):
-            k = index.setdefault(key.tobytes(), len(index))
-            if k == len(first):
-                first.append(t)
-            term_key.append(k)
-        self._one_body = list(zip(self._terms[: len(f_idx)], term_key))
-        self._two_body = list(zip(self._terms[len(f_idx):], term_key[len(f_idx):]))
-        self._term_key = np.array(term_key, dtype=int)
-        self._first_term = first
-        self._alphas = alphas[first]
-        self._coeffs = wick.a_coeff(self.gamma, self._alphas)
+        # group by the bytes of the phase key, numbering keys in order of first appearance
+        keys = np.round(wrap_angles(alphas), 14)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * n))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self._term_key = np.argsort(order)[inverse]
+        self._first_term = first[order]
+        self._alphas = alphas[self._first_term]
+        a = wick.a_coeff(self.gamma, self._alphas)
         try:
             self._g = wick.g_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        self._gpm = block_contract_all(self._g, BlockContractionKind.PLUS_MINUS)
-        self._gpp = block_contract_all(self._g, BlockContractionKind.PLUS_PLUS)
-        self._gmm = block_contract_all(self._g, BlockContractionKind.MINUS_MINUS)
+        self._gpm = gpm = wick.block_contract_all(self._g, BlockContractionKind.PLUS_MINUS)
+        self._gpp = gpp = wick.block_contract_all(self._g, BlockContractionKind.PLUS_PLUS)
+        self._gmm = gmm = wick.block_contract_all(self._g, BlockContractionKind.MINUS_MINUS)
         self.bundles: list[Contraction] = []
         for k, alpha in enumerate(self._alphas):
             bundle = contract(self.gamma, alpha)
             bundle.preset(
-                coeff=self._coeffs[k],
+                coeff=a[k],
                 g=self._g[k],
                 g_dag_plain=self._gpm[k],
                 g_dag_dag=self._gpp[k],
                 g_plain_plain=self._gmm[k],
             )
             self.bundles.append(bundle)
+
+        # every term's energy E_t = w_t x_t; the rotated coefficient f_pq e^{-i omega_pq}
+        # times the pair phase e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the
+        # one-body weights carry no phase
+        self._k1, self._k2 = k1, k2 = self._term_key[: len(f_idx)], self._term_key[len(f_idx):]
+        self._w1 = 0.25j * hamil.f[p1, q1] * a[k1]
+        self._e1 = self._w1 * gpm[k1, p1, q1]
+        self._w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k2]
+        # the block entries of the two-body contraction x_t
+        self._pairs = ps, qr, pr, qs, pq, rs = (
+            gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s], gpp[k2, p, q], gmm[k2, r, s]
+        )
+        self._e2 = self._w2 * (ps * qr - pr * qs + pq * rs)
 
     def built_for(self, gamma, omega, hamil: ManyBodyHamiltonian) -> bool:
         """Whether this evaluator was built from exactly these objects."""
@@ -204,25 +212,7 @@ class StateEvaluator:
 
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
-        f, h, w = self.hamil.f, self.hamil.h, self._w
-        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
-        # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
-        # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the pair phase cancels exactly.
-        e1 = 0.0 + 0.0j
-        for (p, q), k in self._one_body:
-            e1 += f[p, q] * 0.25j * a[k] * gpm[k, p, q]
-        e2 = 0.0 + 0.0j
-        for (p, q, r, s), k in self._two_body:
-            quartic = (
-                gpm[k, p, s] * gpm[k, q, r] - gpm[k, p, r] * gpm[k, q, s] + gpp[k, p, q] * gmm[k, r, s]
-            )
-            e2 += (
-                -(1.0 / 32.0)
-                * h[p, q, r, s]
-                * np.exp(1j * (w[r, s] - w[p, q]))
-                * a[k]
-                * quartic
-            )
+        e1, e2 = np.sum(self._e1), np.sum(self._e2)
         for label, val in (("one-body", e1), ("two-body", e2)):
             if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
                 raise NumericsError(
@@ -231,27 +221,33 @@ class StateEvaluator:
         return float(e1.real), float(e2.real), float(e1.real + e2.real)
 
     def mean_field_h(self) -> np.ndarray:
-        """Mean-field matrix of the rotated Hamiltonian; see :func:`mean_field_h`."""
-        f, h, w = self.hamil.f, self.hamil.h, self._w
-        n2 = 2 * self.hamil.n_modes
-        out = np.zeros((n2, n2), dtype=complex)
+        """Mean-field matrix of the rotated Hamiltonian; see :func:`mean_field_h`.
+
+        Each term adds a multiple of its bundle's Q_k and rank-2 skew pieces
+        u v^T - v u^T with u, v columns of the bundle's L^T (one piece per
+        one-body term, three per two-body term).  So the matrix is
+        sum_k w_k Q_k + R - R^T, with w_k the summed Q multiples of phase
+        vector k and R = (U diag(c))^T V over all pieces' columns and weights c.
+        """
         try:
             q_mats = wick.q_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
         lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, self._g))
-        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
-        for (p, q), k in self._one_body:
-            deriv = _rank2_skew(lt_plus[k, :, q], lt_minus[k, :, p])
-            out += (1j * f[p, q] * a[k]) * (gpm[k, p, q] * q_mats[k] + 0.5 * deriv)
-        for (p, q, r, s), k in self._two_body:
-            ltp, ltm = lt_plus[k], lt_minus[k]
-            coeff = -(1.0 / 16.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k]
-            term = (4.0 * gpm[k, p, s] * gpm[k, q, r] + 2.0 * gpp[k, p, q] * gmm[k, r, s]) * q_mats[k]
-            term += 4.0 * gpm[k, q, r] * _rank2_skew(ltp[:, s], ltm[:, p])
-            term += gmm[k, r, s] * _rank2_skew(ltm[:, q], ltm[:, p])
-            term += gpp[k, p, q] * _rank2_skew(ltp[:, s], ltp[:, r])
-            out += coeff * term
+        k1, k2 = self._k1, self._k2
+        c2 = 2.0 * self._w2
+        ps, qr, _, _, pq, rs = self._pairs
+        (p1, q1), (p, q, r, s) = self._modes
+
+        w_q = np.zeros(len(self._alphas), dtype=complex)
+        np.add.at(w_q, self._term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
+        out = np.einsum("k,kij->ij", w_q, q_mats)
+        # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
+        u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
+        v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
+        c = np.concatenate([2.0 * self._w1, 4.0 * c2 * qr, c2 * rs, c2 * pq])
+        rmat = (u * c[:, None]).T @ v
+        out += rmat - rmat.T
 
         scale = max(1.0, float(np.max(np.abs(out.real))))
         imag_dev = float(np.max(np.abs(out.imag)))
@@ -280,11 +276,9 @@ class StateEvaluator:
         (Upsilon gamma - 1) D^{-1} = Upsilon G.
         """
         n = self.hamil.n_modes
-        f, h, w = self.hamil.f, self.hamil.h, self._w
-        f_idx, h_idx, _ = self.hamil._term_indices
-        a, gpm, gpp, gmm = self._coeffs, self._gpm, self._gpp, self._gmm
-        keys = self._term_key
-        k1, k2 = keys[: len(f_idx)], keys[len(f_idx):]
+        (p1, q1), (p, q, r, s) = self._modes
+        gpm, gpp, gmm = self._gpm, self._gpp, self._gmm
+        keys, k1, k2 = self._term_key, self._k1, self._k2
 
         # d/d alpha of one block entry per term, over m and without x_m: (T, N)
         def d_pm(k, p, q):
@@ -297,18 +291,11 @@ class StateEvaluator:
             return -(gpm[k, :, p] * gmm[k, :, q] + gmm[k, p] * gpm[k, :, q])
 
         eye = np.eye(n)
-        p, q = f_idx.T
-        w1 = 0.25j * f[p, q] * a[k1]
-        e1 = w1 * gpm[k1, p, q]
-        d1 = w1[:, None] * d_pm(k1, p, q)
-        v1 = eye[q] - eye[p]
+        d1 = self._w1[:, None] * d_pm(k1, p1, q1)
+        v1 = eye[q1] - eye[p1]
 
-        p, q, r, s = h_idx.T
-        w2 = -(1.0 / 32.0) * h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k2]
-        ps, qr, pr, qs = gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s]
-        pq, rs = gpp[k2, p, q], gmm[k2, r, s]
-        e2 = w2 * (ps * qr - pr * qs + pq * rs)
-        d2 = w2[:, None] * (
+        ps, qr, pr, qs, pq, rs = self._pairs
+        d2 = self._w2[:, None] * (
             d_pm(k2, p, s) * qr[:, None]
             + ps[:, None] * d_pm(k2, q, r)
             - d_pm(k2, p, r) * qs[:, None]
@@ -319,14 +306,14 @@ class StateEvaluator:
         v2 = eye[r] + eye[s] - eye[p] - eye[q]
 
         diag = np.diagonal(gpm, axis1=1, axis2=2)
-        e_t = np.concatenate([e1, e2])
+        e_t = np.concatenate([self._e1, self._e2])
         d_alpha = -0.25 * np.exp(1j * self._alphas[keys]) * (
             diag[keys] * e_t[:, None] + np.concatenate([d1, d2])
         )
         x = d_alpha.real.T @ np.concatenate([v1, v2])  # x[m, c] = dE / d omega_mc
         # the two-body scalar phase: d Re(E_t) / d omega_rs = Re(i E_t)
-        np.add.at(x, (r, s), -e2.imag)
-        np.add.at(x, (p, q), e2.imag)
+        np.add.at(x, (r, s), -self._e2.imag)
+        np.add.at(x, (p, q), self._e2.imag)
         grad = 0.5 * (x + x.T)
         np.fill_diagonal(grad, 0.0)
         return grad
@@ -365,10 +352,6 @@ def energy_gradient_omega(
     tensor).
     """
     return _state_evaluator(gamma, omega, hamil, evaluator).gradient()
-
-
-def _rank2_skew(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.outer(a, b) - np.outer(b, a)
 
 
 def mean_field_h(

@@ -81,16 +81,9 @@ def b_tensor(gamma) -> BTensor:
     return BTensor(entries, gvec)
 
 
-def _pair_index(n: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(n) for l in range(k + 1, n)]
-
-
 def matricize_b(tensor: BTensor) -> np.ndarray:
     """Reduced matrix over k<l pairs (row-major): B[(kl),(mn)] = B_klmn."""
-    n = tensor.n_modes
-    pairs = _pair_index(n)
-    rows = np.array([p[0] for p in pairs])
-    cols = np.array([p[1] for p in pairs])
+    rows, cols = np.triu_indices(tensor.n_modes, 1)
     return tensor.entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
 
 
@@ -127,16 +120,12 @@ def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> 
     grad = np.asarray(grad, dtype=float)
     if grad.shape != (n, n):
         raise ValidationError(f"gradient must be {n}x{n}, got {grad.shape}")
-    pairs = _pair_index(n)
-    if not pairs:
-        return np.zeros((n, n))
-    reduced = matricize_b(tensor)
-    y = np.array([grad[k, l] for k, l in pairs])
-    x = -4.0 * (pseudo_inverse(reduced, rcond=rcond) @ y)
     out = np.zeros((n, n))
-    for val, (k, l) in zip(x, pairs):
-        out[k, l] = val
-        out[l, k] = val
+    if n < 2:
+        return out
+    rows, cols = np.triu_indices(n, 1)
+    x = -4.0 * (pseudo_inverse(matricize_b(tensor), rcond=rcond) @ grad[rows, cols])
+    out[rows, cols] = out[cols, rows] = x
     return out
 
 

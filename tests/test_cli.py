@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngfermi import oracle
+from ngfermi import optimizer, oracle
 from ngfermi.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -101,6 +101,52 @@ class TestRunCommand:
         assert "non-finite" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_mode_count_mismatch_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hubbard_model(3, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)})  # a 4-mode Hamiltonian
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "6 modes" in err
+        assert "Traceback" not in err
+
+    def test_mixed_checkpoint_is_config_error(self, tmp_path, capsys):
+        hamil = hubbard_model(2, 1.0, 4.0, 2.0)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        payload = json.loads(ckpt.read_text())
+        payload["gamma"] = [0.0] * len(payload["gamma"])  # the maximally mixed state
+        ckpt.write_text(json.dumps(payload))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "purity error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("output", ["trajectory", "checkpoint"])
+    def test_unwritable_output_fails_before_any_step(self, tmp_path, monkeypatch, capsys, output):
+        def no_step(*args, **kwargs):
+            raise AssertionError("optimizer.step entered")
+
+        monkeypatch.setattr(optimizer, "step", no_step)
+        config = tmp_path / "run.json"
+        write_config(config, outputs={output: "/nonexistent/dir/t.jsonl"})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "outputs." + output in err
+        assert "Traceback" not in err
+
+    def test_restart_in_place_keeps_the_checkpoint(self, tmp_path):
+        # the output probe must not truncate the checkpoint the run restarts from
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)}, outputs={"checkpoint": str(ckpt)}, max_steps=2)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert set(json.loads(ckpt.read_text())) == {"n_modes", "gamma", "omega", "tau", "energy"}
+
     def test_deterministic_reruns(self, tmp_path):
         outputs = []
         for tag in ("a", "b"):
@@ -173,6 +219,43 @@ class TestParseConfig:
             parse_config(
                 {"hamiltonian": {"model": "hubbard", "sites": 2}, "init": "zeros"}
             )
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"dtau0": "abc"}, "dtau0"),
+            ({"max_steps": "x"}, "max_steps"),
+            ({"max_steps": 2.5}, "max_steps"),
+            ({"patience": True}, "patience"),
+            ({"tol_g": float("nan")}, "tol_g"),
+            ({"filling": "half"}, "filling"),
+            ({"hamiltonian": {"model": "hubbard"}}, "hamiltonian.sites"),
+            ({"hamiltonian": {"model": "hubbard", "sites": 2, "u": "4"}}, "hamiltonian.u"),
+            ({"omega_update": {"simple": {}}}, "omega_update.simple.c"),
+            ({"omega_update": {"simple": 3}}, "omega_update.simple"),
+            ({"init": {"random_seed": "7"}}, "init.random_seed"),
+            ({"init": {"random_seed": -1}}, "init.random_seed"),
+            ({"outputs": 3}, "outputs"),
+            ({"outputs": {"trajectory": 3}}, "outputs.trajectory"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, key):
+        config = tmp_path / "run.json"
+        write_config(config, **overrides)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+
+    def test_zero_tolerance_disables_a_stopping_rule(self):
+        # as for RunOptions, 0 turns a stopping rule off and a negative value is an error
+        base = {"hamiltonian": {"model": "hubbard", "sites": 2}}
+        options = parse_config({**base, "tol_g": 0, "tol_e": 0.0})["options"]
+        assert options.tol_g == 0.0 and options.tol_e == 0.0
+        with pytest.raises(ConfigError, match="tol_g"):
+            parse_config({**base, "tol_g": -1e-7})
+        with pytest.raises(ConfigError, match="dtau0"):
+            parse_config({**base, "dtau0": 0})
 
     def test_threads_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="threads"):

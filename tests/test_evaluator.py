@@ -3,7 +3,8 @@
 The evaluator builds one contraction bundle per distinct phase vector with
 batched linear algebra and shares it between the energy, the mean-field
 matrix and the coupling gradient.  These tests pin that sharing and batching
-change no result, and that a step builds each bundle once.
+change no result, that the mean-field matrix is the energy's derivative
+past the dense oracle's cap, and that a step builds each bundle once.
 """
 
 import numpy as np
@@ -106,6 +107,29 @@ def test_shared_evaluator_matches_fresh_calls(model, rng):
     # a foreign evaluator is never read
     other = StateEvaluator(random_pure_covariance(n, rng), w, hamil)
     assert energy(cov, w, hamil, evaluator=other) == e
+
+
+@pytest.mark.parametrize("model", ["hubbard-6", "random-5"])
+def test_mean_field_matches_fast_energy_finite_differences(model, rng):
+    # acceptance test 05's structured central differences, with the fast
+    # energy as the reference: Hubbard L=6 has 12 modes, past the dense cap
+    hamil = hubbard_model(6, 1.0, 4.0, 2.0) if model == "hubbard-6" else random_hamiltonian(5, rng)
+    n2 = 2 * hamil.n_modes
+    cov = random_pure_covariance(hamil.n_modes, rng)
+    w = random_symmetric_zero_diag(hamil.n_modes, rng, scale=1.5)
+    h_m = mean_field_h(cov, w, hamil)
+    step = 1e-5
+    scale = max(1.0, float(np.max(np.abs(h_m))))
+    worst = 0.0
+    for i in range(n2):
+        for j in range(i + 1, n2):
+            d = np.zeros((n2, n2))
+            d[i, j] = step
+            d[j, i] = -step
+            fd = 0.5 * (energy(cov.gamma + d, w, hamil)[2] - energy(cov.gamma - d, w, hamil)[2]) / (2.0 * step)
+            worst = max(worst, abs(h_m[i, j] - 4.0 * fd) / scale)
+    assert worst < 1e-6
+    assert np.array_equal(h_m, -h_m.T)
 
 
 def test_batched_pfaffian_matches_single_and_determinant():

@@ -68,6 +68,11 @@ class TestCouplingVelocity:
         tensor = b_tensor(random_pure_covariance(3, rng))
         assert np.max(np.abs(dtau_omega_hitgd(tensor, np.zeros((3, 3))))) == 0.0
 
+    def test_single_mode_has_no_couplings(self, rng):
+        tensor = b_tensor(random_pure_covariance(1, rng))
+        assert simple_step_bound(tensor) == 0.0
+        assert np.array_equal(dtau_omega_hitgd(tensor, np.zeros((1, 1))), np.zeros((1, 1)))
+
     def test_vacuum_tensor_gives_zero(self, rng):
         tensor = b_tensor(-upsilon(3))
         grad = random_symmetric_zero_diag(3, rng)
