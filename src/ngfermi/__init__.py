@@ -63,14 +63,11 @@ from .oracle import (
 )
 from .wick import (
     OperatorString,
-    PairKind,
-    PhaseVector,
     a_coeff,
     enumerate_pairings,
     expectation,
     g_matrix,
     gamma_F,
-    pair_expectation,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -101,15 +101,17 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
 
 
 def _typed(section: dict, key: str, kind: type, default=None, where: str = ""):
-    """``section[key]`` as an integer, a finite number or a string (``kind``).
+    """``section[key]`` as an integer, a finite number, a string or a
+    boolean (``kind``).
 
     An absent key gives ``default`` (an error when that is None); a value
-    of another JSON type, a boolean, inf/NaN or a fraction for an integer is
-    a :class:`ConfigError` naming the key.
+    of another JSON type, a boolean for a number, a number past the float
+    range (inf/NaN included) or a fraction for an integer is a
+    :class:`ConfigError` naming the key.
     """
     name = f"{where}.{key}" if where else key
     if key not in section:
@@ -117,8 +119,12 @@ def _typed(section: dict, key: str, kind: type, default=None, where: str = ""):
             raise ConfigError(f"config needs '{name}'")
         return default
     value = section[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if not (isinstance(value, str) if kind is str else number and (kind is float or value == int(value))):
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
+    else:  # the bound also rejects inf/NaN and integers past the float range
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = number and abs(value) <= sys.float_info.max and (kind is float or value == int(value))
+    if not ok:
         raise ConfigError(f"'{name}' must be {_KINDS[kind]}, got {value!r}")
     return kind(value)
 
@@ -137,7 +143,11 @@ def parse_config(payload: dict) -> dict:
     try:
         if "path" in hsec:
             _reject_unknown(hsec, {"path"}, "hamiltonian")
-            hamil = ham.load_hamiltonian(_typed(hsec, "path", str, where="hamiltonian"))
+            path = _typed(hsec, "path", str, where="hamiltonian")
+            try:
+                hamil = ham.load_hamiltonian(path)
+            except (OSError, ValueError) as exc:  # also a directory, a NUL byte, a binary file
+                raise ConfigError(f"cannot read 'hamiltonian.path' {path!r}: {exc}") from exc
         elif hsec.get("model") == "hubbard":
             _reject_unknown(hsec, {"model", "sites", "t", "u", "mu", "periodic"}, "hamiltonian")
             hamil = ham.hubbard_model(
@@ -145,7 +155,7 @@ def parse_config(payload: dict) -> dict:
                 _typed(hsec, "t", float, 1.0, "hamiltonian"),
                 _typed(hsec, "u", float, 0.0, "hamiltonian"),
                 _typed(hsec, "mu", float, 0.0, "hamiltonian"),
-                bool(hsec.get("periodic", False)),
+                _typed(hsec, "periodic", bool, False, "hamiltonian"),
             )
         else:
             raise ConfigError("'hamiltonian' needs either 'path' or model: 'hubbard'")
@@ -193,7 +203,7 @@ def parse_config(payload: dict) -> dict:
         options = optimizer.RunOptions(
             omega_update=update_name,
             simple_c=simple_c,
-            freeze_omega=bool(payload.get("freeze_omega", False)),
+            freeze_omega=_typed(payload, "freeze_omega", bool, False),
             **numbers,
         )
     except ValidationError as exc:
@@ -225,15 +235,8 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
         raise ConfigError(f"checkpoint has {gamma.n_modes} modes, the Hamiltonian {hamil.n_modes}")
     if gamma.purity_error > gaussian.PURITY_TOL:
         raise ConfigError(f"checkpoint gamma is not pure: purity error {gamma.purity_error:.3e}")
-    evaluator = ham.StateEvaluator(gamma, omega, hamil)
-    return optimizer.OptimizerState(
-        gamma=gamma,
-        omega=omega,
-        tau=tau,
-        energy=ham.energy(gamma, omega, hamil, evaluator=evaluator)[2],
-        step_size=options.dtau0,
-        evaluator=evaluator,
-    )
+    state = optimizer.initial_state(hamil, options, gamma=gamma, omega=omega)
+    return dataclasses.replace(state, tau=tau)
 
 
 # ------------------------------------------------------------------ commands

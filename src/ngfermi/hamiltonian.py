@@ -26,8 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import CovarianceMatrix, _as_gamma, upsilon
-from .linalg import BlockContractionKind
-from .wick import Contraction, contract, wrap_angles
+from .wick import contract, wrap_angles
 
 SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-9
@@ -133,9 +132,10 @@ class StateEvaluator:
 
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
     string.  The evaluator groups the terms by their wrapped phase vector
-    (rounded to 14 decimals) and builds one contraction bundle per distinct
-    phase vector: K coefficients from one batched Pfaffian, K contraction
-    matrices from one batched direct solve.  Every term's energy
+    (rounded to 14 decimals) and builds the bundles of all K distinct phase
+    vectors with one :func:`~ngfermi.wick.contract` call, kept as the stacked
+    :attr:`contraction`: K coefficients from one batched Pfaffian, K
+    contraction matrices from one batched direct solve.  Every term's energy
     E_t = w_t x_t (weight times contraction) is then one gather over the
     (K, N, N) block stacks.  :meth:`energy` sums the E_t, :meth:`gradient`
     differentiates them, and :meth:`mean_field_h` adds their derivatives
@@ -165,25 +165,11 @@ class StateEvaluator:
         self._term_key = np.argsort(order)[inverse]
         self._first_term = first[order]
         self._alphas = alphas[self._first_term]
-        a = wick.a_coeff(self.gamma, self._alphas)
         try:
-            self._g = wick.g_matrix(self.gamma, self._alphas)
+            self.contraction = c = contract(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        self._gpm = gpm = wick.block_contract_all(self._g, BlockContractionKind.PLUS_MINUS)
-        self._gpp = gpp = wick.block_contract_all(self._g, BlockContractionKind.PLUS_PLUS)
-        self._gmm = gmm = wick.block_contract_all(self._g, BlockContractionKind.MINUS_MINUS)
-        self.bundles: list[Contraction] = []
-        for k, alpha in enumerate(self._alphas):
-            bundle = contract(self.gamma, alpha)
-            bundle.preset(
-                coeff=a[k],
-                g=self._g[k],
-                g_dag_plain=self._gpm[k],
-                g_dag_dag=self._gpp[k],
-                g_plain_plain=self._gmm[k],
-            )
-            self.bundles.append(bundle)
+        a, gpm, gpp, gmm = c.coeff, c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
 
         # every term's energy E_t = w_t x_t; the rotated coefficient f_pq e^{-i omega_pq}
         # times the pair phase e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the
@@ -233,7 +219,7 @@ class StateEvaluator:
             q_mats = wick.q_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, self._g))
+        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, self.contraction.g))
         k1, k2 = self._k1, self._k2
         c2 = 2.0 * self._w2
         ps, qr, _, _, pq, rs = self._pairs
@@ -277,7 +263,8 @@ class StateEvaluator:
         """
         n = self.hamil.n_modes
         (p1, q1), (p, q, r, s) = self._modes
-        gpm, gpp, gmm = self._gpm, self._gpp, self._gmm
+        c = self.contraction
+        gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
         keys, k1, k2 = self._term_key, self._k1, self._k2
 
         # d/d alpha of one block entry per term, over m and without x_m: (T, N)

@@ -20,7 +20,7 @@ import scipy.linalg
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .gaussian import GaussianParams
 from .hamiltonian import ManyBodyHamiltonian, _as_omega
-from .wick import OperatorString, PhaseVector, wrap_angles
+from .wick import OperatorString, wrap_angles
 
 MAX_OPERATOR_MODES = 12
 MAX_EXPONENTIAL_MODES = 10
@@ -158,7 +158,7 @@ def apply_string(ops: DenseOperatorSet, string: OperatorString | tuple, vec: np.
 def dense_expectation(state: DenseState, alpha, string: OperatorString | tuple) -> complex:
     """<state| exp(i sum alpha(j) n_j) (operator string) |state>, exactly."""
     n = state.n_modes
-    a = alpha.alpha if isinstance(alpha, PhaseVector) else wrap_angles(np.asarray(alpha, dtype=float))
+    a = wrap_angles(np.asarray(alpha, dtype=float))
     if a.shape != (n,):
         raise DimensionError(f"phase vector has shape {a.shape}, expected ({n},)")
     ops = fock_operators(n)

@@ -6,12 +6,16 @@ from a Pfaffian, the pair contractions from the skew matrix ``G^[alpha]``,
 and arbitrary even operator strings from the signed sum over perfect
 pairings.  For ``alpha = 0`` the machinery reduces to the ordinary Wick
 factorization built from ``gamma + Upsilon``.
+
+:func:`contract` builds the coefficient, ``G`` and its three block tables in
+one pass, for one phase vector or for a (K, N) stack of them (one batched
+Pfaffian and one batched solve); :func:`expectation_from` evaluates operator
+strings from a single-vector bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -35,33 +39,6 @@ def wrap_angles(values: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi]."""
     out = np.mod(np.asarray(values, dtype=float), 2.0 * np.pi)
     return np.where(out > np.pi, out - 2.0 * np.pi, out)
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Per-mode phases of the number-operator exponential, wrapped to (-pi, pi]."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = wrap_angles(np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        if a.ndim != 1:
-            raise DimensionError(f"phase vector must be 1-D, got shape {a.shape}")
-        a = np.ascontiguousarray(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def n_modes(self) -> int:
-        return self.alpha.shape[0]
-
-
-class PairKind(Enum):
-    """The three pair types occurring in daggers-first strings."""
-
-    DAG_PLAIN = "dag_plain"
-    DAG_DAG = "dag_dag"
-    PLAIN_PLAIN = "plain_plain"
 
 
 @dataclass(frozen=True)
@@ -131,7 +108,7 @@ def enumerate_pairings(length: int) -> tuple[Pairing, ...]:
 
 def _as_alpha(alpha, n_modes: int) -> np.ndarray:
     """One wrapped phase vector (N,) or a stack of them (K, N)."""
-    a = alpha.alpha if isinstance(alpha, PhaseVector) else wrap_angles(np.asarray(alpha, dtype=float))
+    a = wrap_angles(np.asarray(alpha, dtype=float))
     if a.ndim not in (1, 2) or a.shape[-1] != n_modes:
         raise DimensionError(f"phase vector has shape {a.shape}, expected ({n_modes},)")
     return a
@@ -375,116 +352,70 @@ def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(upper + 1j * lower, -1, -2), np.swapaxes(upper - 1j * lower, -1, -2)
 
 
-class Contraction:
-    """All phase-dependent quantities for one (gamma, alpha) pair, built lazily.
 
-    Heavy pieces (the Pfaffian coefficient, the contraction matrix and its
-    blocks) are computed on first access, always with the direct solve, and
-    reused across the many index tuples of an energy or gradient sum.  A
-    caller that built some of them in a batched pass over many phase
-    vectors hands them over with :meth:`preset`.
+
+@dataclass(frozen=True, eq=False)
+class Contraction:
+    """The Pfaffian coefficient, the contraction matrix G and its three
+    block tables of one phase vector (N,), or of a (K, N) stack with a
+    leading K axis on every field.  Built by :func:`contract`.
     """
 
-    def __init__(self, gamma, alpha):
-        self._gamma = _as_gamma(gamma)
-        self.n_modes = self._gamma.shape[0] // 2
-        self.alpha = _as_single_alpha(alpha, self.n_modes)
-        self._cache: dict[str, np.ndarray | complex] = {}
-
-    def _get(self, key: str, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def preset(self, **values) -> None:
-        """Install prebuilt pieces (``coeff``, ``g``, ``g_dag_plain``, ...)."""
-        self._cache.update(values)
+    alpha: np.ndarray
+    coeff: complex | np.ndarray
+    g: np.ndarray
+    g_dag_plain: np.ndarray
+    g_dag_dag: np.ndarray
+    g_plain_plain: np.ndarray
 
     @property
-    def coeff(self) -> complex:
-        return self._get("coeff", lambda: a_coeff(self._gamma, self.alpha))
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._get("g", lambda: g_matrix(self._gamma, self.alpha))
-
-    @property
-    def phase(self) -> np.ndarray:
-        return self._get("phase", lambda: np.exp(1j * self.alpha))
-
-    @property
-    def g_dag_plain(self) -> np.ndarray:
-        return self._get(
-            "g_dag_plain",
-            lambda: block_contract_all(self.g, BlockContractionKind.PLUS_MINUS),
-        )
-
-    @property
-    def g_dag_dag(self) -> np.ndarray:
-        return self._get(
-            "g_dag_dag",
-            lambda: block_contract_all(self.g, BlockContractionKind.PLUS_PLUS),
-        )
-
-    @property
-    def g_plain_plain(self) -> np.ndarray:
-        return self._get(
-            "g_plain_plain",
-            lambda: block_contract_all(self.g, BlockContractionKind.MINUS_MINUS),
-        )
-
-    # -- normalized pair values (with the scalar coefficient divided out) --
-
-    def pair_dag_plain(self, p: int, q: int) -> complex:
-        return 0.25j * self.phase[p] * self.g_dag_plain[p, q]
-
-    def pair_dag_dag(self, p: int, q: int) -> complex:
-        return 0.25j * self.phase[p] * self.phase[q] * self.g_dag_dag[p, q]
-
-    def pair_plain_plain(self, p: int, q: int) -> complex:
-        return 0.25j * self.g_plain_plain[p, q]
+    def n_modes(self) -> int:
+        return self.alpha.shape[-1]
 
     def pair_normalized(self, first: tuple[int, bool], second: tuple[int, bool]) -> complex:
         """Two-point function of ordered factors, divided by the coefficient."""
         (m1, d1), (m2, d2) = first, second
-        if d1 and not d2:
-            return self.pair_dag_plain(m1, m2)
-        if d1 and d2:
-            return self.pair_dag_dag(m1, m2)
-        if not d1 and not d2:
-            return self.pair_plain_plain(m1, m2)
-        # plain before dagger: anticommute, c_p c+_q = delta_pq - c+_q c_p
-        delta = 1.0 if m1 == m2 else 0.0
-        return delta - self.pair_dag_plain(m2, m1)
+        if d2 and not d1:
+            # plain before dagger: anticommute, c_p c+_q = delta_pq - c+_q c_p
+            return (1.0 if m1 == m2 else 0.0) - self.pair_normalized(second, first)
+        if not d1:
+            return 0.25j * self.g_plain_plain[m1, m2]
+        phase = np.exp(1j * self.alpha[m1])
+        if d2:
+            return 0.25j * phase * np.exp(1j * self.alpha[m2]) * self.g_dag_dag[m1, m2]
+        return 0.25j * phase * self.g_dag_plain[m1, m2]
 
 
 def contract(gamma, alpha) -> Contraction:
-    """Build the lazy contraction bundle for one (gamma, alpha) pair."""
-    return Contraction(gamma, alpha)
+    """The contraction bundle of one phase vector or a (K, N) stack, in one
+    pass: one (batched) Pfaffian, one (batched) direct solve for G and
+    three block tables.
+    """
+    g = g_matrix(gamma, alpha)
+    return Contraction(
+        alpha=_as_alpha(alpha, g.shape[-1] // 2),
+        coeff=a_coeff(gamma, alpha),
+        g=g,
+        g_dag_plain=block_contract_all(g, BlockContractionKind.PLUS_MINUS),
+        g_dag_dag=block_contract_all(g, BlockContractionKind.PLUS_PLUS),
+        g_plain_plain=block_contract_all(g, BlockContractionKind.MINUS_MINUS),
+    )
 
 
-def pair_expectation(gamma, alpha, kind: PairKind, p: int, q: int) -> complex:
-    """Phased two-operator expectation value (includes the scalar coefficient)."""
-    c = contract(gamma, alpha)
-    if not (0 <= p < c.n_modes and 0 <= q < c.n_modes):
-        raise DimensionError(f"mode indices ({p}, {q}) out of range")
-    if kind is PairKind.DAG_PLAIN:
-        return c.coeff * c.pair_dag_plain(p, q)
-    if kind is PairKind.DAG_DAG:
-        return c.coeff * c.pair_dag_dag(p, q)
-    return c.coeff * c.pair_plain_plain(p, q)
+def _factors(string: OperatorString | tuple) -> tuple[tuple[int, bool], ...]:
+    return string.factors if isinstance(string, OperatorString) else OperatorString(tuple(string)).factors
 
 
 def expectation_from(contraction: Contraction, string: OperatorString | tuple) -> complex:
-    """Phased expectation of an even operator string from a prebuilt bundle."""
-    factors = string.factors if isinstance(string, OperatorString) else OperatorString(tuple(string)).factors
+    """Phased expectation of an even operator string from a prebuilt
+    single-vector bundle."""
+    if contraction.alpha.ndim != 1:
+        raise DimensionError(f"expected a single-vector bundle, got phase vectors {contraction.alpha.shape}")
+    factors = _factors(string)
     if any(m >= contraction.n_modes for m, _ in factors):
         raise DimensionError("operator string addresses modes outside the state")
-    if not factors:
-        return contraction.coeff
-    n_pairs = len(factors) // 2
     coeff = contraction.coeff
-    if n_pairs > 1 and abs(coeff) < DEGENERATE_COEFF:
+    if len(factors) > 2 and abs(coeff) < DEGENERATE_COEFF:
         raise SingularContractionError(
             f"scalar coefficient {abs(coeff):.2e} too small to factor a "
             f"{len(factors)}-operator string",
@@ -502,5 +433,12 @@ def expectation_from(contraction: Contraction, string: OperatorString | tuple) -
 
 
 def expectation(gamma, alpha, string: OperatorString | tuple) -> complex:
-    """Phased expectation of an even operator string over the Gaussian state."""
+    """Phased expectation of an even operator string over the Gaussian state.
+
+    The empty string is the coefficient alone, which exists even where the
+    contraction matrix does not.
+    """
+    if not _factors(string):
+        g = _as_gamma(gamma)
+        return a_coeff(g, _as_single_alpha(alpha, g.shape[0] // 2))
     return expectation_from(contract(gamma, alpha), string)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ngfermi import optimizer, oracle
 from ngfermi.cli import (
@@ -237,6 +239,12 @@ class TestParseConfig:
             ({"init": {"random_seed": -1}}, "init.random_seed"),
             ({"outputs": 3}, "outputs"),
             ({"outputs": {"trajectory": 3}}, "outputs.trajectory"),
+            ({"dtau0": 10**400}, "dtau0"),  # past the float range
+            ({"freeze_omega": "false"}, "freeze_omega"),
+            ({"freeze_omega": 0}, "freeze_omega"),
+            ({"hamiltonian": {"model": "hubbard", "sites": 2, "periodic": "false"}}, "hamiltonian.periodic"),
+            ({"hamiltonian": {"model": "hubbard", "sites": 2, "periodic": 1}}, "hamiltonian.periodic"),
+            ({"hamiltonian": {"path": "."}}, "hamiltonian.path"),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, key):
@@ -263,6 +271,66 @@ class TestParseConfig:
         cfg = tmp_path / "run.json"
         write_config(cfg, threads=2)
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+# every key parse_config reads from a value, with its documented JSON type
+_NAMED = ("init", "omega_update", "hamiltonian.model")  # a string that must be one of a few names
+_DOCUMENTED = {
+    **dict.fromkeys(
+        ["dtau0", "dtau_max", "dtau_min", "tol_g", "tol_e", "patience", "max_steps", "filling",
+         "hamiltonian.sites", "hamiltonian.t", "hamiltonian.u", "hamiltonian.mu",
+         "init.random_seed", "omega_update.simple.c"],
+        "number",
+    ),
+    **dict.fromkeys(["freeze_omega", "hamiltonian.periodic"], "boolean"),
+    **dict.fromkeys(
+        ["hamiltonian.path", "init.checkpoint", "outputs.checkpoint", "outputs.trajectory", *_NAMED],
+        "string",
+    ),
+}
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return "string" if isinstance(value, str) else "number"
+
+
+def _config_with(key: str, value) -> dict:
+    """A valid base config with ``value`` placed at the dotted ``key``."""
+    config = {"hamiltonian": {} if key == "hamiltonian.path" else {"model": "hubbard", "sites": 2}}
+    *sections, leaf = key.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    return config
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(key=st.sampled_from(sorted(_DOCUMENTED)), value=_SCALARS)
+def test_parse_config_resolves_or_names_the_key(key, value, tmp_path, monkeypatch):
+    # a large Hubbard chain would allocate its (2L)^4 two-body tensor
+    assume(not (key == "hamiltonian.sites" and _json_type(value) == "number" and not abs(value) <= 8))
+    monkeypatch.chdir(tmp_path)  # text at hamiltonian.path names no file of the repository
+    leaf = key.split(".")[-1]
+    try:
+        parse_config(_config_with(key, value))
+    except ConfigError as exc:
+        assert leaf in str(exc)
+        if _json_type(value) != _DOCUMENTED[key] and key not in _NAMED:
+            assert f"'{key}'" in str(exc)
+    else:
+        assert _json_type(value) == _DOCUMENTED[key], f"{key}={value!r} was accepted"
 
 
 class TestValidateCommand:

@@ -181,27 +181,43 @@ def test_evaluator_bundles_match_single_calls_past_dense_cap():
     w = random_symmetric_zero_diag(12, rng, scale=0.8)
     ev = StateEvaluator(cov, w, hamil)
     keys = {np.round(wick.wrap_angles(alpha(w)), 14).tobytes() for _, alpha in _terms(hamil)}
-    assert len(ev.bundles) == len(keys) > 20
-    for bundle in ev.bundles:
-        assert abs(bundle.coeff - wick.a_coeff(cov, bundle.alpha)) < TOL
-        assert _rel_dev(bundle.g, wick.g_matrix(cov, bundle.alpha, method="direct")) < TOL
+    c = ev.contraction
+    assert isinstance(c, wick.Contraction)
+    assert c.alpha.shape == (len(keys), 12) and len(keys) > 20
+    assert {np.round(alpha, 14).tobytes() for alpha in c.alpha} == keys
+    for k, alpha in enumerate(c.alpha):
+        assert abs(c.coeff[k] - wick.a_coeff(cov, alpha)) < TOL
+        g = wick.g_matrix(cov, alpha, method="direct")
+        assert _rel_dev(c.g[k], g) < TOL
+        single = wick.contract(cov, alpha)
+        for name in ("g_dag_plain", "g_dag_dag", "g_plain_plain"):
+            assert _rel_dev(getattr(c, name)[k], getattr(single, name)) < TOL
 
 
 def test_step_builds_each_bundle_once(monkeypatch):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(max_steps=1, tol_g=0.0)
     state = initial_state(hamil, options, seed=5)
-    built = []  # holds the gamma objects, so their ids stay unique
-    original = ngfermi.hamiltonian.contract
+    built, contracts = [], []  # keeps the evaluators alive, so their ids stay unique
+    original_init = ngfermi.hamiltonian.StateEvaluator.__init__
+    original_contract = ngfermi.hamiltonian.contract
+
+    def counting_init(self, *args):
+        original_init(self, *args)
+        built.append(self)
 
     def counting_contract(gamma, alpha):
-        built.append((gamma, np.round(wick.wrap_angles(alpha), 14).tobytes()))
-        return original(gamma, alpha)
+        contracts.append(gamma)
+        return original_contract(gamma, alpha)
 
+    monkeypatch.setattr(ngfermi.hamiltonian.StateEvaluator, "__init__", counting_init)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
     _, records, _ = run(hamil, options, state)
     assert len(records) == 2
+    # one batched contract call per evaluator built
+    assert built and len(contracts) == len(built)
     # the starting state's bundles came from initial_state and are reused
-    assert built and all(gamma is not state.gamma for gamma, _ in built)
-    pairs = [(id(gamma), key) for gamma, key in built]
-    assert len(pairs) == len(set(pairs))
+    assert all(ev.gamma is not state.gamma for ev in built)
+    # no state is built twice
+    states = [(id(ev.gamma), id(ev.omega)) for ev in built]
+    assert len(states) == len(set(states))

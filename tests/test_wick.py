@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bell_pair_covariance, random_operator_string
 from ngfermi import oracle
-from ngfermi.errors import ParityError, SingularContractionError, ValidationError
+from ngfermi.errors import DimensionError, ParityError, SingularContractionError, ValidationError
 from ngfermi.gaussian import (
     covariance_from_xi,
     random_generator,
@@ -15,8 +15,6 @@ from ngfermi.gaussian import (
 from ngfermi.linalg import BlockContractionKind, block_contract
 from ngfermi.wick import (
     OperatorString,
-    PairKind,
-    PhaseVector,
     a_coeff,
     contract,
     enumerate_pairings,
@@ -25,7 +23,6 @@ from ngfermi.wick import (
     g_matrix,
     gamma_F,
     l_matrix,
-    pair_expectation,
     q_matrix,
     wrap_angles,
 )
@@ -48,11 +45,11 @@ def permutation_parity(seq):
     return parity
 
 
-class TestPhaseVector:
+class TestWrapAngles:
     def test_wrapping_range(self):
-        vec = PhaseVector(np.array([3.5 * np.pi, -np.pi, np.pi, 0.0]))
-        assert np.all(vec.alpha > -np.pi) and np.all(vec.alpha <= np.pi)
-        assert vec.alpha[1] == pytest.approx(np.pi)  # -pi wraps to +pi
+        alpha = wrap_angles(np.array([3.5 * np.pi, -np.pi, np.pi, 0.0]))
+        assert np.all(alpha > -np.pi) and np.all(alpha <= np.pi)
+        assert alpha[1] == pytest.approx(np.pi)  # -pi wraps to +pi
 
     def test_wrap_preserves_phase_factor(self, rng):
         raw = rng.uniform(-10, 10, size=6)
@@ -233,17 +230,21 @@ class TestQMatrix:
             assert abs(0.5 * fd - q[i, j]) < 1e-7
 
 
+def _pair(p, dp, q, dq):
+    return ((p, dp), (q, dq))
+
+
 class TestPairExpectation:
     def test_vacuum_dag_plain_vanishes(self):
         for p in range(2):
             for q in range(2):
-                val = pair_expectation(-upsilon(2), np.zeros(2), PairKind.DAG_PLAIN, p, q)
+                val = expectation(-upsilon(2), np.zeros(2), _pair(p, True, q, False))
                 assert abs(val) < 1e-14
 
     def test_filled_dag_plain_is_identity(self):
         for p in range(3):
             for q in range(3):
-                val = pair_expectation(upsilon(3), np.zeros(3), PairKind.DAG_PLAIN, p, q)
+                val = expectation(upsilon(3), np.zeros(3), _pair(p, True, q, False))
                 assert val == pytest.approx(1.0 if p == q else 0.0)
 
     def test_all_kinds_match_dense(self, rng):
@@ -252,17 +253,13 @@ class TestPairExpectation:
         cov = covariance_from_xi(params)
         alpha = rng.uniform(-np.pi, np.pi, size=n)
         state = oracle.dense_state(params.xi, np.zeros((n, n)))
-        strings = {
-            PairKind.DAG_PLAIN: lambda p, q: ((p, True), (q, False)),
-            PairKind.DAG_DAG: lambda p, q: ((p, True), (q, True)),
-            PairKind.PLAIN_PLAIN: lambda p, q: ((p, False), (q, False)),
-        }
-        for kind, make in strings.items():
+        # daggers first (dag-plain, dag-dag, plain-plain) and plain before dagger
+        for dp, dq in ((True, False), (True, True), (False, False), (False, True)):
             for p in range(n):
                 for q in range(n):
-                    dense = oracle.dense_expectation(state, alpha, make(p, q))
-                    fast = pair_expectation(cov, alpha, kind, p, q)
-                    assert abs(dense - fast) < 1e-10
+                    string = _pair(p, dp, q, dq)
+                    dense = oracle.dense_expectation(state, alpha, string)
+                    assert abs(dense - expectation(cov, alpha, string)) < 1e-10
 
 
 class TestExpectation:
@@ -277,17 +274,18 @@ class TestExpectation:
         cov = random_pure_covariance(n, rng)
         alpha = rng.uniform(-np.pi, np.pi, size=n)
         c = contract(cov, alpha)
+        two = {
+            (p, dp, q, dq): expectation(cov, alpha, _pair(p, dp, q, dq))
+            for p, q in itertools.product(range(n), repeat=2)
+            for dp, dq in ((True, False), (True, True), (False, False))
+        }
         for p, q, r, s in itertools.product(range(n), repeat=4):
             lhs = expectation_from(c, ((p, True), (q, True), (r, False), (s, False)))
-            a = c.coeff
             rhs = (
-                pair_expectation(cov, alpha, PairKind.DAG_PLAIN, p, s)
-                * pair_expectation(cov, alpha, PairKind.DAG_PLAIN, q, r)
-                - pair_expectation(cov, alpha, PairKind.DAG_PLAIN, p, r)
-                * pair_expectation(cov, alpha, PairKind.DAG_PLAIN, q, s)
-                + pair_expectation(cov, alpha, PairKind.DAG_DAG, p, q)
-                * pair_expectation(cov, alpha, PairKind.PLAIN_PLAIN, r, s)
-            ) / a
+                two[p, True, s, False] * two[q, True, r, False]
+                - two[p, True, r, False] * two[q, True, s, False]
+                + two[p, True, q, True] * two[r, False, s, False]
+            ) / c.coeff
             assert abs(lhs - rhs) < 1e-10
 
     def test_matches_dense_all_lengths(self, rng):
@@ -361,6 +359,27 @@ class TestExpectation:
         assert abs(a_coeff(cov, alpha)) < 1e-13
         with pytest.raises(SingularContractionError):
             expectation(cov, alpha, ((0, True), (1, True), (1, False), (0, False)))
+
+    def test_empty_string_survives_missing_contraction(self):
+        # at the Bell pair with alpha = (pi, 0) the coefficient vanishes and
+        # G does not exist, but the empty string is the coefficient alone
+        cov = bell_pair_covariance(np.pi / 4)
+        alpha = np.array([np.pi, 0.0])
+        with pytest.raises(SingularContractionError):
+            contract(cov, alpha)
+        val = expectation(cov, alpha, ())
+        assert val == a_coeff(cov, alpha)
+        assert abs(val) < 1e-13
+
+    def test_stacked_bundle_rejected(self, rng):
+        cov = random_pure_covariance(3, rng)
+        alphas = rng.uniform(-np.pi, np.pi, size=(4, 3))
+        stacked = contract(cov, alphas)
+        assert stacked.coeff.shape == (4,) and stacked.g_dag_plain.shape == (4, 3, 3)
+        with pytest.raises(DimensionError):
+            expectation_from(stacked, ((0, True), (1, False)))
+        with pytest.raises(DimensionError):
+            expectation(cov, alphas, ())
 
     def test_mode_out_of_range_rejected(self, rng):
         cov = random_pure_covariance(2, rng)
