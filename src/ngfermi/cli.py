@@ -33,6 +33,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_STAGNATION = 4
 
+CHECKPOINT_ENERGY_TOL = 1e-10  # stored against recomputed energy on restart
+
 
 # ---------------------------------------------------------------- checkpoints
 
@@ -52,11 +54,15 @@ def save_checkpoint(path, state: optimizer.OptimizerState) -> None:
 
 
 def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianParams, float, float]:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # also a directory, a NUL byte, a binary file
+        raise FormatError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
     required = {"n_modes", "gamma", "omega", "tau", "energy"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise FormatError(f"checkpoint must be an object with exactly the keys {sorted(required)}")
@@ -230,12 +236,19 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
         return optimizer.initial_state(hamil, options, filling=resolved["filling"])
     if "random_seed" in init:
         return optimizer.initial_state(hamil, options, seed=int(init["random_seed"]))
-    gamma, omega, tau, _ = load_checkpoint(init["checkpoint"])
+    gamma, omega, tau, stored = load_checkpoint(init["checkpoint"])
     if gamma.n_modes != hamil.n_modes:
         raise ConfigError(f"checkpoint has {gamma.n_modes} modes, the Hamiltonian {hamil.n_modes}")
     if gamma.purity_error > gaussian.PURITY_TOL:
         raise ConfigError(f"checkpoint gamma is not pure: purity error {gamma.purity_error:.3e}")
     state = optimizer.initial_state(hamil, options, gamma=gamma, omega=omega)
+    # a stored energy that the state does not reproduce means another
+    # Hamiltonian (or a damaged file): the restart would not continue that run
+    if not abs(state.energy - stored) <= CHECKPOINT_ENERGY_TOL:
+        raise ConfigError(
+            f"checkpoint energy {stored:.17g} differs from {state.energy:.17g}, "
+            f"the energy of its state under this Hamiltonian"
+        )
     return dataclasses.replace(state, tau=tau)
 
 

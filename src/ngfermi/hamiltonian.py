@@ -135,7 +135,8 @@ class StateEvaluator:
     (rounded to 14 decimals) and builds the bundles of all K distinct phase
     vectors with one :func:`~ngfermi.wick.contract` call, kept as the stacked
     :attr:`contraction`: K coefficients from one batched Pfaffian, K
-    contraction matrices from one batched direct solve.  Every term's energy
+    contraction matrices from one batched direct solve, except for the zero
+    phase vector, whose bundle has a closed form.  Every term's energy
     E_t = w_t x_t (weight times contraction) is then one gather over the
     (K, N, N) block stacks.  :meth:`energy` sums the E_t, :meth:`gradient`
     differentiates them, and :meth:`mean_field_h` adds their derivatives
@@ -219,7 +220,7 @@ class StateEvaluator:
             q_mats = wick.q_matrix(self.gamma, self._alphas)
         except SingularContractionError as exc:
             raise self._term_error(exc) from exc
-        lt_plus, lt_minus = wick.derivative_columns(wick.l_matrix(self.gamma, self._alphas, self.contraction.g))
+        lt_plus, lt_minus = wick.derivative_columns(self.contraction.l)
         k1, k2 = self._k1, self._k2
         c2 = 2.0 * self._w2
         ps, qr, _, _, pq, rs = self._pairs

@@ -7,10 +7,28 @@ and arbitrary even operator strings from the signed sum over perfect
 pairings.  For ``alpha = 0`` the machinery reduces to the ordinary Wick
 factorization built from ``gamma + Upsilon``.
 
-:func:`contract` builds the coefficient, ``G`` and its three block tables in
-one pass, for one phase vector or for a (K, N) stack of them (one batched
-Pfaffian and one batched solve); :func:`expectation_from` evaluates operator
-strings from a single-vector bundle.
+:func:`contract` builds the coefficient, ``G``, its three block tables and
+``L`` in one pass, for one phase vector or for a (K, N) stack of them (one
+batched Pfaffian and one batched solve); :func:`expectation_from` evaluates
+operator strings from a single-vector bundle.
+
+A phase vector that is exactly zero gets its closed form without any
+linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
+Upsilon)^T) / 2``, ``L = 1`` and ``Q = 0`` (:func:`contract` and
+:func:`q_matrix` split a stack into these rows and the rest).  The phased
+rows pay for the Pfaffian and the inversions, and each inversion is guarded
+against a condition number above ``COND_LIMIT``.  The guard needs no SVD for
+a well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes from
+the inverse already at hand,
+
+* ``L = D^-T`` for the contraction denominator ``D``, since
+  ``(Upsilon gamma - 1) D^-1 = Upsilon G``, so ``L`` costs O(n^2) from G;
+* ``Gamma_F^-1``, which :func:`q_matrix` computes anyway;
+
+and ``np.linalg.cond`` runs only on the matrices whose bound exceeds the
+limit, or on the whole stack after a failed inversion, so the verdicts and
+the failing stack index are the SVD's.  The identities behind this,
+``coeff^2 = det(D)`` and ``L = D^-T``, hold for pure ``gamma``.
 """
 
 from __future__ import annotations
@@ -175,18 +193,54 @@ def _g_denominator(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.eye(2 * n) + 0.5 * one_minus[..., :, None] * (ups @ g - np.eye(2 * n))
 
 
-def _check_condition(mats: np.ndarray, a: np.ndarray, what: str) -> None:
+def _check_condition(mats: np.ndarray, a: np.ndarray, what: str, inverses: np.ndarray | None) -> None:
     """Raise for the first matrix of a stack whose condition number exceeds
-    COND_LIMIT; the error carries that matrix's stack index."""
-    cond = np.atleast_1d(np.linalg.cond(mats))
-    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # also catches inf and nan
+    COND_LIMIT; the error carries that matrix's stack index.
+
+    ``inverses`` holds each matrix's inverse or its transpose: the bound
+    |M|_F |M^-1|_F >= cond(M) screens out the matrices that pass, and only
+    the others go through ``np.linalg.cond`` (an SVD).  Without inverses
+    (the inversion failed) every matrix goes through it.
+    """
+    mats = mats.reshape((-1,) + mats.shape[-2:])
+    suspects = np.arange(len(mats))
+    if inverses is not None:
+        inverses = inverses.reshape(mats.shape)
+        bound = np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(inverses, axis=(-2, -1))
+        suspects = np.flatnonzero(~(bound <= COND_LIMIT))  # also catches inf and nan
+    if not suspects.size:
+        return
+    cond = np.linalg.cond(mats[suspects])
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
     if bad.size:
-        k = bad[0]
+        k = suspects[bad[0]]
         raise SingularContractionError(
-            f"{what} condition number {cond[k]:.3e} exceeds {COND_LIMIT:.0e}",
+            f"{what} condition number {cond[bad[0]]:.3e} exceeds {COND_LIMIT:.0e}",
             alpha=np.atleast_2d(a)[k],
             index=int(k),
         )
+
+
+def _by_phase(a: np.ndarray, zero_phase: tuple, phased) -> tuple:
+    """Per-phase-vector results over one phase vector or a (K, N) stack.
+
+    Rows that are exactly zero get the closed forms ``zero_phase``; the
+    stack of the other rows goes through ``phased``, which returns one
+    array per closed form.  A :class:`SingularContractionError` from
+    ``phased`` is given the failing row's index in the whole stack.
+    """
+    stack = np.atleast_2d(a)
+    outs = [np.full((len(stack),) + np.shape(z), z, dtype=complex) for z in zero_phase]
+    rows = np.flatnonzero(stack.any(axis=1))
+    if rows.size:
+        try:
+            values = phased(stack[rows])
+        except SingularContractionError as exc:
+            exc.index = int(rows[exc.index])
+            raise
+        for out, value in zip(outs, values):
+            out[rows] = value
+    return tuple(out if a.ndim == 2 else out[0] for out in outs)
 
 
 def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
@@ -203,7 +257,7 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     if method == "direct":
-        return _g_direct(g, _as_alpha(alpha, n))
+        return _g_direct(g, _as_alpha(alpha, n))[0]
     a = _as_single_alpha(alpha, n)
     if method == "rank1":
         if not _phase_ok_for_rank1(a):
@@ -220,18 +274,25 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
             cand = None
         if cand is not None and _g_residual_ok(cand, g, a):
             return cand
-    return _g_direct(g, a)
+    return _g_direct(g, a)[0]
 
 
-def _g_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _g_direct(g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and L = D^-T, D the denominator, by one (batched) solve."""
     n = g.shape[0] // 2
     denom = _g_denominator(g, a)
-    _check_condition(denom, a, "contraction denominator")
     # b gets as many axes as a: NumPy 1.x reads a b with one axis fewer as
     # a stack of vectors
     numer_t = np.broadcast_to((g + upsilon(n)).T, denom.shape)
-    out = np.swapaxes(np.linalg.solve(np.swapaxes(denom, -1, -2), numer_t), -1, -2)
-    return 0.5 * (out - np.swapaxes(out, -1, -2))
+    try:
+        out = np.swapaxes(np.linalg.solve(np.swapaxes(denom, -1, -2), numer_t), -1, -2)
+    except np.linalg.LinAlgError:
+        _check_condition(denom, a, "contraction denominator", None)
+        raise
+    gmat = 0.5 * (out - np.swapaxes(out, -1, -2))
+    lmat = _l_from_g(gmat, a)
+    _check_condition(denom, a, "contraction denominator", lmat)
+    return gmat, lmat
 
 
 def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -290,10 +351,19 @@ def q_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
 
 
 def _q_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    n = g.shape[0] // 2
+    return _by_phase(a, (np.zeros((2 * n, 2 * n)),), lambda rows: (_q_phased(g, rows),))[0]
+
+
+def _q_phased(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     gf = gamma_F(g, a)
-    _check_condition(gf, a, "phase-dressed covariance")
+    try:
+        inv = np.linalg.inv(gf)
+    except np.linalg.LinAlgError:
+        _check_condition(gf, a, "phase-dressed covariance", None)
+        raise
+    _check_condition(gf, a, "phase-dressed covariance", inv)
     sq2 = _doubled(np.sqrt(1.0 - np.exp(1j * a)))
-    inv = np.linalg.inv(gf)
     out = -0.5 * (sq2[..., :, None] * inv * sq2[..., None, :])
     return 0.5 * (out - np.swapaxes(out, -1, -2))
 
@@ -327,18 +397,25 @@ def _q_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 
 
 
 def l_matrix(gamma, alpha, g_mat: np.ndarray | None = None) -> np.ndarray:
-    """Left factor of the structured derivative of the contraction matrix.
+    """Left factor of the structured derivative of the contraction matrix,
+    L = 1 - (1/2) G diag(1 - e^{i alpha}) Upsilon, which is D^-T for the
+    contraction denominator D.
 
     Takes a (K, N) stack of phase vectors (and matching contraction
     matrices) like :func:`g_matrix`.
     """
     g = _as_gamma(gamma)
-    n = g.shape[0] // 2
-    a = _as_alpha(alpha, n)
+    a = _as_alpha(alpha, g.shape[0] // 2)
     if g_mat is None:
-        g_mat = g_matrix(g, a)
-    one_minus = _doubled(1.0 - np.exp(1j * a))
-    return np.eye(2 * n) - 0.5 * (g_mat * one_minus[..., None, :]) @ upsilon(n)
+        return _g_direct(g, a)[1]
+    return _l_from_g(np.asarray(g_mat), a)
+
+
+def _l_from_g(g_mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    n = g_mat.shape[-1] // 2
+    x = g_mat * _doubled(1.0 - np.exp(1j * a))[..., None, :]
+    # x Upsilon, with Upsilon = [[0, 1], [-1, 0]]: the column halves swapped
+    return np.eye(2 * n) - 0.5 * np.concatenate([-x[..., n:], x[..., :n]], axis=-1)
 
 
 def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +433,16 @@ def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Contraction:
-    """The Pfaffian coefficient, the contraction matrix G and its three
-    block tables of one phase vector (N,), or of a (K, N) stack with a
-    leading K axis on every field.  Built by :func:`contract`.
+    """The Pfaffian coefficient, the contraction matrix G, its three block
+    tables and the derivative factor L (:func:`l_matrix`) of one phase
+    vector (N,), or of a (K, N) stack with a leading K axis on every field.
+    Built by :func:`contract`.
     """
 
     alpha: np.ndarray
     coeff: complex | np.ndarray
     g: np.ndarray
+    l: np.ndarray
     g_dag_plain: np.ndarray
     g_dag_dag: np.ndarray
     g_plain_plain: np.ndarray
@@ -388,17 +467,29 @@ class Contraction:
 
 def contract(gamma, alpha) -> Contraction:
     """The contraction bundle of one phase vector or a (K, N) stack, in one
-    pass: one (batched) Pfaffian, one (batched) direct solve for G and
-    three block tables.
+    pass: one (batched) Pfaffian, one (batched) direct solve for G and L,
+    and three block tables.  Phase vectors that are exactly zero take the
+    closed form (coefficient 1, G = skew part of gamma + Upsilon, L = 1)
+    and no part of the Pfaffian or the solve.
     """
-    g = g_matrix(gamma, alpha)
+    g = _as_gamma(gamma)
+    n = g.shape[0] // 2
+    a = _as_alpha(alpha, n)
+    g0 = g + upsilon(n)
+
+    def phased(rows):
+        gmat, lmat = _g_direct(g, rows)
+        return a_coeff(gamma, rows), gmat, lmat
+
+    coeff, gmat, lmat = _by_phase(a, (1.0, 0.5 * (g0 - g0.T), np.eye(2 * n)), phased)
     return Contraction(
-        alpha=_as_alpha(alpha, g.shape[-1] // 2),
-        coeff=a_coeff(gamma, alpha),
-        g=g,
-        g_dag_plain=block_contract_all(g, BlockContractionKind.PLUS_MINUS),
-        g_dag_dag=block_contract_all(g, BlockContractionKind.PLUS_PLUS),
-        g_plain_plain=block_contract_all(g, BlockContractionKind.MINUS_MINUS),
+        alpha=a,
+        coeff=coeff,
+        g=gmat,
+        l=lmat,
+        g_dag_plain=block_contract_all(gmat, BlockContractionKind.PLUS_MINUS),
+        g_dag_dag=block_contract_all(gmat, BlockContractionKind.PLUS_PLUS),
+        g_plain_plain=block_contract_all(gmat, BlockContractionKind.MINUS_MINUS),
     )
 
 

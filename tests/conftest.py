@@ -55,3 +55,12 @@ def bell_pair_covariance(theta: float = np.pi / 4) -> gaussian.CovarianceMatrix:
     ixi[2, 1] = theta
     xi = -1j * ixi
     return gaussian.covariance_from_xi(gaussian.GaussianParams(xi))
+
+
+def bell_pair_and_vacuum() -> gaussian.CovarianceMatrix:
+    """Modes 0, 1 in the equal-weight pair state, mode 2 empty: every phase
+    vector (pi, 0, x) has coefficient 0 and a singular contraction denominator."""
+    g = -gaussian.upsilon(3)
+    idx = [0, 1, 3, 4]
+    g[np.ix_(idx, idx)] = bell_pair_covariance(np.pi / 4).gamma
+    return gaussian.CovarianceMatrix(g)

@@ -127,6 +127,26 @@ class TestRunCommand:
         assert "purity error" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_of_another_hamiltonian_is_config_error(self, tmp_path, capsys):
+        # same mode count, other interaction: the stored energy is not reproduced
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 2.0, 2.0), RunOptions(), seed=3))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)})  # u = 4
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "checkpoint energy" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [".", "ckpt\0.json"], ids=["directory", "nul-byte"])
+    def test_unreadable_checkpoint_path_is_config_error(self, tmp_path, capsys, path):
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": path})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read checkpoint {path!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("output", ["trajectory", "checkpoint"])
     def test_unwritable_output_fails_before_any_step(self, tmp_path, monkeypatch, capsys, output):
         def no_step(*args, **kwargs):
@@ -419,6 +439,18 @@ class TestCircuitCommand:
              str(tmp_path / "a.qasm"), "--out-report", str(tmp_path / "r.json")]
         )
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("path", [".", "ckpt\0.json"], ids=["directory", "nul-byte"])
+    def test_unreadable_checkpoint_path_is_config_error(self, tmp_path, capsys, path):
+        code = main(
+            ["circuit", "--checkpoint", path, "--out-qasm",
+             str(tmp_path / "a.qasm"), "--out-report", str(tmp_path / "r.json")]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read checkpoint {path!r}" in err
+        assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_without_warnings():

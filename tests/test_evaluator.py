@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import ngfermi.hamiltonian
-from conftest import random_hamiltonian, random_symmetric_zero_diag
+from conftest import bell_pair_and_vacuum, random_hamiltonian, random_symmetric_zero_diag
 from ngfermi import wick
+from ngfermi.errors import SingularContractionError
 from ngfermi.gaussian import random_pure_covariance
 from ngfermi.hamiltonian import (
+    ManyBodyHamiltonian,
     StateEvaluator,
     energy,
     energy_gradient_omega,
@@ -221,3 +223,19 @@ def test_step_builds_each_bundle_once(monkeypatch):
     # no state is built twice
     states = [(id(ev.gamma), id(ev.omega)) for ev in built]
     assert len(states) == len(set(states))
+
+
+def test_singular_phase_vector_names_its_term():
+    # f_00 has the zero phase vector (key 0); f_02 and f_20 share (pi, 0, pi),
+    # where the pair state of modes 0, 1 has coefficient 0 (key 1)
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, 0] = 1.0
+    f[0, 2] = f[2, 0] = 0.5
+    hamil = ManyBodyHamiltonian(3, f, np.zeros((3, 3, 3, 3)))
+    w = np.zeros((3, 3))
+    w[0, 2] = w[2, 0] = np.pi
+    with pytest.raises(SingularContractionError) as info:
+        StateEvaluator(bell_pair_and_vacuum(), w, hamil)
+    assert info.value.index == 1
+    assert "one-body term (p,q)=(0,2)" in str(info.value)
+    np.testing.assert_array_equal(info.value.alpha, [np.pi, 0.0, np.pi])

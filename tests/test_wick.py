@@ -3,16 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import bell_pair_covariance, random_operator_string
+from conftest import bell_pair_and_vacuum, bell_pair_covariance, random_operator_string
 from ngfermi import oracle
 from ngfermi.errors import DimensionError, ParityError, SingularContractionError, ValidationError
+from ngfermi import wick
 from ngfermi.gaussian import (
     covariance_from_xi,
     random_generator,
     random_pure_covariance,
     upsilon,
 )
-from ngfermi.linalg import BlockContractionKind, block_contract
+from ngfermi.linalg import BlockContractionKind, block_contract, pfaffian
 from ngfermi.wick import (
     OperatorString,
     a_coeff,
@@ -24,6 +25,7 @@ from ngfermi.wick import (
     gamma_F,
     l_matrix,
     q_matrix,
+    sign_prefactor,
     wrap_angles,
 )
 
@@ -407,3 +409,146 @@ class TestLMatrix:
             fd = (gp - gm) / (2.0 * step)
             analytic = lmat @ d @ lmat.T
             assert np.max(np.abs(0.5 * fd - 0.5 * analytic)) < 1e-6
+
+
+def _denominator(cov, alpha):
+    """D = 1 + (1/2) diag(1 - e^{i alpha}) (Upsilon gamma - 1), written out."""
+    n = cov.n_modes
+    b = np.tile(1.0 - np.exp(1j * alpha), 2)
+    return np.eye(2 * n) + 0.5 * b[:, None] * (upsilon(n) @ cov.gamma - np.eye(2 * n))
+
+
+def _partly_zero_phases(rng, n, k):
+    """k phase vectors: generic angles with every third component exactly zero."""
+    alphas = rng.uniform(-np.pi, np.pi, (k, n))
+    alphas[:, ::3] = 0.0
+    return alphas
+
+
+class TestGuardIdentities:
+    # the singularity guard reads the denominator's inverse from L, and the
+    # coefficient vanishes exactly where the denominator is singular
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_coefficient_squared_is_denominator_determinant(self, n):
+        rng = np.random.default_rng(100 + n)
+        cov = random_pure_covariance(n, rng)
+        for alpha in _partly_zero_phases(rng, n, 4):
+            coeff = contract(cov, alpha).coeff
+            det = np.linalg.det(_denominator(cov, alpha))
+            assert abs(coeff**2 - det) <= 1e-12 * max(1.0, abs(det))
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_l_is_inverse_transpose_of_denominator(self, n):
+        rng = np.random.default_rng(200 + n)
+        cov = random_pure_covariance(n, rng)
+        alphas = _partly_zero_phases(rng, n, 4)
+        stacked = contract(cov, alphas).l
+        for alpha, lmat in zip(alphas, stacked):
+            ref = np.linalg.inv(_denominator(cov, alpha)).T
+            assert np.max(np.abs(lmat - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+            np.testing.assert_array_equal(lmat, l_matrix(cov, alpha))
+
+
+class TestZeroPhaseClosedForm:
+    def test_zero_rows_match_pfaffian_and_solve(self, rng):
+        # the closed form against gamma_F, the Pfaffian and the solve, called
+        # directly: at alpha = 0 they give exactly these values
+        n = 5
+        cov = random_pure_covariance(n, rng)
+        alphas = rng.uniform(-np.pi, np.pi, (4, n))
+        alphas[[0, 2]] = 0.0
+        c = contract(cov, alphas)
+        zero = np.zeros(n)
+        coeff = sign_prefactor(n) * 0.5**n * pfaffian(gamma_F(cov, zero))
+        numer = cov.gamma + upsilon(n)
+        out = np.linalg.solve(_denominator(cov, zero).T, numer.T).T
+        g_ref = 0.5 * (out - out.T)
+        sq2 = np.tile(np.sqrt(1.0 - np.exp(1j * zero)), 2)
+        q_ref = -0.5 * sq2[:, None] * np.linalg.inv(gamma_F(cov, zero)) * sq2[None, :]
+        q = q_matrix(cov, alphas)
+        for k in (0, 2):
+            assert c.coeff[k] == coeff
+            np.testing.assert_array_equal(c.g[k], g_ref)
+            np.testing.assert_array_equal(c.l[k], np.eye(2 * n))
+            np.testing.assert_array_equal(q[k], 0.5 * (q_ref - q_ref.T))
+        # the phased rows are what they are on their own
+        for k in (1, 3):
+            single = contract(cov, alphas[k])
+            assert abs(c.coeff[k] - single.coeff) < 1e-12
+            np.testing.assert_allclose(c.g[k], single.g, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q[k], q_matrix(cov, alphas[k]), rtol=0, atol=1e-12)
+
+    def test_zero_phase_needs_no_pfaffian_solve_or_svd(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear algebra ran for a zero phase vector")
+
+        cov = random_pure_covariance(4, rng)
+        for name in ("solve", "inv", "cond"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(wick, "a_coeff", forbidden)
+        c = contract(cov, np.zeros((1, 4)))
+        assert c.coeff[0] == 1.0
+        assert not q_matrix(cov, np.zeros(4)).any()
+
+    def test_stack_names_the_singular_row(self):
+        cov = bell_pair_and_vacuum()
+        singular = np.array([np.pi, 0.0, np.pi])
+        assert abs(a_coeff(cov, singular)) < 1e-15
+        stack = np.array([np.zeros(3), singular])
+        for build in (contract, q_matrix):
+            with pytest.raises(SingularContractionError) as info:
+                build(cov, stack)
+            assert info.value.index == 1
+            np.testing.assert_array_equal(info.value.alpha, singular)
+
+
+class TestConditionGuard:
+    """The Frobenius bound |M|_F |M^-1|_F >= cond(M) screens; the SVD decides."""
+
+    @staticmethod
+    def _diag(*values):
+        return np.diag(np.array(values, dtype=complex))
+
+    def _check(self, mats, inverses, monkeypatch):
+        svd_rows = []
+        cond = np.linalg.cond
+
+        def counting_cond(m, *args):
+            svd_rows.append(len(m))
+            return cond(m, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        alphas = np.arange(len(mats), dtype=float)[:, None] * np.ones(3)
+        wick._check_condition(mats, alphas, "test matrix", inverses)
+        return svd_rows
+
+    def test_bound_above_limit_but_condition_below_is_accepted(self, monkeypatch):
+        # cond = 8e11 <= 1e12, but |M|_F |M^-1|_F = sqrt(3 + s^2) sqrt(3 + 1/s^2) > 1e12
+        s = 1.0 / 8e11
+        m = self._diag(1.0, 1.0, 1.0, s)
+        assert np.linalg.cond(m) <= wick.COND_LIMIT
+        assert np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m)) > wick.COND_LIMIT
+        mats = np.stack([np.eye(4, dtype=complex), m])
+        svd_rows = self._check(mats, np.linalg.inv(mats), monkeypatch)
+        assert svd_rows == [1]  # only the matrix the bound could not clear
+
+    def test_well_conditioned_stack_skips_the_svd(self, monkeypatch):
+        mats = np.stack([np.eye(4, dtype=complex), self._diag(1.0, 2.0, 3.0, 1e-3)])
+        assert self._check(mats, np.linalg.inv(mats), monkeypatch) == []
+
+    def test_ill_conditioned_matrix_is_rejected_with_its_index(self, monkeypatch):
+        mats = np.stack([np.eye(4, dtype=complex), self._diag(1.0, 1.0, 1.0, 1e-6), self._diag(1.0, 1.0, 1.0, 1e-13)])
+        with pytest.raises(SingularContractionError) as info:
+            self._check(mats, np.linalg.inv(mats), monkeypatch)
+        assert info.value.index == 2
+        assert "1.000e+13 exceeds 1e+12" in str(info.value)
+
+    def test_exactly_singular_matrix_is_rejected_with_its_index(self, monkeypatch):
+        # no inverse exists: every matrix goes through the SVD
+        mats = np.stack([np.eye(4, dtype=complex), self._diag(1.0, 1.0, 0.0, 1.0), np.eye(4, dtype=complex)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(mats)
+        with pytest.raises(SingularContractionError) as info:
+            self._check(mats, None, monkeypatch)
+        assert info.value.index == 1
+        np.testing.assert_array_equal(info.value.alpha, np.ones(3))
