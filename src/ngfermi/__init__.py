@@ -22,6 +22,7 @@ from .gaussian import (
 from .hamiltonian import (
     ManyBodyHamiltonian,
     NonGaussianParams,
+    PhaseLayout,
     StateEvaluator,
     energy,
     energy_gradient_omega,

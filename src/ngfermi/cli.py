@@ -66,17 +66,17 @@ def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianPar
     required = {"n_modes", "gamma", "omega", "tau", "energy"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise FormatError(f"checkpoint must be an object with exactly the keys {sorted(required)}")
+    n = payload["n_modes"]
+    if type(n) is not int or n < 1:  # save_checkpoint writes a JSON integer: not 4.0, not true
+        raise FormatError(f"'checkpoint.n_modes' must be a positive integer, got {n!r}")
     try:
-        n = int(payload["n_modes"])
+        # tau and energy follow the config's rules: finite numbers, not booleans
+        tau = _typed(payload, "tau", float, where="checkpoint")
+        stored = _typed(payload, "energy", float, where="checkpoint")
         gamma = np.asarray(payload["gamma"], dtype=float).reshape(2 * n, 2 * n)
         omega = np.asarray(payload["omega"], dtype=float).reshape(n, n)
-        return (
-            gaussian.CovarianceMatrix(gamma),
-            ham.NonGaussianParams(omega),
-            float(payload["tau"]),
-            float(payload["energy"]),
-        )
-    except (ValidationError, ValueError, TypeError) as exc:
+        return gaussian.CovarianceMatrix(gamma), ham.NonGaussianParams(omega), tau, stored
+    except (ConfigError, ValidationError, ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"checkpoint data invalid: {exc}") from exc
 
 

@@ -127,34 +127,28 @@ class ManyBodyHamiltonian:
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
 
-class StateEvaluator:
-    """Energy, mean-field matrix and coupling gradient of one (gamma, omega) state.
+class PhaseLayout:
+    """The omega-only half of a state's evaluation, for one (omega, Hamiltonian).
 
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
-    string.  The evaluator groups the terms by their wrapped phase vector
-    (rounded to 14 decimals) and builds the bundles of all K distinct phase
-    vectors with one :func:`~ngfermi.wick.contract` call, kept as the stacked
-    :attr:`contraction`: K coefficients from one batched Pfaffian, K
-    contraction matrices from one batched direct solve, except for the zero
-    phase vector, whose bundle has a closed form.  Every term's energy
-    E_t = w_t x_t (weight times contraction) is then one gather over the
-    (K, N, N) block stacks.  :meth:`energy` sums the E_t, :meth:`gradient`
-    differentiates them, and :meth:`mean_field_h` adds their derivatives
-    with one sum over the Q stack and one product of L columns; no method
-    loops over terms in Python.
+    string with phase vector alpha_t, which is linear in omega.  The layout
+    groups the terms by their wrapped phase vector (rounded to 14 decimals,
+    one ``np.unique`` over the keys' bytes, keys numbered in order of first
+    appearance) and keeps the K distinct vectors, each term's key, the terms'
+    mode index arrays and their coefficient-free weights: (i/4) f_pq for a
+    one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body
+    term.  None of this depends on gamma, so the states of a run share one
+    layout for as long as omega stays the same object.
     """
 
-    def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian):
-        self.gamma = gamma if isinstance(gamma, CovarianceMatrix) else CovarianceMatrix(gamma)
+    def __init__(self, omega, hamil: ManyBodyHamiltonian):
         self.omega = omega
         self.hamil = hamil
         n = hamil.n_modes
-        if self.gamma.n_modes != n:
-            raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {n}")
         w = _as_omega(omega, n)
-        f_idx, h_idx, self._terms = hamil._term_indices
+        f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
-        self._modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
+        self.modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
         alphas = np.concatenate(
             [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
         ).reshape(-1, n)
@@ -163,22 +157,65 @@ class StateEvaluator:
         keys = keys.view(np.dtype((np.void, keys.itemsize * n))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        self._term_key = np.argsort(order)[inverse]
-        self._first_term = first[order]
-        self._alphas = alphas[self._first_term]
-        try:
-            self.contraction = c = contract(self.gamma, self._alphas)
-        except SingularContractionError as exc:
-            raise self._term_error(exc) from exc
-        a, gpm, gpp, gmm = c.coeff, c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        self.term_key = np.argsort(order)[inverse]
+        self.first_term = first[order]
+        self.alphas = alphas[self.first_term]
+        # the keys whose Q is not identically zero
+        self.phased = np.flatnonzero(self.alphas.any(axis=1))
+        self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
+        # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
+        # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
+        self.w1 = 0.25j * hamil.f[p1, q1]
+        self.w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q]))
 
-        # every term's energy E_t = w_t x_t; the rotated coefficient f_pq e^{-i omega_pq}
-        # times the pair phase e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the
-        # one-body weights carry no phase
-        self._k1, self._k2 = k1, k2 = self._term_key[: len(f_idx)], self._term_key[len(f_idx):]
-        self._w1 = 0.25j * hamil.f[p1, q1] * a[k1]
+    def term_error(self, exc: SingularContractionError) -> SingularContractionError:
+        """The error of a batched routine, naming the failing phase vector's first term."""
+        term = self.terms[self.first_term[exc.index]]
+        label = "one-body term (p,q)" if len(term) == 2 else "two-body term (p,q,r,s)"
+        return SingularContractionError(
+            f"{label}=({','.join(map(str, term))}): {exc}", alpha=exc.alpha, index=exc.index
+        )
+
+
+class StateEvaluator:
+    """Energy, mean-field matrix and coupling gradient of one (gamma, omega) state.
+
+    The omega-only work (term phase vectors, their grouping into K keys,
+    the weights) is the state's :class:`PhaseLayout`: ``layout`` is reused
+    when it was built for this same omega object and Hamiltonian, and built
+    afresh otherwise.  Per gamma, the evaluator builds the bundles of all K
+    distinct phase vectors with one :func:`~ngfermi.wick.contract` call,
+    kept as the stacked :attr:`contraction`: K coefficients from one batched
+    Pfaffian, K contraction matrices from one batched direct solve, except
+    for the zero phase vector, whose bundle has a closed form.  Every term's
+    energy E_t = w_t x_t (weight times contraction) is then one gather over
+    the (K, N, N) block stacks.  :meth:`energy` sums the E_t,
+    :meth:`gradient` differentiates them, and :meth:`mean_field_h` adds
+    their derivatives with one sum over the Q stack and one product of L
+    columns; no method loops over terms in Python.
+    """
+
+    def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
+        self.gamma = gamma if isinstance(gamma, CovarianceMatrix) else CovarianceMatrix(gamma)
+        self.omega = omega
+        self.hamil = hamil
+        if self.gamma.n_modes != hamil.n_modes:
+            raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {hamil.n_modes}")
+        if layout is None or not (layout.omega is omega and layout.hamil is hamil):
+            layout = PhaseLayout(omega, hamil)
+        self.layout = lay = layout
+        try:
+            self.contraction = c = contract(self.gamma, lay.alphas)
+        except SingularContractionError as exc:
+            raise lay.term_error(exc) from exc
+        a, gpm, gpp, gmm = c.coeff, c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        (p1, q1), (p, q, r, s) = lay.modes
+        k1, k2 = lay.k1, lay.k2
+
+        # every term's energy E_t = w_t x_t
+        self._w1 = lay.w1 * a[k1]
         self._e1 = self._w1 * gpm[k1, p1, q1]
-        self._w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * a[k2]
+        self._w2 = lay.w2 * a[k2]
         # the block entries of the two-body contraction x_t
         self._pairs = ps, qr, pr, qs, pq, rs = (
             gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s], gpp[k2, p, q], gmm[k2, r, s]
@@ -188,14 +225,6 @@ class StateEvaluator:
     def built_for(self, gamma, omega, hamil: ManyBodyHamiltonian) -> bool:
         """Whether this evaluator was built from exactly these objects."""
         return self.gamma is gamma and self.omega is omega and self.hamil is hamil
-
-    def _term_error(self, exc: SingularContractionError) -> SingularContractionError:
-        """The error of a batched routine, naming the failing phase vector's first term."""
-        term = self._terms[self._first_term[exc.index]]
-        label = "one-body term (p,q)" if len(term) == 2 else "two-body term (p,q,r,s)"
-        return SingularContractionError(
-            f"{label}=({','.join(map(str, term))}): {exc}", alpha=exc.alpha, index=exc.index
-        )
 
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
@@ -215,20 +244,26 @@ class StateEvaluator:
         one-body term, three per two-body term).  So the matrix is
         sum_k w_k Q_k + R - R^T, with w_k the summed Q multiples of phase
         vector k and R = (U diag(c))^T V over all pieces' columns and weights c.
+        Q is zero on the zero phase vector, so only the other keys' Q are built.
         """
-        try:
-            q_mats = wick.q_matrix(self.gamma, self._alphas)
-        except SingularContractionError as exc:
-            raise self._term_error(exc) from exc
+        lay = self.layout
         lt_plus, lt_minus = wick.derivative_columns(self.contraction.l)
-        k1, k2 = self._k1, self._k2
+        k1, k2 = lay.k1, lay.k2
         c2 = 2.0 * self._w2
         ps, qr, _, _, pq, rs = self._pairs
-        (p1, q1), (p, q, r, s) = self._modes
+        (p1, q1), (p, q, r, s) = lay.modes
 
-        w_q = np.zeros(len(self._alphas), dtype=complex)
-        np.add.at(w_q, self._term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
-        out = np.einsum("k,kij->ij", w_q, q_mats)
+        if lay.phased.size:
+            try:
+                q_mats = wick.q_matrix(self.gamma, lay.alphas[lay.phased])
+            except SingularContractionError as exc:
+                exc.index = int(lay.phased[exc.index])
+                raise lay.term_error(exc) from exc
+            w_q = np.zeros(len(lay.alphas), dtype=complex)
+            np.add.at(w_q, lay.term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
+            out = np.einsum("k,kij->ij", w_q[lay.phased], q_mats)
+        else:
+            out = np.zeros((2 * self.hamil.n_modes,) * 2, dtype=complex)
         # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
         u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
         v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
@@ -263,10 +298,11 @@ class StateEvaluator:
         (Upsilon gamma - 1) D^{-1} = Upsilon G.
         """
         n = self.hamil.n_modes
-        (p1, q1), (p, q, r, s) = self._modes
+        lay = self.layout
+        (p1, q1), (p, q, r, s) = lay.modes
         c = self.contraction
         gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
-        keys, k1, k2 = self._term_key, self._k1, self._k2
+        keys, k1, k2 = lay.term_key, lay.k1, lay.k2
 
         # d/d alpha of one block entry per term, over m and without x_m: (T, N)
         def d_pm(k, p, q):
@@ -295,7 +331,7 @@ class StateEvaluator:
 
         diag = np.diagonal(gpm, axis1=1, axis2=2)
         e_t = np.concatenate([self._e1, self._e2])
-        d_alpha = -0.25 * np.exp(1j * self._alphas[keys]) * (
+        d_alpha = -0.25 * np.exp(1j * lay.alphas[keys]) * (
             diag[keys] * e_t[:, None] + np.concatenate([d1, d2])
         )
         x = d_alpha.real.T @ np.concatenate([v1, v2])  # x[m, c] = dE / d omega_mc
@@ -369,18 +405,19 @@ def mean_field_o(gamma, dtau_omega) -> np.ndarray:
     if np.max(np.abs(dw - dw.T), initial=0.0) > SYMMETRY_TOL:
         raise ValidationError("dtau_omega must be symmetric")
     gvec = np.diag(g[:n, n:]) + 1.0
-    gw = np.diag(dw @ gvec)
-    zero = np.zeros((n, n))
-    part_one = 0.5j * np.block([[zero, gw], [-gw, zero]])
     g0 = g + upsilon(n)
-    g11 = g0[:n, :n]
-    g12 = g0[:n, n:]
-    g21 = g0[n:, :n]
-    g22 = g0[n:, n:]
-    part_two = 0.5j * np.block(
-        [[dw * (-g22), dw * g21], [dw * g12, dw * (-g11)]]
-    )
-    return part_one + part_two
+    # O / (i/2): Hadamard blocks [[-dw g22, dw g21], [dw g12, -dw g11]] of
+    # g0 = gamma + Upsilon, plus diag(dw . g) on the off-diagonal blocks
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = dw * -g0[n:, n:]
+    out[:n, n:] = dw * g0[n:, :n]
+    out[n:, :n] = dw * g0[:n, n:]
+    out[n:, n:] = dw * -g0[:n, :n]
+    modes = np.arange(n)
+    gw = dw @ gvec
+    out[modes, n + modes] += gw
+    out[n + modes, modes] -= gw
+    return 0.5j * out
 
 
 def hubbard_model(

@@ -136,18 +136,24 @@ def dtau_omega_simple(grad: np.ndarray, c: float) -> np.ndarray:
     return -np.asarray(grad, dtype=float) / c
 
 
-def dtau_gamma(gamma, h_fa_m: np.ndarray, o_m: np.ndarray) -> np.ndarray:
+def dtau_gamma(gamma, h_fa_m: np.ndarray, o_m: np.ndarray | None = None) -> np.ndarray:
     """Covariance velocity -H - gamma H gamma + i [gamma, O]; real skew, and
-    tangent to the purity manifold ({gamma, dgamma} = 0 when gamma^2 = -1)."""
+    tangent to the purity manifold ({gamma, dgamma} = 0 when gamma^2 = -1).
+
+    ``o_m`` None stands for O = 0 (a zero coupling velocity), whose
+    commutator term is exactly zero.
+    """
     g = _as_gamma(gamma)
     h = np.asarray(h_fa_m, dtype=float)
-    o = np.asarray(o_m, dtype=complex)
-    out = -h - g @ h @ g + 1j * (g @ o - o @ g)
-    imag_dev = float(np.max(np.abs(out.imag), initial=0.0))
-    if imag_dev > 1e-9 * max(1.0, float(np.max(np.abs(out.real)))):
-        raise ValidationError(f"covariance velocity has imaginary residue {imag_dev:.3e}")
-    real = out.real
-    return 0.5 * (real - real.T)
+    out = -h - g @ h @ g
+    if o_m is not None:
+        o = np.asarray(o_m, dtype=complex)
+        out = out + 1j * (g @ o - o @ g)
+        imag_dev = float(np.max(np.abs(out.imag), initial=0.0))
+        if imag_dev > 1e-9 * max(1.0, float(np.max(np.abs(out.real)))):
+            raise ValidationError(f"covariance velocity has imaginary residue {imag_dev:.3e}")
+        out = out.real
+    return 0.5 * (out - out.T)
 
 
 @dataclass(frozen=True)
@@ -268,9 +274,13 @@ def step(
     if grad is None:
         grad = _coupling_gradient(state, hamil, options)
     domega = _coupling_velocity(state, grad, options)
-    o_m = mean_field_o(state.gamma, domega)
+    # a zero coupling velocity (freeze_omega, or a vanishing gradient) keeps the
+    # omega object, so every trial reuses the state's phase layout, and O = 0
+    frozen = not domega.any()
+    o_m = None if frozen else mean_field_o(state.gamma, domega)
     h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
     dgamma = dtau_gamma(state.gamma, h_m, o_m)
+    layout = state.evaluator.layout if state.evaluator is not None else None
 
     dtau = state.step_size
     backtracks = 0
@@ -280,11 +290,11 @@ def step(
                 f"step size {dtau:.3e} below {options.dtau_min:.0e} without energy decrease"
             )
         try:
-            new_omega = NonGaussianParams(
+            new_omega = state.omega if frozen else NonGaussianParams(
                 _wrap_symmetric(state.omega.omega + dtau * domega)
             )
             new_gamma = purify(state.gamma.gamma + dtau * dgamma)
-            trial = StateEvaluator(new_gamma, new_omega, hamil)
+            trial = StateEvaluator(new_gamma, new_omega, hamil, layout)
             new_energy = energy(new_gamma, new_omega, hamil, evaluator=trial)[2]
         except DegeneracyError:
             dtau *= 0.5

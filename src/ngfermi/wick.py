@@ -429,8 +429,6 @@ def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(upper + 1j * lower, -1, -2), np.swapaxes(upper - 1j * lower, -1, -2)
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class Contraction:
     """The Pfaffian coefficient, the contraction matrix G, its three block

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ngfermi import optimizer, oracle
+from ngfermi import gaussian, optimizer, oracle
 from ngfermi.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -20,7 +23,7 @@ from ngfermi.cli import (
     save_checkpoint,
 )
 from ngfermi.errors import ConfigError
-from ngfermi.hamiltonian import hubbard_model, load_hamiltonian
+from ngfermi.hamiltonian import energy, hubbard_model, load_hamiltonian
 from ngfermi.optimizer import OptimizerState, RunOptions, initial_state
 
 
@@ -137,6 +140,36 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "checkpoint energy" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau", float("nan")),
+            ("tau", float("inf")),
+            ("tau", True),
+            ("energy", float("nan")),
+            ("energy", float("-inf")),
+            ("energy", False),
+            ("n_modes", 4.0),
+            ("n_modes", True),
+            ("n_modes", 0),
+        ],
+        ids=["tau-nan", "tau-inf", "tau-true", "energy-nan", "energy-minus-inf", "energy-false",
+             "n_modes-float", "n_modes-true", "n_modes-zero"],
+    )
+    def test_malformed_checkpoint_number_is_config_error(self, tmp_path, capsys, key, value):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        payload = json.loads(ckpt.read_text())
+        payload[key] = value
+        ckpt.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)}, outputs={"trajectory": str(tmp_path / "t.jsonl")})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'checkpoint.{key}'" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "t.jsonl").read_text() == ""
 
     @pytest.mark.parametrize("path", [".", "ckpt\0.json"], ids=["directory", "nul-byte"])
     def test_unreadable_checkpoint_path_is_config_error(self, tmp_path, capsys, path):
@@ -351,6 +384,72 @@ def test_parse_config_resolves_or_names_the_key(key, value, tmp_path, monkeypatc
             assert f"'{key}'" in str(exc)
     else:
         assert _json_type(value) == _DOCUMENTED[key], f"{key}={value!r} was accepted"
+
+
+_HAMIL = hubbard_model(2, 1.0, 4.0, 2.0)
+_STATE = initial_state(_HAMIL, RunOptions(), seed=3)
+_CHECKPOINT = {
+    "n_modes": 4,
+    "gamma": _STATE.gamma.gamma.ravel().tolist(),
+    "omega": _STATE.omega.omega.ravel().tolist(),
+    "tau": 0.5,
+    "energy": _STATE.energy,
+}
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+# values near a valid one: the right shape or type with one flaw, or valid
+_NEAR = st.one_of(
+    st.sampled_from(
+        [4, 4.0, True, 0, -4, 2**70, 10**400, 1e308, "4", None, [],
+         _STATE.gamma.gamma.tolist(), [0.0] * 64, [0.0] * 16, _STATE.energy, _STATE.energy + 1e-9]
+    ),
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, float("nan"), float("inf")]), min_size=16, max_size=16),
+    st.builds(
+        lambda k, x: _CHECKPOINT["gamma"][:k] + [x] + _CHECKPOINT["gamma"][k + 1:],
+        st.integers(0, 63),
+        st.floats(),
+    ),
+)
+
+
+def _finite_constant(name):
+    raise AssertionError(f"non-finite {name} in the trajectory")
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(key=st.sampled_from(sorted(_CHECKPOINT)), value=st.one_of(_JSON_SCALARS, _NEAR, _JSON))
+def test_run_from_a_fuzzed_checkpoint_exits_cleanly(key, value, tmp_path):
+    # one key of a valid checkpoint holds any JSON value: the run ends in a
+    # documented exit code, never a traceback, and exit 0 only from a valid state
+    ckpt, traj, config = tmp_path / "ckpt.json", tmp_path / "t.jsonl", tmp_path / "run.json"
+    ckpt.write_text(json.dumps({**_CHECKPOINT, key: value}))
+    traj.write_text("")
+    write_config(config, init={"checkpoint": str(ckpt)}, max_steps=2, outputs={"trajectory": str(traj)})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        return
+    payload = json.loads(ckpt.read_text())
+    assert type(payload["n_modes"]) is int and payload["n_modes"] == _HAMIL.n_modes
+    for name in ("tau", "energy"):
+        assert type(payload[name]) in (int, float) and math.isfinite(payload[name])
+    gamma, omega, _, stored = load_checkpoint(ckpt)
+    assert gamma.purity_error <= gaussian.PURITY_TOL
+    assert abs(energy(gamma, omega, _HAMIL)[2] - stored) <= 1e-10
+    records = [json.loads(line, parse_constant=_finite_constant) for line in traj.read_text().splitlines()]
+    assert records and all(math.isfinite(r["tau"]) for r in records)
 
 
 class TestValidateCommand:

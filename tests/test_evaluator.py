@@ -2,21 +2,25 @@
 
 The evaluator builds one contraction bundle per distinct phase vector with
 batched linear algebra and shares it between the energy, the mean-field
-matrix and the coupling gradient.  These tests pin that sharing and batching
-change no result, that the mean-field matrix is the energy's derivative
-past the dense oracle's cap, and that a step builds each bundle once.
+matrix and the coupling gradient; its omega-only part, the phase layout, is
+shared between the states of one omega.  These tests pin that sharing and
+batching change no result, that the mean-field matrix is the energy's
+derivative past the dense oracle's cap, that a step builds each bundle
+once, and that a zero coupling velocity skips all coupling work.
 """
 
 import numpy as np
 import pytest
 
 import ngfermi.hamiltonian
+import ngfermi.optimizer
 from conftest import bell_pair_and_vacuum, random_hamiltonian, random_symmetric_zero_diag
 from ngfermi import wick
 from ngfermi.errors import SingularContractionError
 from ngfermi.gaussian import random_pure_covariance
 from ngfermi.hamiltonian import (
     ManyBodyHamiltonian,
+    PhaseLayout,
     StateEvaluator,
     energy,
     energy_gradient_omega,
@@ -24,7 +28,7 @@ from ngfermi.hamiltonian import (
     mean_field_h,
 )
 from ngfermi.linalg import pfaffian
-from ngfermi.optimizer import RunOptions, initial_state, run
+from ngfermi.optimizer import RunOptions, initial_state, run, step
 
 TOL = 1e-12
 
@@ -236,6 +240,110 @@ def test_singular_phase_vector_names_its_term():
     w[0, 2] = w[2, 0] = np.pi
     with pytest.raises(SingularContractionError) as info:
         StateEvaluator(bell_pair_and_vacuum(), w, hamil)
+    assert info.value.index == 1
+    assert "one-body term (p,q)=(0,2)" in str(info.value)
+    np.testing.assert_array_equal(info.value.alpha, [np.pi, 0.0, np.pi])
+
+
+@pytest.mark.parametrize("model", ["hubbard-3", "hubbard-6", "random-4"])
+def test_shared_layout_matches_fresh_evaluator(model, rng):
+    hamil = {
+        "hubbard-3": lambda: hubbard_model(3, 1.0, 4.0, 2.0),
+        "hubbard-6": lambda: hubbard_model(6, 1.0, 4.0, 2.0),
+        "random-4": lambda: random_hamiltonian(4, rng),
+    }[model]()
+    n = hamil.n_modes
+    w = ngfermi.hamiltonian.NonGaussianParams(random_symmetric_zero_diag(n, rng, scale=1.5))
+    first = StateEvaluator(random_pure_covariance(n, rng), w, hamil)
+    cov = random_pure_covariance(n, rng)
+    shared = StateEvaluator(cov, w, hamil, first.layout)
+    fresh = StateEvaluator(cov, w, hamil)
+    assert shared.layout is first.layout and fresh.layout is not first.layout
+    assert len(first.layout.phased) > 1
+    assert shared.energy() == fresh.energy()
+    assert np.array_equal(shared.mean_field_h(), fresh.mean_field_h())
+    assert np.array_equal(shared.gradient(), fresh.gradient())
+    # a layout of another omega object, even an equal one, is never read
+    other = StateEvaluator(cov, ngfermi.hamiltonian.NonGaussianParams(w.omega), hamil, first.layout)
+    assert other.layout is not first.layout
+
+
+def test_frozen_run_builds_one_layout_and_keeps_omega(monkeypatch, rng):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    layouts = []
+    original = PhaseLayout.__init__
+
+    def counting(self, *args):
+        original(self, *args)
+        layouts.append(self)
+
+    monkeypatch.setattr(PhaseLayout, "__init__", counting)
+    options = RunOptions(freeze_omega=True, max_steps=6, tol_e=0.0)
+    w = random_symmetric_zero_diag(6, rng, scale=1.0)
+    state = initial_state(hamil, options, seed=5, omega=w)
+    assert len(state.evaluator.layout.phased) > 1  # nonzero phase keys
+    final, records, _ = run(hamil, options, state)
+    assert len(records) == 7
+    assert len(layouts) == 1
+    assert final.omega is state.omega
+    assert final.evaluator.layout is layouts[0]
+
+
+def _forbid(name):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"{name} entered")
+
+    return raise_
+
+
+@pytest.mark.parametrize("case", ["freeze_omega", "zero-gradient"])
+def test_zero_velocity_step_skips_the_flux_term(case, monkeypatch):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    options = RunOptions(freeze_omega=case == "freeze_omega", tol_g=0.0)
+    state = initial_state(hamil, options, seed=5)
+    expected, _ = step(state, hamil, options, grad=np.zeros((6, 6)))
+    monkeypatch.setattr(ngfermi.optimizer, "mean_field_o", _forbid("mean_field_o"))
+    monkeypatch.setattr(ngfermi.optimizer, "NonGaussianParams", _forbid("NonGaussianParams"))
+    new, _ = step(state, hamil, options, grad=np.zeros((6, 6)))
+    assert new.omega is state.omega
+    assert new.evaluator.layout is state.evaluator.layout
+    assert new.energy == expected.energy
+    assert np.array_equal(new.gamma.gamma, expected.gamma.gamma)
+
+
+def test_zero_keys_never_build_q(monkeypatch, rng):
+    # at omega = 0 every phase vector is zero, so Q = 0 in closed form
+    hamil = random_hamiltonian(4, rng)
+    cov = random_pure_covariance(4, rng)
+    ev = StateEvaluator(cov, np.zeros((4, 4)), hamil)
+    assert ev.layout.phased.size == 0
+    reference = _reference_mean_field(cov, np.zeros((4, 4)), hamil)
+    monkeypatch.setattr(wick, "q_matrix", _forbid("q_matrix"))
+    assert _rel_dev(ev.mean_field_h(), reference) < TOL
+
+
+def test_singular_phased_key_in_mean_field_names_its_term(monkeypatch, rng):
+    # the keys of test_singular_phase_vector_names_its_term: [0, (pi, 0, pi)].  The
+    # bundles are built on a generic state; Q then meets the Bell-pair state, where
+    # (pi, 0, pi) is singular, so only the phased key reaches q_matrix, as row 0
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, 0] = 1.0
+    f[0, 2] = f[2, 0] = 0.5
+    hamil = ManyBodyHamiltonian(3, f, np.zeros((3, 3, 3, 3)))
+    w = np.zeros((3, 3))
+    w[0, 2] = w[2, 0] = np.pi
+    ev = StateEvaluator(random_pure_covariance(3, rng), w, hamil)
+    assert list(ev.layout.phased) == [1]
+    q_matrix, seen = wick.q_matrix, []
+
+    def on_bell_pair(gamma, alpha):
+        seen.append(alpha)
+        return q_matrix(bell_pair_and_vacuum(), alpha)
+
+    monkeypatch.setattr(wick, "q_matrix", on_bell_pair)
+    with pytest.raises(SingularContractionError) as info:
+        ev.mean_field_h()
+    assert len(seen) == 1 and seen[0].shape == (1, 3)
     assert info.value.index == 1
     assert "one-body term (p,q)=(0,2)" in str(info.value)
     np.testing.assert_array_equal(info.value.alpha, [np.pi, 0.0, np.pi])

@@ -315,6 +315,24 @@ class TestMeanFieldO:
         tensor = b_tensor(cov)
         assert abs(np.trace(o_m @ o_m).real - quadratic_form(tensor, dw)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_block_assembly(self, rng, n):
+        # the np.block form it replaced; a nonzero diagonal of dtau_omega too
+        cov = random_pure_covariance(n, rng)
+        dw = rng.standard_normal((n, n))
+        dw = dw + dw.T
+        g = cov.gamma
+        gw = np.diag(dw @ (np.diag(g[:n, n:]) + 1.0))
+        zero = np.zeros((n, n))
+        g0 = g + upsilon(n)
+        g11, g12, g21, g22 = g0[:n, :n], g0[:n, n:], g0[n:, :n], g0[n:, n:]
+        expected = 0.5j * np.block([[zero, gw], [-gw, zero]]) + 0.5j * np.block(
+            [[dw * (-g22), dw * g21], [dw * g12, dw * (-g11)]]
+        )
+        out = mean_field_o(cov, dw)
+        assert out.imag.tobytes() == expected.imag.tobytes()
+        assert not out.real.any() and not expected.real.any()
+
 
 class TestHubbardModel:
     def test_symmetries_valid(self):

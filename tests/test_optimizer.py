@@ -131,6 +131,14 @@ class TestDtauGamma:
         out = dtau_gamma(cov, h, np.zeros((6, 6)))
         np.testing.assert_allclose(out, -out.T, atol=1e-12)
 
+    def test_no_flux_term_equals_zero_o(self, rng):
+        # a zero coupling velocity passes no O; its commutator term is exactly zero
+        cov = random_pure_covariance(3, rng)
+        h = rng.standard_normal((6, 6))
+        h = 0.5 * (h - h.T)
+        expected = dtau_gamma(cov, h, mean_field_o(cov, np.zeros((3, 3))))
+        assert dtau_gamma(cov, h).tobytes() == expected.tobytes()
+
     def test_purity_tangency(self, rng):
         for _ in range(50):
             cov = random_pure_covariance(3, rng)
