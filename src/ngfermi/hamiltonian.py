@@ -244,7 +244,9 @@ class StateEvaluator:
         one-body term, three per two-body term).  So the matrix is
         sum_k w_k Q_k + R - R^T, with w_k the summed Q multiples of phase
         vector k and R = (U diag(c))^T V over all pieces' columns and weights c.
-        Q is zero on the zero phase vector, so only the other keys' Q are built.
+        The Q sum is read from the bundles' L (:func:`~ngfermi.wick.q_sum_from_l`),
+        with no second inversion; Q is zero on the zero phase vector, so only
+        the other keys enter it.
         """
         lay = self.layout
         lt_plus, lt_minus = wick.derivative_columns(self.contraction.l)
@@ -253,23 +255,17 @@ class StateEvaluator:
         ps, qr, _, _, pq, rs = self._pairs
         (p1, q1), (p, q, r, s) = lay.modes
 
-        if lay.phased.size:
-            try:
-                q_mats = wick.q_matrix(self.gamma, lay.alphas[lay.phased])
-            except SingularContractionError as exc:
-                exc.index = int(lay.phased[exc.index])
-                raise lay.term_error(exc) from exc
-            w_q = np.zeros(len(lay.alphas), dtype=complex)
-            np.add.at(w_q, lay.term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
-            out = np.einsum("k,kij->ij", w_q[lay.phased], q_mats)
-        else:
-            out = np.zeros((2 * self.hamil.n_modes,) * 2, dtype=complex)
         # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
         u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
         v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
         c = np.concatenate([2.0 * self._w1, 4.0 * c2 * qr, c2 * rs, c2 * pq])
         rmat = (u * c[:, None]).T @ v
-        out += rmat - rmat.T
+        out = rmat - rmat.T
+        if lay.phased.size:
+            w_q = np.zeros(len(lay.alphas), dtype=complex)
+            np.add.at(w_q, lay.term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
+            ph = lay.phased
+            out += wick.q_sum_from_l(self.contraction.l[ph], lay.alphas[ph], w_q[ph])
 
         scale = max(1.0, float(np.max(np.abs(out.real))))
         imag_dev = float(np.max(np.abs(out.imag)))

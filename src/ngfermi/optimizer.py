@@ -33,7 +33,6 @@ from .hamiltonian import (
     mean_field_h,
     mean_field_o,
 )
-from .linalg import pseudo_inverse
 from .wick import wrap_angles
 
 ENERGY_INCREASE_TOL = 1e-12
@@ -43,17 +42,36 @@ ENERGY_INCREASE_TOL = 1e-12
 class BTensor:
     """Quadratic form of the coupling velocity in the energy derivative.
 
-    ``entries`` is the N^4 tensor with the pair symmetries and zeroed
-    diagonals; ``g`` is twice the mode-occupation vector it was built from.
-    The matricized form on symmetric zero-diagonal pairs is PSD.
+    ``g`` is twice the mode-occupation vector and ``blocks_sq`` the N x N sum
+    of the squared blocks of gamma + Upsilon; together they fix the N^4
+    tensor :attr:`entries`.  The matricized form on symmetric zero-diagonal
+    pairs (:func:`matricize_b`) is PSD.
     """
 
-    entries: np.ndarray
     g: np.ndarray
+    blocks_sq: np.ndarray
 
     @property
     def n_modes(self) -> int:
         return self.g.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The N^4 tensor with the pair symmetries and zeroed diagonals."""
+        gg = np.outer(self.g, self.g)
+        delta = np.eye(self.n_modes)
+        entries = (
+            np.einsum("lm,kn->klmn", gg, delta)
+            + np.einsum("ln,km->klmn", gg, delta)
+            + np.einsum("km,ln->klmn", gg, delta)
+            + np.einsum("kn,lm->klmn", gg, delta)
+            + np.einsum("kl,km,ln->klmn", self.blocks_sq, delta, delta)
+            + np.einsum("kl,kn,lm->klmn", self.blocks_sq, delta, delta)
+        ) / 8.0
+        idx = np.arange(self.n_modes)
+        entries[idx, idx, :, :] = 0.0
+        entries[:, :, idx, idx] = 0.0
+        return entries
 
 
 def b_tensor(gamma) -> BTensor:
@@ -62,29 +80,25 @@ def b_tensor(gamma) -> BTensor:
     n = g.shape[0] // 2
     g0 = g + upsilon(n)
     gvec = np.diag(g[:n, n:]) + 1.0
-    gg = np.outer(gvec, gvec)
-    delta = np.eye(n)
     blocks_sq = (
         g0[:n, :n] ** 2 + g0[:n, n:] ** 2 + g0[n:, :n] ** 2 + g0[n:, n:] ** 2
     )
-    entries = (
-        np.einsum("lm,kn->klmn", gg, delta)
-        + np.einsum("ln,km->klmn", gg, delta)
-        + np.einsum("km,ln->klmn", gg, delta)
-        + np.einsum("kn,lm->klmn", gg, delta)
-        + np.einsum("kl,km,ln->klmn", blocks_sq, delta, delta)
-        + np.einsum("kl,kn,lm->klmn", blocks_sq, delta, delta)
-    ) / 8.0
-    idx = np.arange(n)
-    entries[idx, idx, :, :] = 0.0
-    entries[:, :, idx, idx] = 0.0
-    return BTensor(entries, gvec)
+    return BTensor(gvec, blocks_sq)
 
 
 def matricize_b(tensor: BTensor) -> np.ndarray:
-    """Reduced matrix over k<l pairs (row-major): B[(kl),(mn)] = B_klmn."""
+    """Reduced matrix over k<l pairs (row-major): B[(kl),(mn)] = B_klmn.
+
+    On pairs the tensor is diagonal plus rank N: B = (X X^T + diag(d)) / 8 with
+    X[(kl), j] = g_l delta_kj + g_k delta_lj and d_kl = blocks_sq[k, l] (the
+    term delta_kn delta_lm of the tensor vanishes for k<l, m<n).
+    """
     rows, cols = np.triu_indices(tensor.n_modes, 1)
-    return tensor.entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+    pairs = np.arange(len(rows))
+    x = np.zeros((len(rows), tensor.n_modes))
+    x[pairs, rows] = tensor.g[cols]
+    x[pairs, cols] = tensor.g[rows]
+    return (x @ x.T + np.diag(tensor.blocks_sq[rows, cols])) / 8.0
 
 
 def quadratic_form(tensor: BTensor, domega: np.ndarray) -> float:
@@ -123,8 +137,16 @@ def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> 
     out = np.zeros((n, n))
     if n < 2:
         return out
+    reduced = matricize_b(tensor)
+    if not np.all(np.isfinite(reduced)):
+        raise ValidationError("flow matrix has non-finite entries")
+    # the pseudo-inverse from the eigenvectors of the symmetric PSD matrix: its
+    # singular values are |lambda|, so this keeps what pinv's cutoff keeps
+    lam, vecs = np.linalg.eigh(reduced)
+    keep = np.abs(lam) > rcond * np.max(np.abs(lam))
+    vecs = vecs[:, keep]
     rows, cols = np.triu_indices(n, 1)
-    x = -4.0 * (pseudo_inverse(matricize_b(tensor), rcond=rcond) @ grad[rows, cols])
+    x = -4.0 * (vecs @ ((vecs.T @ grad[rows, cols]) / lam[keep]))
     out[rows, cols] = out[cols, rows] = x
     return out
 
@@ -176,7 +198,12 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Per-step telemetry emitted by :func:`run`."""
+    """Per-step telemetry emitted by :func:`run`.
+
+    ``grad_norm`` is NaN (written as null) where no gradient was computed:
+    the step-0 record and every record of a ``freeze_omega`` run.
+    ``backtracks`` counts the halvings of the step (0 for step 0).
+    """
 
     step: int
     tau: float
@@ -185,6 +212,7 @@ class TrajectoryRecord:
     dtau: float
     purity_err: float
     wall_ms: float
+    backtracks: int
 
     def as_dict(self) -> dict:
         grad = None if np.isnan(self.grad_norm) else self.grad_norm
@@ -196,6 +224,7 @@ class TrajectoryRecord:
             "dtau": self.dtau,
             "purity_err": self.purity_err,
             "wall_ms": self.wall_ms,
+            "backtracks": self.backtracks,
         }
 
 
@@ -238,7 +267,8 @@ class RunOptions:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one accepted step."""
+    """Diagnostics of one accepted step; ``grad_norm`` is NaN when the
+    couplings are frozen."""
 
     grad_norm: float
     dtau: float
@@ -317,12 +347,20 @@ def step(
     )
     wall_ms = (time.perf_counter() - t0) * 1e3
     info = StepInfo(
-        grad_norm=float(np.max(np.abs(grad), initial=0.0)),
+        grad_norm=_grad_norm(grad, options),
         dtau=dtau,
         backtracks=backtracks,
         wall_ms=wall_ms,
     )
     return new_state, info
+
+
+def _grad_norm(grad: np.ndarray, options: RunOptions) -> float:
+    """Max-norm of the coupling gradient, or NaN when the couplings are frozen
+    and the gradient is the stand-in zeros of :func:`_coupling_gradient`."""
+    if options.freeze_omega:
+        return float("nan")
+    return float(np.max(np.abs(grad), initial=0.0))
 
 
 def _coupling_gradient(
@@ -405,6 +443,7 @@ def run(
             dtau=0.0,
             purity_err=state.gamma.purity_error,
             wall_ms=0.0,
+            backtracks=0,
         )
     ]
     flat_count = 0
@@ -412,7 +451,7 @@ def run(
     for k in range(1, options.max_steps + 1):
         t0 = time.perf_counter()
         grad = _coupling_gradient(state, hamil, options)
-        grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        grad_norm = _grad_norm(grad, options)
         if not options.freeze_omega and grad_norm < options.tol_g:
             reason = "gradient"
             break
@@ -427,6 +466,7 @@ def run(
                 dtau=info.dtau,
                 purity_err=state.gamma.purity_error,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
+                backtracks=info.backtracks,
             )
         )
         if abs(prev_energy - state.energy) < options.tol_e:

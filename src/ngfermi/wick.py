@@ -23,12 +23,15 @@ the inverse already at hand,
 
 * ``L = D^-T`` for the contraction denominator ``D``, since
   ``(Upsilon gamma - 1) D^-1 = Upsilon G``, so ``L`` costs O(n^2) from G;
-* ``Gamma_F^-1``, which :func:`q_matrix` computes anyway;
+* ``Gamma_F^-1`` in :func:`q_matrix`, which builds Q for an arbitrary gamma;
 
 and ``np.linalg.cond`` runs only on the matrices whose bound exceeds the
 limit, or on the whole stack after a failed inversion, so the verdicts and
 the failing stack index are the SVD's.  The identities behind this,
-``coeff^2 = det(D)`` and ``L = D^-T``, hold for pure ``gamma``.
+``coeff^2 = det(D)`` and ``L = D^-T``, hold for pure ``gamma``.  For a pure
+``gamma`` Q also follows from L (:func:`q_sum_from_l`), with no inversion of
+Gamma_F and no guard of its own: ``det Gamma_F = 4^N det D`` for any gamma,
+so D's guard rejects every phase vector whose Gamma_F is singular.
 """
 
 from __future__ import annotations
@@ -394,6 +397,26 @@ def _q_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 
     residual = (-2.0 * cand) @ shifted - np.eye(2 * n)
     scale = max(1.0, float(np.max(np.abs(cand))))
     return np.max(np.abs(residual)) <= tol * scale
+
+
+def q_sum_from_l(l_mat: np.ndarray, alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k Q_k over a (K, 2N, 2N) stack of L, with no inversion.
+
+    For a pure gamma, Upsilon D = -(1/2) S Gamma_F S^-1 with
+    S = diag(sqrt(1 - e^{i alpha})) over both halves, so with L = D^-T
+
+        Q = skew(-(1/4) L^T Upsilon diag(1 - e^{i alpha})),  skew(X) = (X - X^T)/2.
+
+    The weighted sum is -(1/8) (Y - Y^T) with Y^T = sum_k diag(w_k (1 -
+    e^{i alpha_k})) Upsilon^T L_k, and Upsilon^T L is L with its row halves
+    swapped and the new upper half negated.  Gamma_F needs no guard of its
+    own: det Gamma_F = 4^N det D, so D's guard in :func:`contract` rejects
+    every phase vector whose Gamma_F is singular.
+    """
+    n = l_mat.shape[-1] // 2
+    z = np.asarray(weights)[:, None] * (1.0 - np.exp(1j * np.asarray(alpha)))
+    y_t = np.concatenate([-np.einsum("kj,kji->ji", z, l_mat[:, n:]), np.einsum("kj,kji->ji", z, l_mat[:, :n])])
+    return -0.125 * (y_t.T - y_t)
 
 
 def l_matrix(gamma, alpha, g_mat: np.ndarray | None = None) -> np.ndarray:

@@ -72,6 +72,28 @@ class TestRunCommand:
         payload = json.loads(ckpt.read_text())
         assert set(payload) == {"n_modes", "gamma", "omega", "tau", "energy"}
 
+    def test_trajectory_records_backtracks(self, tmp_path):
+        # a first step of 50 must be halved before the energy stops rising
+        cfg = tmp_path / "run.json"
+        traj = tmp_path / "traj.jsonl"
+        write_config(cfg, init={"random_seed": 1}, dtau0=50.0, max_steps=3, outputs={"trajectory": str(traj)})
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        records = [json.loads(line) for line in traj.read_text().splitlines()]
+        documented = {"step", "tau", "energy", "grad_norm", "dtau", "purity_err", "wall_ms", "backtracks"}
+        assert all(set(r) == documented for r in records)
+        assert records[0]["backtracks"] == 0
+        assert records[1]["backtracks"] >= 1
+        assert records[1]["dtau"] < 50.0
+
+    def test_frozen_trajectory_has_no_gradient_norm(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        traj = tmp_path / "traj.jsonl"
+        write_config(cfg, freeze_omega=True, max_steps=3, tol_e=0.0, outputs={"trajectory": str(traj)})
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        records = [json.loads(line) for line in traj.read_text().splitlines()]
+        assert len(records) == 4
+        assert [r["grad_norm"] for r in records] == [None] * 4
+
     def test_restart_from_checkpoint_never_increases(self, tmp_path):
         cfg = tmp_path / "run.json"
         ckpt = tmp_path / "ckpt.json"

@@ -312,38 +312,52 @@ def test_zero_velocity_step_skips_the_flux_term(case, monkeypatch):
 
 
 def test_zero_keys_never_build_q(monkeypatch, rng):
-    # at omega = 0 every phase vector is zero, so Q = 0 in closed form
+    # at omega = 0 every phase vector is zero, so Q = 0 and no Q sum is formed
     hamil = random_hamiltonian(4, rng)
     cov = random_pure_covariance(4, rng)
     ev = StateEvaluator(cov, np.zeros((4, 4)), hamil)
     assert ev.layout.phased.size == 0
     reference = _reference_mean_field(cov, np.zeros((4, 4)), hamil)
-    monkeypatch.setattr(wick, "q_matrix", _forbid("q_matrix"))
+    monkeypatch.setattr(wick, "q_sum_from_l", _forbid("q_sum_from_l"))
     assert _rel_dev(ev.mean_field_h(), reference) < TOL
 
 
-def test_singular_phased_key_in_mean_field_names_its_term(monkeypatch, rng):
-    # the keys of test_singular_phase_vector_names_its_term: [0, (pi, 0, pi)].  The
-    # bundles are built on a generic state; Q then meets the Bell-pair state, where
-    # (pi, 0, pi) is singular, so only the phased key reaches q_matrix, as row 0
+@pytest.mark.parametrize("model", ["hubbard-5", "random-4"])
+def test_mean_field_reads_q_from_l_without_inverting(model, monkeypatch, rng):
+    # Q comes from the bundles' L: no q_matrix, no second Gamma_F, no inversion
+    hamil = hubbard_model(5, 1.0, 4.0, 2.0) if model == "hubbard-5" else random_hamiltonian(4, rng)
+    n = hamil.n_modes
+    cov = random_pure_covariance(n, rng)
+    w = random_symmetric_zero_diag(n, rng, scale=1.5)
+    ev = StateEvaluator(cov, w, hamil)
+    assert ev.layout.phased.size > 1
+    reference = _reference_mean_field(cov, w, hamil)
+    for name in ("q_matrix", "gamma_F"):
+        monkeypatch.setattr(wick, name, _forbid(name))
+    for name in ("inv", "solve", "pinv", "cond"):
+        monkeypatch.setattr(np.linalg, name, _forbid(name))
+    assert _rel_dev(ev.mean_field_h(), reference) < TOL
+
+
+def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
+    # mean_field_h reads Q from L and has no Gamma_F guard of its own: a key whose
+    # Gamma_F is singular must already fail when the evaluator is built, by D's
+    # guard, since det Gamma_F = 4^N det D.  Keys: 0 (f_00), (0, 0, pi) (f_01,
+    # f_10) and (0, pi, pi) (f_12, f_21), singular on the pair state of modes 0, 1
     f = np.zeros((3, 3), dtype=complex)
     f[0, 0] = 1.0
-    f[0, 2] = f[2, 0] = 0.5
+    f[0, 1] = f[1, 0] = f[1, 2] = f[2, 1] = 0.5
     hamil = ManyBodyHamiltonian(3, f, np.zeros((3, 3, 3, 3)))
     w = np.zeros((3, 3))
-    w[0, 2] = w[2, 0] = np.pi
-    ev = StateEvaluator(random_pure_covariance(3, rng), w, hamil)
-    assert list(ev.layout.phased) == [1]
-    q_matrix, seen = wick.q_matrix, []
-
-    def on_bell_pair(gamma, alpha):
-        seen.append(alpha)
-        return q_matrix(bell_pair_and_vacuum(), alpha)
-
-    monkeypatch.setattr(wick, "q_matrix", on_bell_pair)
+    w[1, 2] = w[2, 1] = np.pi
+    cov = bell_pair_and_vacuum()
+    singular = np.array([0.0, np.pi, np.pi])
+    np.testing.assert_array_equal(wick.wrap_angles(PhaseLayout(w, hamil).alphas[2]), singular)
+    with pytest.raises(SingularContractionError, match="phase-dressed covariance"):
+        wick.q_matrix(cov, singular)
     with pytest.raises(SingularContractionError) as info:
-        ev.mean_field_h()
-    assert len(seen) == 1 and seen[0].shape == (1, 3)
-    assert info.value.index == 1
-    assert "one-body term (p,q)=(0,2)" in str(info.value)
-    np.testing.assert_array_equal(info.value.alpha, [np.pi, 0.0, np.pi])
+        StateEvaluator(cov, w, hamil)
+    assert info.value.index == 2
+    assert "one-body term (p,q)=(1,2)" in str(info.value)
+    assert "contraction denominator" in str(info.value)
+    np.testing.assert_array_equal(info.value.alpha, singular)

@@ -213,6 +213,20 @@ class TestStep:
         assert new.energy <= state.energy + 1e-12
         assert info.dtau < 50.0
 
+    def test_frozen_step_and_run_record_no_gradient_norm(self):
+        # a frozen run computes no gradient, so it reports none (not 0.0)
+        hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
+        options = RunOptions(freeze_omega=True, max_steps=3, tol_e=0.0)
+        state = initial_state(hamil, options, seed=1)
+        _, info = step(state, hamil, options)
+        assert np.isnan(info.grad_norm)
+        _, records, _ = run(hamil, options, state)
+        assert len(records) == 4
+        assert all(np.isnan(r.grad_norm) for r in records)
+        assert all(r.as_dict()["grad_norm"] is None for r in records)
+        _, records, _ = run(hamil, RunOptions(max_steps=3, tol_g=0.0), state)
+        assert all(r.grad_norm > 0.0 for r in records[1:])
+
     def test_stagnation_error(self, hubbard):
         options = RunOptions(dtau0=50.0, dtau_min=40.0, tol_g=1e-12)
         state = initial_state(hubbard, options, seed=1)

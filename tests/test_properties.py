@@ -1,0 +1,134 @@
+"""Property tests over random draws: the Q sum read from L, the pair-space
+flow matrix and its pseudo-inverse, and Pf^2 = det.
+
+The draws are seeded numpy states, phase-vector stacks with a zero row and
+zero entries, and complex skew stacks with forced zero pivots; hypothesis
+picks the sizes, the seeds and where the zeros go.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_symmetric_zero_diag
+from ngfermi import wick
+from ngfermi.errors import ValidationError
+from ngfermi.gaussian import mean_field_covariance, random_pure_covariance, upsilon
+from ngfermi.linalg import pfaffian
+from ngfermi.optimizer import BTensor, b_tensor, dtau_omega_hitgd, matricize_b
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _rel_err(got, ref) -> float:
+    return float(np.max(np.abs(got - ref), initial=0.0)) / max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+@st.composite
+def phase_stacks(draw):
+    """A pure gamma on 1..8 modes and a (K, N) phase stack with one zero row
+    and some zero entries, with complex weights."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(SEEDS))
+    alphas = rng.uniform(-np.pi, np.pi, (k, n))
+    alphas[draw(st.integers(0, k - 1))] = 0.0
+    alphas[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    weights = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return random_pure_covariance(n, rng), alphas, weights
+
+
+@SETTINGS
+@given(case=phase_stacks())
+def test_q_sum_from_l_matches_q_matrix(case):
+    cov, alphas, weights = case
+    ref = np.einsum("k,kij->ij", weights, wick.q_matrix(cov, alphas))
+    got = wick.q_sum_from_l(wick.contract(cov, alphas).l, alphas, weights)
+    assert _rel_err(got, ref) <= 1e-12
+
+
+@st.composite
+def flow_states(draw):
+    """A random pure gamma, the vacuum -Upsilon or a Slater determinant, on 1..8 modes."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    kind = draw(st.sampled_from(["random", "vacuum", "slater"]))
+    if kind == "vacuum":
+        cov = -upsilon(n)
+    elif kind == "slater":
+        f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        cov = mean_field_covariance(f + f.conj().T, draw(st.integers(0, n))).gamma
+    else:
+        cov = random_pure_covariance(n, rng).gamma
+    return cov, random_symmetric_zero_diag(n, rng)
+
+
+@SETTINGS
+@given(case=flow_states())
+def test_pair_space_flow_matrix_matches_the_tensor(case):
+    cov, _ = case
+    tensor = b_tensor(cov)
+    rows, cols = np.triu_indices(tensor.n_modes, 1)
+    gathered = tensor.entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+    assert _rel_err(matricize_b(tensor), gathered) <= 1e-15
+
+
+@SETTINGS
+@given(case=flow_states())
+def test_hitgd_velocity_matches_pinv(case):
+    cov, grad = case
+    tensor = b_tensor(cov)
+    n = tensor.n_modes
+    reduced = matricize_b(tensor)
+    rows, cols = np.triu_indices(n, 1)
+    ref = np.zeros((n, n))
+    ref[rows, cols] = ref[cols, rows] = -4.0 * (np.linalg.pinv(reduced, rcond=1e-8) @ grad[rows, cols])
+    # both are backward stable, so they agree to rounding times the condition
+    # number of the kept spectrum (up to ~1e5 on Slater determinants)
+    sv = np.linalg.svd(reduced, compute_uv=False)
+    kept = sv[sv > 1e-8 * sv[0]] if sv.size else sv
+    kappa = kept[0] / kept[-1] if kept.size else 1.0
+    assert _rel_err(dtau_omega_hitgd(tensor, grad), ref) <= 1e-12 + 1e-14 * kappa
+
+
+def test_hitgd_velocity_rejects_a_non_finite_flow_matrix():
+    tensor = b_tensor(random_pure_covariance(3, np.random.default_rng(0)))
+    broken = BTensor(tensor.g, np.full((3, 3), np.nan))
+    with pytest.raises(ValidationError):
+        dtau_omega_hitgd(broken, np.zeros((3, 3)))
+
+
+@st.composite
+def skew_stacks(draw):
+    """A (K, 2m, 2m) complex skew stack with zero entries, whole zero rows
+    and zeros on the first pivot."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(SEEDS))
+    a = rng.normal(size=(k, 2 * m, 2 * m)) + 1j * rng.normal(size=(k, 2 * m, 2 * m))
+    a[rng.random(a.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    a = a - np.swapaxes(a, 1, 2)
+    for j in range(k):
+        zeros = draw(st.sampled_from(["none", "row", "pivot", "column"]))
+        if zeros == "row":  # a zero row and column: Pf = det = 0
+            r = draw(st.integers(0, 2 * m - 1))
+            a[j, r, :] = a[j, :, r] = 0.0
+        elif zeros == "pivot":  # the first pivot entry is zero, the rest of its column is not
+            a[j, 0, 1] = a[j, 1, 0] = 0.0
+        elif zeros == "column":  # column 0 is zero but for its last entry: the pivot search swaps it in
+            a[j, 1:-1, 0] = a[j, 0, 1:-1] = 0.0
+    return a
+
+
+@SETTINGS
+@given(stack=skew_stacks())
+def test_pfaffian_squared_is_determinant(stack):
+    pf = pfaffian(stack)
+    det = np.linalg.det(stack)
+    # Hadamard's bound on |det|, the scale of the rounding error
+    scale = np.prod(np.maximum(np.linalg.norm(stack, axis=2), 1.0), axis=1)
+    assert np.all(np.abs(pf**2 - det) <= 1e-12 * scale)
+    # a zero row stays zero through the eliminations, so its pivot is exactly 0
+    assert np.all(pf[~stack.any(axis=1).all(axis=1)] == 0.0)

@@ -449,6 +449,24 @@ class TestGuardIdentities:
             np.testing.assert_array_equal(lmat, l_matrix(cov, alpha))
 
 
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_gamma_f_determinant_is_4_to_the_n_denominator_determinant(self, n):
+        # Upsilon D = -(1/2) S Gamma_F S^-1: Gamma_F and D are singular together,
+        # so D's guard also covers the Q that the evaluator reads from L
+        rng = np.random.default_rng(300 + n)
+        cov = random_pure_covariance(n, rng)
+        for alpha in _partly_zero_phases(rng, n, 4):
+            det_f = np.linalg.det(gamma_F(cov, alpha))
+            det_d = np.linalg.det(_denominator(cov, alpha))
+            assert abs(det_f - 4.0**n * det_d) <= 1e-12 * max(1.0, abs(det_f))
+
+    def test_singular_gamma_f_has_singular_denominator(self):
+        cov = bell_pair_and_vacuum()
+        alpha = np.array([np.pi, 0.0, 0.7])
+        assert abs(np.linalg.det(gamma_F(cov, alpha))) < 1e-14
+        assert abs(np.linalg.det(_denominator(cov, alpha))) < 1e-14
+
+
 class TestZeroPhaseClosedForm:
     def test_zero_rows_match_pfaffian_and_solve(self, rng):
         # the closed form against gamma_F, the Pfaffian and the solve, called
