@@ -126,6 +126,22 @@ class ManyBodyHamiltonian:
         h_idx = self.two_body_entries()
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
+    @cached_property
+    def _adjoint_terms(self) -> np.ndarray:
+        """Each term's adjoint term, in the order of :attr:`_term_indices`:
+        (p,q) -> (q,p) and (p,q,r,s) -> (s,r,q,p), both the reversed indices;
+        -1 where the adjoint entry is zero (Hermitian only to SYMMETRY_TOL)."""
+        f_idx, h_idx, _ = self._term_indices
+        out, offset = [], 0
+        for idx in (f_idx, h_idx):
+            dims = (self.n_modes,) * idx.shape[1]
+            flat = np.ravel_multi_index(idx.T, dims)  # ascending: argwhere is row-major
+            adjoint = np.ravel_multi_index(idx[:, ::-1].T, dims)
+            pos = np.minimum(np.searchsorted(flat, adjoint), len(flat) - 1)
+            out.append(np.where(flat[pos] == adjoint, pos + offset, -1))
+            offset += len(idx)
+        return np.concatenate(out)
+
 
 class PhaseLayout:
     """The omega-only half of a state's evaluation, for one (omega, Hamiltonian).
@@ -137,8 +153,12 @@ class PhaseLayout:
     appearance) and keeps the K distinct vectors, each term's key, the terms'
     mode index arrays and their coefficient-free weights: (i/4) f_pq for a
     one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body
-    term.  None of this depends on gamma, so the states of a run share one
-    layout for as long as omega stays the same object.
+    term.  It also keeps :attr:`plan`, each key's row plan for
+    :func:`~ngfermi.wick.contract`: H is Hermitian, so a term's adjoint is a
+    term with phase vector -alpha, and of each such key pair only the first
+    is built; the other gets its bundle by conjugation.  None of this depends
+    on gamma, so the states of a run share one layout for as long as omega
+    stays the same object.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
@@ -162,11 +182,32 @@ class PhaseLayout:
         self.alphas = alphas[self.first_term]
         # the keys whose Q is not identically zero
         self.phased = np.flatnonzero(self.alphas.any(axis=1))
+        self.plan = wick.RowPlan(self._row_sources())
         self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
         self.w1 = 0.25j * hamil.f[p1, q1]
         self.w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q]))
+
+    def _row_sources(self) -> np.ndarray:
+        """Each key's source row (:class:`~ngfermi.wick.RowPlan`): -1 for
+        the zero vector, the key itself to build it, or the earlier key that
+        holds its negative, whose bundle it gets by conjugation.
+
+        A key's mirror is the key of its first term's adjoint, whose phase
+        vector is -alpha.  Only mutual mirrors pair: rounding can split one
+        vector into two keys, and then the mirror relation is not an
+        involution.  Self-adjoint keys (0/pi vectors) and keys without an
+        adjoint term are built.
+        """
+        keys = np.arange(len(self.alphas))
+        plan = np.where(self.alphas.any(axis=1), keys, -1)
+        if not self.phased.size:
+            return plan
+        adjoint = self.hamil._adjoint_terms[self.first_term]
+        mirror = np.where(adjoint >= 0, self.term_key[adjoint], -1)
+        paired = (mirror >= 0) & (mirror < keys) & (mirror[mirror] == keys)
+        return np.where(paired, mirror, plan)
 
     def term_error(self, exc: SingularContractionError) -> SingularContractionError:
         """The error of a batched routine, naming the failing phase vector's first term."""
@@ -185,11 +226,13 @@ class StateEvaluator:
     when it was built for this same omega object and Hamiltonian, and built
     afresh otherwise.  Per gamma, the evaluator builds the bundles of all K
     distinct phase vectors with one :func:`~ngfermi.wick.contract` call,
-    kept as the stacked :attr:`contraction`: K coefficients from one batched
-    Pfaffian, K contraction matrices from one batched direct solve, except
-    for the zero phase vector, whose bundle has a closed form.  Every term's
-    energy E_t = w_t x_t (weight times contraction) is then one gather over
-    the (K, N, N) block stacks.  :meth:`energy` sums the E_t,
+    kept as the stacked :attr:`contraction`: the coefficients from one
+    batched Pfaffian and the contraction matrices from one batched direct
+    solve, except for the zero phase vector, whose bundle has a closed form,
+    and for the second key of each -alpha pair, whose bundle is the
+    conjugate of the first's (the layout's :attr:`~PhaseLayout.plan`).
+    Every term's energy E_t = w_t x_t (weight times contraction) is then
+    one gather over the (K, N, N) block stacks.  :meth:`energy` sums the E_t,
     :meth:`gradient` differentiates them, and :meth:`mean_field_h` adds
     their derivatives with one sum over the Q stack and one product of L
     columns; no method loops over terms in Python.
@@ -205,7 +248,7 @@ class StateEvaluator:
             layout = PhaseLayout(omega, hamil)
         self.layout = lay = layout
         try:
-            self.contraction = c = contract(self.gamma, lay.alphas)
+            self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
         except SingularContractionError as exc:
             raise lay.term_error(exc) from exc
         a, gpm, gpp, gmm = c.coeff, c.g_dag_plain, c.g_dag_dag, c.g_plain_plain

@@ -140,13 +140,21 @@ def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> 
     reduced = matricize_b(tensor)
     if not np.all(np.isfinite(reduced)):
         raise ValidationError("flow matrix has non-finite entries")
-    # the pseudo-inverse from the eigenvectors of the symmetric PSD matrix: its
-    # singular values are |lambda|, so this keeps what pinv's cutoff keeps
-    lam, vecs = np.linalg.eigh(reduced)
-    keep = np.abs(lam) > rcond * np.max(np.abs(lam))
-    vecs = vecs[:, keep]
     rows, cols = np.triu_indices(n, 1)
-    x = -4.0 * (vecs @ ((vecs.T @ grad[rows, cols]) / lam[keep]))
+    rhs = grad[rows, cols]
+    # a screen: lambda_min >= min(d)/8 (Weyl) and lambda_max <= (max(d) + 2|g|^2)/8,
+    # since X^T X = g g^T + diag(|g|^2 - 2 g_j^2); when these bounds keep every
+    # eigenvalue above the cutoff, the pseudo-inverse is the inverse
+    d = tensor.blocks_sq[rows, cols]
+    if d.min() > rcond * (d.max() + 2.0 * (tensor.g @ tensor.g)):
+        x = -4.0 * np.linalg.solve(reduced, rhs)
+    else:
+        # the pseudo-inverse from the eigenvectors of the symmetric PSD matrix: its
+        # singular values are |lambda|, so this keeps what pinv's cutoff keeps
+        lam, vecs = np.linalg.eigh(reduced)
+        keep = np.abs(lam) > rcond * np.max(np.abs(lam))
+        vecs = vecs[:, keep]
+        x = -4.0 * (vecs @ ((vecs.T @ rhs) / lam[keep]))
     out[rows, cols] = out[cols, rows] = x
     return out
 

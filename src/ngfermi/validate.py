@@ -7,6 +7,7 @@ command prints the table and fails when any deviation exceeds its bound.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +219,41 @@ def check_rank1_paths(n_modes: int, rng: np.random.Generator, draws: int = 8) ->
     return CheckResult("rank-1 inverse paths vs direct", worst, 1e-10)
 
 
+def check_conjugate_bundles(n_modes: int, rng: np.random.Generator, draws: int = 6) -> CheckResult:
+    """Bundles filled by conjugation against bundles built, on pure and mixed
+    real gamma: a stack (alpha; -alpha) whose second half copies the first
+    half's conjugates, and a state evaluator whose layout pairs conjugate
+    keys against one that builds every key."""
+    worst = 0.0
+    for trial in range(draws):
+        gamma = gaussian.random_pure_covariance(n_modes, rng).gamma
+        if trial % 2:
+            gamma = 0.7 * gamma  # mixed
+        alphas = rng.uniform(-np.pi, np.pi, size=(3, n_modes))
+        alphas[0] = 0.0
+        alphas[1, 0] = np.pi
+        own = np.where(alphas.any(axis=1), np.arange(3), -1)
+        stack = np.concatenate([alphas, -alphas])
+        paired = wick.contract(gamma, stack, wick.RowPlan(np.concatenate([own, own])))
+        built = wick.contract(gamma, stack)
+        for name in ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
+            worst = max(worst, _rel_dev(getattr(paired, name), getattr(built, name)))
+        hamil = random_hamiltonian(n_modes, rng)
+        w = random_symmetric_zero_diag(n_modes, rng, scale=1.5)
+        paired = ham.StateEvaluator(gamma, w, hamil)
+        layout = copy.copy(paired.layout)
+        layout.plan = None
+        built = ham.StateEvaluator(gamma, w, hamil, layout)
+        for method in ("energy", "gradient", "mean_field_h"):
+            worst = max(worst, _rel_dev(getattr(paired, method)(), getattr(built, method)()))
+    return CheckResult("conjugate phase keys: bundles and evaluator", worst, 1e-10)
+
+
+def _rel_dev(got, ref) -> float:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
 def run_all(n_modes: int = 4, seed: int = 2024) -> list[CheckResult]:
     """Run the whole suite at the given mode count with a fixed seed."""
     if n_modes > oracle.MAX_EXPONENTIAL_MODES:
@@ -235,4 +271,5 @@ def run_all(n_modes: int = 4, seed: int = 2024) -> list[CheckResult]:
         check_hitgd_cancellation(n_modes, rng),
         check_circuit(n_modes, rng),
         check_rank1_paths(n_modes, rng),
+        check_conjugate_bundles(n_modes, rng),
     ]

@@ -15,11 +15,17 @@ operator strings from a single-vector bundle.
 A phase vector that is exactly zero gets its closed form without any
 linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
 Upsilon)^T) / 2``, ``L = 1`` and ``Q = 0`` (:func:`contract` and
-:func:`q_matrix` split a stack into these rows and the rest).  The phased
-rows pay for the Pfaffian and the inversions, and each inversion is guarded
-against a condition number above ``COND_LIMIT``.  The guard needs no SVD for
-a well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes from
-the inverse already at hand,
+:func:`q_matrix` split a stack into these rows and the rest).  For a real
+gamma the bundle at ``-alpha`` is the complex conjugate of the bundle at
+``alpha`` (coefficient, G and L; D(-alpha) = conj D(alpha), and
+sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 - e^{i alpha})).  So
+:func:`contract` takes an optional :class:`RowPlan`, made once per omega by
+the caller: which rows are zero, which are built, and which copy the
+conjugate of an earlier built row; the block tables are then built once
+from the filled G stack.  The built rows pay for the Pfaffian and the
+inversions, and each inversion is guarded against a condition number above
+``COND_LIMIT``.  The guard needs no SVD for a well-conditioned matrix:
+kappa_F = |M|_F |M^-1|_F >= kappa_2 comes from the inverse already at hand,
 
 * ``L = D^-T`` for the contraction denominator ``D``, since
   ``(Upsilon gamma - 1) D^-1 = Upsilon G``, so ``L`` costs O(n^2) from G;
@@ -224,17 +230,42 @@ def _check_condition(mats: np.ndarray, a: np.ndarray, what: str, inverses: np.nd
         )
 
 
-def _by_phase(a: np.ndarray, zero_phase: tuple, phased) -> tuple:
+class RowPlan:
+    """Which rows of a (K, N) phase stack :func:`contract` builds, made once
+    per stack from ``sources``, one entry per row: -1 for a row that is
+    exactly zero (closed form), the row's own index for a row built by the
+    Pfaffian and the solve, and the index j of an earlier row that is not
+    itself a copy for a row whose phase vector is minus row j's.  For a real
+    gamma that row's coefficient, G and L are the complex conjugates of row
+    j's, so it costs a gather.  The caller vouches for the pairing.
+    """
+
+    def __init__(self, sources):
+        self.sources = sources = np.asarray(sources)
+        own = np.arange(len(sources))
+        self.built = np.flatnonzero(sources == own)
+        self.copies = np.flatnonzero((sources >= 0) & (sources != own))
+
+
+def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = None) -> tuple:
     """Per-phase-vector results over one phase vector or a (K, N) stack.
 
-    Rows that are exactly zero get the closed forms ``zero_phase``; the
-    stack of the other rows goes through ``phased``, which returns one
-    array per closed form.  A :class:`SingularContractionError` from
-    ``phased`` is given the failing row's index in the whole stack.
+    Zero rows get the closed forms ``zero_phase``; the stack of the built
+    rows goes through ``phased``, which returns one array per closed form;
+    the copies of a :class:`RowPlan` get the complex conjugates of their
+    sources' results.  Without a plan the rows that are exactly zero are
+    found here and every other row is built.  A
+    :class:`SingularContractionError` from ``phased`` is given the failing
+    row's index in the whole stack.
     """
     stack = np.atleast_2d(a)
+    if plan is None:
+        rows = np.flatnonzero(stack.any(axis=1))
+    elif len(plan.sources) != len(stack):
+        raise DimensionError(f"row plan covers {len(plan.sources)} rows, the stack has {len(stack)}")
+    else:
+        rows = plan.built
     outs = [np.full((len(stack),) + np.shape(z), z, dtype=complex) for z in zero_phase]
-    rows = np.flatnonzero(stack.any(axis=1))
     if rows.size:
         try:
             values = phased(stack[rows])
@@ -243,6 +274,9 @@ def _by_phase(a: np.ndarray, zero_phase: tuple, phased) -> tuple:
             raise
         for out, value in zip(outs, values):
             out[rows] = value
+    if plan is not None and plan.copies.size:
+        for out in outs:
+            out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
     return tuple(out if a.ndim == 2 else out[0] for out in outs)
 
 
@@ -486,12 +520,18 @@ class Contraction:
         return 0.25j * phase * self.g_dag_plain[m1, m2]
 
 
-def contract(gamma, alpha) -> Contraction:
+def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     """The contraction bundle of one phase vector or a (K, N) stack, in one
     pass: one (batched) Pfaffian, one (batched) direct solve for G and L,
     and three block tables.  Phase vectors that are exactly zero take the
     closed form (coefficient 1, G = skew part of gamma + Upsilon, L = 1)
     and no part of the Pfaffian or the solve.
+
+    ``plan``, for a (K, N) stack, says which rows are zero, which are built
+    and which are the conjugates of built rows (:class:`RowPlan`; the
+    evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`).
+    The block tables are built once, from the filled G stack.  Without a
+    plan the zero rows are found here and every other row is built.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
@@ -502,7 +542,7 @@ def contract(gamma, alpha) -> Contraction:
         gmat, lmat = _g_direct(g, rows)
         return a_coeff(gamma, rows), gmat, lmat
 
-    coeff, gmat, lmat = _by_phase(a, (1.0, 0.5 * (g0 - g0.T), np.eye(2 * n)), phased)
+    coeff, gmat, lmat = _by_phase(a, (1.0, 0.5 * (g0 - g0.T), np.eye(2 * n)), phased, plan)
     return Contraction(
         alpha=a,
         coeff=coeff,

@@ -6,18 +6,28 @@ matrix and the coupling gradient; its omega-only part, the phase layout, is
 shared between the states of one omega.  These tests pin that sharing and
 batching change no result, that the mean-field matrix is the energy's
 derivative past the dense oracle's cap, that a step builds each bundle
-once, and that a zero coupling velocity skips all coupling work.
+once, that a zero coupling velocity skips all coupling work, and that
+filling the partner of each conjugate key pair by conjugation changes no
+result.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 import ngfermi.hamiltonian
 import ngfermi.optimizer
-from conftest import bell_pair_and_vacuum, random_hamiltonian, random_symmetric_zero_diag
+from conftest import (
+    bell_pair_and_vacuum,
+    bell_pair_covariance,
+    random_hamiltonian,
+    random_symmetric_zero_diag,
+    random_two_body,
+)
 from ngfermi import wick
 from ngfermi.errors import SingularContractionError
-from ngfermi.gaussian import random_pure_covariance
+from ngfermi.gaussian import CovarianceMatrix, random_pure_covariance, upsilon
 from ngfermi.hamiltonian import (
     ManyBodyHamiltonian,
     PhaseLayout,
@@ -212,9 +222,9 @@ def test_step_builds_each_bundle_once(monkeypatch):
         original_init(self, *args)
         built.append(self)
 
-    def counting_contract(gamma, alpha):
+    def counting_contract(gamma, alpha, plan=None):
         contracts.append(gamma)
-        return original_contract(gamma, alpha)
+        return original_contract(gamma, alpha, plan)
 
     monkeypatch.setattr(ngfermi.hamiltonian.StateEvaluator, "__init__", counting_init)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
@@ -317,6 +327,7 @@ def test_zero_keys_never_build_q(monkeypatch, rng):
     cov = random_pure_covariance(4, rng)
     ev = StateEvaluator(cov, np.zeros((4, 4)), hamil)
     assert ev.layout.phased.size == 0
+    assert np.all(ev.layout.plan.sources == -1)  # no key is built or paired
     reference = _reference_mean_field(cov, np.zeros((4, 4)), hamil)
     monkeypatch.setattr(wick, "q_sum_from_l", _forbid("q_sum_from_l"))
     assert _rel_dev(ev.mean_field_h(), reference) < TOL
@@ -361,3 +372,140 @@ def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
     assert "one-body term (p,q)=(1,2)" in str(info.value)
     assert "contraction denominator" in str(info.value)
     np.testing.assert_array_equal(info.value.alpha, singular)
+
+
+def _built_every_key(ev: StateEvaluator) -> StateEvaluator:
+    """The same state from a copy of its layout that builds every phased key."""
+    layout = copy.copy(ev.layout)
+    layout.plan = None
+    return StateEvaluator(ev.gamma, ev.omega, ev.hamil, layout)
+
+
+def _assert_same_results(ev: StateEvaluator, ref: StateEvaluator) -> None:
+    assert _rel_dev(ev.energy(), ref.energy()) < TOL
+    assert _rel_dev(ev.gradient(), ref.gradient()) < TOL
+    assert _rel_dev(ev.mean_field_h(), ref.mean_field_h()) < TOL
+
+
+@pytest.mark.parametrize("model", ["hubbard-3", "hubbard-6", "random-4", "random-5"])
+def test_conjugate_keys_change_no_result(model, rng):
+    hamil = {
+        "hubbard-3": lambda: hubbard_model(3, 1.0, 4.0, 2.0),
+        "hubbard-6": lambda: hubbard_model(6, 1.0, 4.0, 2.0),
+        "random-4": lambda: random_hamiltonian(4, rng),
+        "random-5": lambda: random_hamiltonian(5, rng),
+    }[model]()
+    n = hamil.n_modes
+    ev = StateEvaluator(random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5), hamil)
+    lay = ev.layout
+    copies = lay.plan.copies
+    assert copies.size >= len(lay.phased) // 2 - 1
+    # a copy's phase vector is minus its source's, and its source is built
+    source = lay.plan.sources[copies]
+    np.testing.assert_allclose(np.exp(1j * lay.alphas[copies]), np.exp(-1j * lay.alphas[source]), atol=1e-13)
+    assert np.all(np.isin(source, lay.plan.built))
+    _assert_same_results(ev, _built_every_key(ev))
+
+
+@pytest.mark.parametrize("sites, built", [(5, 8), (6, 10)])
+def test_only_one_key_of_each_conjugate_pair_is_built(sites, built, monkeypatch, rng):
+    # a Hubbard chain has the zero key and one +-alpha pair per bond and spin
+    hamil = hubbard_model(sites, 1.0, 4.0, 2.0)
+    n = hamil.n_modes
+    rows = []
+
+    def spy(name):
+        original = getattr(wick, name)
+
+        def counting(g, a):
+            rows.append((name, len(a)))
+            return original(g, a)
+
+        return counting
+
+    for name in ("_g_direct", "a_coeff"):
+        monkeypatch.setattr(wick, name, spy(name))
+    ev = StateEvaluator(random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5), hamil)
+    assert len(ev.layout.alphas) == 2 * built + 1
+    assert rows == [("_g_direct", built), ("a_coeff", built)]
+
+
+def test_rounding_split_keys_pair_only_mutual_mirrors():
+    # acceptance test 05's seventh draw: the terms (1,3) and (1,2,2,3) have
+    # the same phase vector to 1.1e-16, but rounding gives them two keys, so
+    # the mirror relation (the key of a key's first adjoint term) is not an
+    # involution; conjugating a non-mutual mirror would conjugate twice
+    rng = np.random.default_rng(105)
+    for _ in range(7):
+        hamil = random_hamiltonian(4, rng)
+        cov = random_pure_covariance(4, rng)
+        w = random_symmetric_zero_diag(4, rng)
+    ev = StateEvaluator(cov, w, hamil)
+    lay = ev.layout
+    keys = np.arange(len(lay.alphas))
+    wrapped = wick.wrap_angles(lay.alphas)
+    gaps = np.max(np.abs(wrapped[:, None] - wrapped[None]), axis=2) + np.eye(len(keys))
+    assert gaps.min() < 1e-15
+    mirror = lay.term_key[hamil._adjoint_terms[lay.first_term]]
+    lone = np.flatnonzero(mirror[mirror] != keys)
+    assert lone.size
+    assert np.all(np.isin(lone, lay.plan.built))
+    _assert_same_results(ev, _built_every_key(ev))
+
+
+def test_absent_adjoint_entry_leaves_its_key_unpaired(rng):
+    # h_0123 = 5e-11 with its adjoint h_3210 = 0 is Hermitian to SYMMETRY_TOL;
+    # the key of (0,1,2,3) has no adjoint term, so it is built
+    h = random_two_body(4, rng)
+    for pq in ((0, 1), (1, 0)):
+        for rs in ((2, 3), (3, 2)):
+            h[pq + rs] = h[rs + pq] = 0.0
+    for (p, q), sign in (((0, 1), 1.0), ((1, 0), -1.0)):
+        h[p, q, 2, 3] = sign * 5e-11
+        h[p, q, 3, 2] = -sign * 5e-11
+    f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    hamil = ManyBodyHamiltonian(4, f + f.conj().T, h)
+    _, _, terms = hamil._term_indices
+    adjoint = hamil._adjoint_terms
+    for t, term in enumerate(terms):
+        if set(term[:2]) == {0, 1} and set(term[2:]) == {2, 3}:
+            assert adjoint[t] == -1
+        else:
+            assert terms[adjoint[t]] == term[::-1]
+    ev = StateEvaluator(random_pure_covariance(4, rng), random_symmetric_zero_diag(4, rng, scale=1.5), hamil)
+    k = ev.layout.term_key[terms.index((0, 1, 2, 3))]
+    assert k in ev.layout.plan.built
+    _assert_same_results(ev, _built_every_key(ev))
+
+
+def test_singular_key_and_its_partner_name_the_built_term():
+    # modes 0, 1 in the equal-weight pair state, modes 2, 3 empty: f_23 has
+    # the phase vector (pi, 0, 0.7, -0.7), singular, and f_32 its negative,
+    # the partner filled by conjugation; the error names key 1 and term (2,3),
+    # as when every key is built
+    g = -upsilon(4)
+    idx = [0, 1, 4, 5]
+    g[np.ix_(idx, idx)] = bell_pair_covariance(np.pi / 4).gamma
+    cov = CovarianceMatrix(g)
+    f = np.zeros((4, 4), dtype=complex)
+    f[0, 0] = 1.0
+    f[2, 3] = f[3, 2] = 0.5
+    hamil = ManyBodyHamiltonian(4, f, np.zeros((4, 4, 4, 4)))
+    w = np.zeros((4, 4))
+    w[0, 3] = w[3, 0] = np.pi
+    w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5
+    w[2, 3] = w[3, 2] = 0.7
+    layout = PhaseLayout(w, hamil)
+    np.testing.assert_array_equal(layout.plan.sources, [-1, 1, 1])
+    errors = []
+    for plan in (layout.plan, None):
+        lay = copy.copy(layout)
+        lay.plan = plan
+        with pytest.raises(SingularContractionError) as info:
+            StateEvaluator(cov, w, hamil, lay)
+        errors.append(info.value)
+    for exc in errors:
+        assert exc.index == 1
+        assert "one-body term (p,q)=(2,3)" in str(exc)
+        np.testing.assert_allclose(exc.alpha, [np.pi, 0.0, 0.7, -0.7], atol=1e-15)
+    assert str(errors[0]) == str(errors[1])

@@ -1,10 +1,14 @@
-"""Property tests over random draws: the Q sum read from L, the pair-space
-flow matrix and its pseudo-inverse, and Pf^2 = det.
+"""Property tests over random draws: the Q sum read from L, bundles at -alpha
+as conjugates of bundles at alpha, the pair-space flow matrix and its
+pseudo-inverse, and Pf^2 = det.
 
-The draws are seeded numpy states, phase-vector stacks with a zero row and
-zero entries, and complex skew stacks with forced zero pivots; hypothesis
-picks the sizes, the seeds and where the zeros go.
+The draws are seeded numpy states (pure and mixed), phase-vector stacks with
+a zero row, zero entries and +-pi entries, and complex skew stacks with
+forced zero pivots; hypothesis picks the sizes, the seeds and where the
+zeros go.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +54,48 @@ def test_q_sum_from_l_matches_q_matrix(case):
 
 
 @st.composite
+def conjugate_stacks(draw):
+    """A pure or mixed real gamma on 1..8 modes and a (K, N) phase stack with
+    zero and +-pi entries."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    gamma = random_pure_covariance(n, rng).gamma
+    kind = draw(st.sampled_from(["pure", "scaled", "perturbed"]))
+    if kind == "scaled":
+        gamma = rng.uniform(0.2, 0.95) * gamma
+    elif kind == "perturbed":
+        x = rng.normal(scale=0.05, size=gamma.shape)
+        gamma = gamma + x - x.T
+    alphas = rng.uniform(-np.pi, np.pi, (k, n))
+    special = rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    alphas[special] = rng.choice([0.0, np.pi, -np.pi], size=special.sum())
+    return gamma, alphas
+
+
+FIELDS = ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain")
+
+
+@SETTINGS
+@given(case=conjugate_stacks())
+def test_bundle_at_minus_alpha_is_the_conjugate(case):
+    gamma, alphas = case
+    plus, minus = wick.contract(gamma, alphas), wick.contract(gamma, -alphas)
+    for name in ("coeff", "g", "l"):
+        assert _rel_err(np.conj(getattr(plus, name)), getattr(minus, name)) <= 1e-13
+    # the block tables are not conjugates of each other (conj turns "+-" into
+    # "-+"), so a row filled by conjugation gets its tables from its filled G:
+    # the stack (alpha; -alpha), second half filled, against every row built
+    k = len(alphas)
+    own = np.where(alphas.any(axis=1), np.arange(k), -1)
+    stack = np.concatenate([alphas, -alphas])
+    paired = wick.contract(gamma, stack, wick.RowPlan(np.concatenate([own, own])))
+    built = wick.contract(gamma, stack)
+    for name in FIELDS:
+        assert _rel_err(getattr(paired, name), getattr(built, name)) <= 1e-13
+
+
+@st.composite
 def flow_states(draw):
     """A random pure gamma, the vacuum -Upsilon or a Slater determinant, on 1..8 modes."""
     n = draw(st.integers(1, 8))
@@ -62,13 +108,13 @@ def flow_states(draw):
         cov = mean_field_covariance(f + f.conj().T, draw(st.integers(0, n))).gamma
     else:
         cov = random_pure_covariance(n, rng).gamma
-    return cov, random_symmetric_zero_diag(n, rng)
+    return kind, cov, random_symmetric_zero_diag(n, rng)
 
 
 @SETTINGS
 @given(case=flow_states())
 def test_pair_space_flow_matrix_matches_the_tensor(case):
-    cov, _ = case
+    _, cov, _ = case
     tensor = b_tensor(cov)
     rows, cols = np.triu_indices(tensor.n_modes, 1)
     gathered = tensor.entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
@@ -78,7 +124,7 @@ def test_pair_space_flow_matrix_matches_the_tensor(case):
 @SETTINGS
 @given(case=flow_states())
 def test_hitgd_velocity_matches_pinv(case):
-    cov, grad = case
+    kind, cov, grad = case
     tensor = b_tensor(cov)
     n = tensor.n_modes
     reduced = matricize_b(tensor)
@@ -90,7 +136,15 @@ def test_hitgd_velocity_matches_pinv(case):
     sv = np.linalg.svd(reduced, compute_uv=False)
     kept = sv[sv > 1e-8 * sv[0]] if sv.size else sv
     kappa = kept[0] / kept[-1] if kept.size else 1.0
-    assert _rel_err(dtau_omega_hitgd(tensor, grad), ref) <= 1e-12 + 1e-14 * kappa
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        got = dtau_omega_hitgd(tensor, grad)
+    assert _rel_err(got, ref) <= 1e-12 + 1e-14 * kappa
+    # the eigenvalue bounds pass a random state to the plain solve, and send
+    # the vacuum (B = 0) through the eigendecomposition
+    if kind == "random":
+        assert eigh.call_count == 0
+    elif kind == "vacuum" and n >= 2:
+        assert eigh.call_count == 1
 
 
 def test_hitgd_velocity_rejects_a_non_finite_flow_matrix():

@@ -508,6 +508,12 @@ class TestZeroPhaseClosedForm:
         assert c.coeff[0] == 1.0
         assert not q_matrix(cov, np.zeros(4)).any()
 
+    def test_row_plan_must_cover_the_stack(self, rng):
+        cov = random_pure_covariance(3, rng)
+        alphas = rng.uniform(-np.pi, np.pi, (2, 3))
+        with pytest.raises(DimensionError, match="row plan"):
+            contract(cov, alphas, wick.RowPlan([0]))
+
     def test_stack_names_the_singular_row(self):
         cov = bell_pair_and_vacuum()
         singular = np.array([np.pi, 0.0, np.pi])
