@@ -150,10 +150,12 @@ class PhaseLayout:
     string with phase vector alpha_t, which is linear in omega.  The layout
     groups the terms by their wrapped phase vector (rounded to 14 decimals,
     one ``np.unique`` over the keys' bytes, keys numbered in order of first
-    appearance) and keeps the K distinct vectors, each term's key, the terms'
-    mode index arrays and their coefficient-free weights: (i/4) f_pq for a
-    one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body
-    term.  It also keeps :attr:`plan`, each key's row plan for
+    appearance) and keeps the K distinct vectors, wrapped into (-pi, pi]
+    once here (:func:`~ngfermi.wick.contract` takes them as they are), each
+    term's key, the terms' mode index arrays and their coefficient-free
+    weights: (i/4) f_pq for a one-body term and
+    -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term.  It also
+    keeps :attr:`plan`, each key's row plan for
     :func:`~ngfermi.wick.contract`: H is Hermitian, so a term's adjoint is a
     term with phase vector -alpha, and of each such key pair only the first
     is built; the other gets its bundle by conjugation.  None of this depends
@@ -173,7 +175,8 @@ class PhaseLayout:
             [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
         ).reshape(-1, n)
         # group by the bytes of the phase key, numbering keys in order of first appearance
-        keys = np.round(wrap_angles(alphas), 14)
+        alphas = wrap_angles(alphas)
+        keys = np.round(alphas, 14)
         keys = keys.view(np.dtype((np.void, keys.itemsize * n))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)

@@ -133,12 +133,17 @@ def enumerate_pairings(length: int) -> tuple[Pairing, ...]:
     return tuple(out)
 
 
-def _as_alpha(alpha, n_modes: int) -> np.ndarray:
-    """One wrapped phase vector (N,) or a stack of them (K, N)."""
-    a = wrap_angles(np.asarray(alpha, dtype=float))
+def _check_alpha(alpha, n_modes: int) -> np.ndarray:
+    """One phase vector (N,) or a stack of them (K, N), as given."""
+    a = np.asarray(alpha, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != n_modes:
         raise DimensionError(f"phase vector has shape {a.shape}, expected ({n_modes},)")
     return a
+
+
+def _as_alpha(alpha, n_modes: int) -> np.ndarray:
+    """One wrapped phase vector (N,) or a stack of them (K, N)."""
+    return _check_alpha(wrap_angles(alpha), n_modes)
 
 
 def _as_single_alpha(alpha, n_modes: int) -> np.ndarray:
@@ -163,11 +168,12 @@ def _doubled(values: np.ndarray) -> np.ndarray:
 def gamma_F(gamma, alpha) -> np.ndarray:
     """Phase-dressed covariance whose Pfaffian gives the scalar coefficient.
 
-    A stack of K phase vectors gives a (K, 2N, 2N) stack.
+    A stack of K phase vectors gives a (K, 2N, 2N) stack.  The phase vector
+    enters only through e^{i alpha}, so it is used as given, not wrapped.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    a = _as_alpha(alpha, n)
+    a = _check_alpha(alpha, n)
     phase = np.exp(1j * a)
     sq2 = _doubled(np.sqrt(1.0 - phase))  # values lie in the right half-plane
     modes = np.arange(n)
@@ -181,6 +187,7 @@ def a_coeff(gamma, alpha):
     """<exp(i sum alpha(j) n_j)> over the Gaussian state: sign * 2^-N * Pf.
 
     A stack of K phase vectors gives K coefficients from one batched Pfaffian.
+    The phase vectors are used as given (:func:`gamma_F`).
     """
     from .linalg import pfaffian
 
@@ -530,12 +537,14 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     ``plan``, for a (K, N) stack, says which rows are zero, which are built
     and which are the conjugates of built rows (:class:`RowPlan`; the
     evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`).
-    The block tables are built once, from the filled G stack.  Without a
-    plan the zero rows are found here and every other row is built.
+    The block tables are built once, from the filled G stack.  A stack that
+    comes with a plan is taken as already wrapped into (-pi, pi] (the layout
+    wraps its vectors once); without a plan the stack is wrapped here, the
+    zero rows are found here and every other row is built.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    a = _as_alpha(alpha, n)
+    a = _as_alpha(alpha, n) if plan is None else _check_alpha(alpha, n)
     g0 = g + upsilon(n)
 
     def phased(rows):

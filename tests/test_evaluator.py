@@ -278,6 +278,32 @@ def test_shared_layout_matches_fresh_evaluator(model, rng):
     assert other.layout is not first.layout
 
 
+@pytest.mark.parametrize("model, scale", [("hubbard-5", 0.0), ("hubbard-5", 3.0), ("random-4", 3.0)])
+def test_evaluator_from_an_existing_layout_wraps_nothing(model, scale, monkeypatch, rng):
+    # the layout wraps its phase vectors once (at scale 3 the raw sums of
+    # couplings leave (-pi, pi]); contract takes a stack with a plan as it is
+    hamil = hubbard_model(5, 1.0, 4.0, 2.0) if model == "hubbard-5" else random_hamiltonian(4, rng)
+    n = hamil.n_modes
+    w = random_symmetric_zero_diag(n, rng, scale=scale)
+    layout = PhaseLayout(w, hamil)
+    assert np.all((layout.alphas > -np.pi) & (layout.alphas <= np.pi))
+    calls = []
+    real = wick.wrap_angles
+
+    def counting(values):
+        calls.append(np.shape(values))
+        return real(values)
+
+    monkeypatch.setattr(wick, "wrap_angles", counting)
+    monkeypatch.setattr(ngfermi.hamiltonian, "wrap_angles", counting)
+    ev = StateEvaluator(random_pure_covariance(n, rng), w, hamil, layout)
+    ev.energy(), ev.gradient(), ev.mean_field_h()
+    assert ev.layout is layout and calls == []
+    # a stack without a plan is still wrapped
+    wick.contract(ev.gamma, layout.alphas)
+    assert calls == [layout.alphas.shape]
+
+
 def test_frozen_run_builds_one_layout_and_keeps_omega(monkeypatch, rng):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     layouts = []

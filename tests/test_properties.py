@@ -1,6 +1,6 @@
 """Property tests over random draws: the Q sum read from L, bundles at -alpha
 as conjugates of bundles at alpha, the pair-space flow matrix and its
-pseudo-inverse, and Pf^2 = det.
+pseudo-inverse, the purity projection, and Pf^2 = det.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
 a zero row, zero entries and +-pi entries, and complex skew stacks with
@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 
 from conftest import random_symmetric_zero_diag
 from ngfermi import wick
-from ngfermi.errors import ValidationError
-from ngfermi.gaussian import mean_field_covariance, random_pure_covariance, upsilon
+from ngfermi.errors import DegeneracyError, ValidationError
+from ngfermi.gaussian import (
+    POLAR_SCREEN,
+    PURITY_TOL,
+    mean_field_covariance,
+    purify,
+    random_pure_covariance,
+    upsilon,
+)
 from ngfermi.linalg import pfaffian
 from ngfermi.optimizer import BTensor, b_tensor, dtau_omega_hitgd, matricize_b
 
@@ -145,6 +152,52 @@ def test_hitgd_velocity_matches_pinv(case):
         assert eigh.call_count == 0
     elif kind == "vacuum" and n >= 2:
         assert eigh.call_count == 1
+
+
+@st.composite
+def purify_inputs(draw):
+    """A random pure gamma on 1..12 modes, exactly, plus a tangent
+    perturbation (1/2)(d + gamma d gamma), or plus a non-tangent skew one,
+    sized for a target ||gamma^T gamma - 1||_F on either side of the screen."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(SEEDS))
+    gamma = random_pure_covariance(n, rng).gamma
+    kind = draw(st.sampled_from(["pure", "tangent", "skew"]))
+    if kind == "pure":
+        return gamma
+    d = rng.normal(size=gamma.shape)
+    d = d - d.T
+    if kind == "tangent":
+        d = 0.5 * (d + gamma @ d @ gamma)
+        d = 0.5 * (d - d.T)
+    target = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.49, 0.51, 0.8, 2.0]))
+    # ||E(t)||_F ~ a t + b t^2: a = 0 for a tangent d, whose E is t^2 d^T d
+    a = np.linalg.norm(gamma.T @ d + d.T @ gamma) if kind == "skew" else 0.0
+    b = np.linalg.norm(d.T @ d)
+    if b < 1e-12:  # N = 1: the pure states are two points, with no tangent
+        return gamma
+    t = 2.0 * target / (a + np.sqrt(a * a + 4.0 * b * target))
+    return gamma + t * d
+
+
+@SETTINGS
+@given(gamma=purify_inputs())
+def test_purify_is_the_sign_of_the_spectrum(gamma):
+    vals, vecs = np.linalg.eigh(1j * gamma)
+    ref = np.real(-1j * (vecs * np.sign(vals)) @ vecs.conj().T)
+    dev = np.linalg.norm(gamma.T @ gamma - np.eye(len(gamma)))
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        if np.min(np.abs(vals)) < PURITY_TOL:
+            with pytest.raises(DegeneracyError):
+                purify(gamma)
+            return
+        once = purify(gamma)
+    # inside the screen the iteration alone gives the projection
+    if dev < POLAR_SCREEN:
+        assert eigh.call_count == 0
+    assert np.max(np.abs(once.gamma - ref)) <= 1e-13
+    assert once.purity_error <= 1e-13
+    assert np.max(np.abs(purify(once).gamma - once.gamma)) <= 1e-14
 
 
 def test_hitgd_velocity_rejects_a_non_finite_flow_matrix():
