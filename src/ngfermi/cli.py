@@ -61,7 +61,7 @@ def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianPar
         raise FormatError(f"cannot read checkpoint {path!r}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
     required = {"n_modes", "gamma", "omega", "tau", "energy"}
     if not isinstance(payload, dict) or set(payload) != required:
@@ -266,11 +266,15 @@ def cmd_model(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # also a directory, a NUL byte, a binary file
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     resolved = parse_config(payload)
     outputs = resolved["outputs"]
     # append mode creates a missing file and truncates none, so a run that
@@ -375,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StagnationError as exc:

@@ -127,40 +127,46 @@ class ManyBodyHamiltonian:
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
     @cached_property
-    def _adjoint_terms(self) -> np.ndarray:
-        """Each term's adjoint term, in the order of :attr:`_term_indices`:
-        (p,q) -> (q,p) and (p,q,r,s) -> (s,r,q,p), both the reversed indices;
-        -1 where the adjoint entry is zero (Hermitian only to SYMMETRY_TOL)."""
+    def _charges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each term's charge v_t (+1 on the annihilated, -1 on the created
+        modes; alpha_t = omega v_t), grouped: each term's charge label, in
+        the order of :attr:`_term_indices`, each charge's first term, and
+        each charge's mirror, the label of -v (-1 where no term has it, a
+        Hamiltonian Hermitian only to SYMMETRY_TOL).  The match is exact, so
+        the mirror relation is an involution."""
         f_idx, h_idx, _ = self._term_indices
-        out, offset = [], 0
-        for idx in (f_idx, h_idx):
-            dims = (self.n_modes,) * idx.shape[1]
-            flat = np.ravel_multi_index(idx.T, dims)  # ascending: argwhere is row-major
-            adjoint = np.ravel_multi_index(idx[:, ::-1].T, dims)
-            pos = np.minimum(np.searchsorted(flat, adjoint), len(flat) - 1)
-            out.append(np.where(flat[pos] == adjoint, pos + offset, -1))
-            offset += len(idx)
-        return np.concatenate(out)
+        eye = np.eye(self.n_modes, dtype=np.int8)
+        (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
+        v = np.concatenate([eye[q1] - eye[p1], eye[r] + eye[s] - eye[p] - eye[q]])
+        rows = np.dtype((np.void, self.n_modes))  # one key per row, grouped by bytes
+        _, first, label = np.unique(v.view(rows).ravel(), return_index=True, return_inverse=True)
+        # the labels of the charges and of their negatives, in one grouping
+        _, both = np.unique(np.concatenate([v[first], -v[first]]).view(rows).ravel(), return_inverse=True)
+        of_key = np.full(len(both), -1)
+        of_key[both[: len(first)]] = np.arange(len(first))
+        return label, first, of_key[both[len(first):]]
 
 
 class PhaseLayout:
     """The omega-only half of a state's evaluation, for one (omega, Hamiltonian).
 
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
-    string with phase vector alpha_t, which is linear in omega.  The layout
-    groups the terms by their wrapped phase vector (rounded to 14 decimals,
-    one ``np.unique`` over the keys' bytes, keys numbered in order of first
-    appearance) and keeps the K distinct vectors, wrapped into (-pi, pi]
-    once here (:func:`~ngfermi.wick.contract` takes them as they are), each
-    term's key, the terms' mode index arrays and their coefficient-free
-    weights: (i/4) f_pq for a one-body term and
+    string with phase vector alpha_t = omega v_t, where v_t is the term's
+    integer charge (:attr:`ManyBodyHamiltonian._charges`).  So the layout
+    keys the terms by their charge: one key per charge, numbered in order of
+    first appearance, except that all charges whose wrapped phase vector is
+    exactly zero share one key (at omega = 0 that is every charge).  It
+    keeps the K keys' vectors, each its first term's, wrapped into
+    (-pi, pi] once here (:func:`~ngfermi.wick.contract` takes them as they
+    are), each term's key, the terms' mode index arrays and their
+    coefficient-free weights: (i/4) f_pq for a one-body term and
     -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term.  It also
     keeps :attr:`plan`, each key's row plan for
-    :func:`~ngfermi.wick.contract`: H is Hermitian, so a term's adjoint is a
-    term with phase vector -alpha, and of each such key pair only the first
-    is built; the other gets its bundle by conjugation.  None of this depends
-    on gamma, so the states of a run share one layout for as long as omega
-    stays the same object.
+    :func:`~ngfermi.wick.contract`: H is Hermitian, so the charge -v of a
+    term's adjoint is a charge of H too, with phase vector -alpha, and of
+    each such key pair only the first is built; the other gets its bundle
+    by conjugation.  None of this depends on gamma, so the states of a run
+    share one layout for as long as omega stays the same object.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
@@ -171,46 +177,29 @@ class PhaseLayout:
         f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
         self.modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
-        alphas = np.concatenate(
+        alphas = wrap_angles(np.concatenate(
             [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
-        ).reshape(-1, n)
-        # group by the bytes of the phase key, numbering keys in order of first appearance
-        alphas = wrap_angles(alphas)
-        keys = np.round(alphas, 14)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * n))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        self.term_key = np.argsort(order)[inverse]
-        self.first_term = first[order]
+        ).reshape(-1, n))
+        label, first, mirror = hamil._charges
+        # the charges whose phase vector is exactly zero share the earliest one's
+        # first term; sorting those first terms numbers the keys in order of appearance
+        zero = ~alphas[first].any(axis=1)
+        lead = np.where(zero, first[zero].min(initial=len(alphas)), first)
+        self.first_term, lead_charge, key = np.unique(lead, return_index=True, return_inverse=True)
+        self.term_key = key[label]
         self.alphas = alphas[self.first_term]
         # the keys whose Q is not identically zero
         self.phased = np.flatnonzero(self.alphas.any(axis=1))
-        self.plan = wick.RowPlan(self._row_sources())
+        # each key's source row: -1 for the zero key, else the earlier of the key
+        # and its mirror's key; the mirror relation is an involution, so that
+        # row is built
+        source = np.where(zero, -1, np.minimum(key, np.where(mirror < 0, key, key[mirror])))
+        self.plan = wick.RowPlan(source[lead_charge])
         self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
         self.w1 = 0.25j * hamil.f[p1, q1]
         self.w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q]))
-
-    def _row_sources(self) -> np.ndarray:
-        """Each key's source row (:class:`~ngfermi.wick.RowPlan`): -1 for
-        the zero vector, the key itself to build it, or the earlier key that
-        holds its negative, whose bundle it gets by conjugation.
-
-        A key's mirror is the key of its first term's adjoint, whose phase
-        vector is -alpha.  Only mutual mirrors pair: rounding can split one
-        vector into two keys, and then the mirror relation is not an
-        involution.  Self-adjoint keys (0/pi vectors) and keys without an
-        adjoint term are built.
-        """
-        keys = np.arange(len(self.alphas))
-        plan = np.where(self.alphas.any(axis=1), keys, -1)
-        if not self.phased.size:
-            return plan
-        adjoint = self.hamil._adjoint_terms[self.first_term]
-        mirror = np.where(adjoint >= 0, self.term_key[adjoint], -1)
-        paired = (mirror >= 0) & (mirror < keys) & (mirror[mirror] == keys)
-        return np.where(paired, mirror, plan)
 
     def term_error(self, exc: SingularContractionError) -> SingularContractionError:
         """The error of a batched routine, naming the failing phase vector's first term."""

@@ -256,9 +256,10 @@ def _rel_dev(got, ref) -> float:
 
 def run_all(n_modes: int = 4, seed: int = 2024) -> list[CheckResult]:
     """Run the whole suite at the given mode count with a fixed seed."""
-    if n_modes > oracle.MAX_EXPONENTIAL_MODES:
+    if not 1 <= n_modes <= oracle.MAX_EXPONENTIAL_MODES:
         raise ValidationError(
-            f"validation needs dense oracles; use n_modes <= {oracle.MAX_EXPONENTIAL_MODES}"
+            f"validation needs dense oracles; use 1 <= n_modes <= "
+            f"{oracle.MAX_EXPONENTIAL_MODES}, got {n_modes}"
         )
     rng = np.random.default_rng(seed)
     return [

@@ -20,12 +20,14 @@ gamma the bundle at ``-alpha`` is the complex conjugate of the bundle at
 ``alpha`` (coefficient, G and L; D(-alpha) = conj D(alpha), and
 sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 - e^{i alpha})).  So
 :func:`contract` takes an optional :class:`RowPlan`, made once per omega by
-the caller: which rows are zero, which are built, and which copy the
-conjugate of an earlier built row; the block tables are then built once
-from the filled G stack.  The built rows pay for the Pfaffian and the
-inversions, and each inversion is guarded against a condition number above
-``COND_LIMIT``.  The guard needs no SVD for a well-conditioned matrix:
-kappa_F = |M|_F |M^-1|_F >= kappa_2 comes from the inverse already at hand,
+the caller (the phase layout pairs the keys of charges v and -v): which rows
+are zero, which are built, and which copy the conjugate of an earlier built
+row; without one, the zero rows take the closed form and every other row is
+built.  The block tables are built once from the filled G stack.  The built
+rows pay for the Pfaffian and the inversions, and each inversion is guarded
+against a condition number above ``COND_LIMIT``.  The guard needs no SVD
+for a well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
+from the inverse already at hand,
 
 * ``L = D^-T`` for the contraction denominator ``D``, since
   ``(Upsilon gamma - 1) D^-1 = Upsilon G``, so ``L`` costs O(n^2) from G;
@@ -244,7 +246,8 @@ class RowPlan:
     Pfaffian and the solve, and the index j of an earlier row that is not
     itself a copy for a row whose phase vector is minus row j's.  For a real
     gamma that row's coefficient, G and L are the complex conjugates of row
-    j's, so it costs a gather.  The caller vouches for the pairing.
+    j's, so it costs a gather.  The caller vouches for the pairing; the phase
+    layout pairs the keys of the charges v and -v, an exact involution.
     """
 
     def __init__(self, sources):
@@ -260,18 +263,17 @@ def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = N
     Zero rows get the closed forms ``zero_phase``; the stack of the built
     rows goes through ``phased``, which returns one array per closed form;
     the copies of a :class:`RowPlan` get the complex conjugates of their
-    sources' results.  Without a plan the rows that are exactly zero are
-    found here and every other row is built.  A
+    sources' results.  Without a plan the rows that are exactly zero take
+    the closed form and every other row is built.  A
     :class:`SingularContractionError` from ``phased`` is given the failing
     row's index in the whole stack.
     """
     stack = np.atleast_2d(a)
     if plan is None:
-        rows = np.flatnonzero(stack.any(axis=1))
+        plan = RowPlan(np.where(stack.any(axis=1), np.arange(len(stack)), -1))
     elif len(plan.sources) != len(stack):
         raise DimensionError(f"row plan covers {len(plan.sources)} rows, the stack has {len(stack)}")
-    else:
-        rows = plan.built
+    rows = plan.built
     outs = [np.full((len(stack),) + np.shape(z), z, dtype=complex) for z in zero_phase]
     if rows.size:
         try:
@@ -281,7 +283,7 @@ def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = N
             raise
         for out, value in zip(outs, values):
             out[rows] = value
-    if plan is not None and plan.copies.size:
+    if plan.copies.size:
         for out in outs:
             out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
     return tuple(out if a.ndim == 2 else out[0] for out in outs)
@@ -539,8 +541,8 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`).
     The block tables are built once, from the filled G stack.  A stack that
     comes with a plan is taken as already wrapped into (-pi, pi] (the layout
-    wraps its vectors once); without a plan the stack is wrapped here, the
-    zero rows are found here and every other row is built.
+    wraps its vectors once); without a plan the stack is wrapped here, and
+    the default plan gives the zero rows the closed form and builds the rest.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2

@@ -574,6 +574,44 @@ class TestCircuitCommand:
         assert "Traceback" not in err
 
 
+def _path_case_argv(case, tmp_path):
+    """The argv of one CLI path case; a directory stands for an unreadable
+    or unwritable file."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0)))
+    circuit = ["circuit", "--checkpoint", str(ckpt)]
+    binary = tmp_path / "run.json"
+    binary.write_bytes(b"\xff\xfe{")
+    return {
+        "run-config-directory": ["run", "--config", str(folder)],
+        "run-config-not-utf8": ["run", "--config", str(binary)],
+        "model-out-directory": ["model", "hubbard", "--sites", "2", "--out", str(folder)],
+        "circuit-qasm-directory": circuit + ["--out-qasm", str(folder), "--out-report", str(tmp_path / "r.json")],
+        "circuit-report-directory": circuit + ["--out-qasm", str(tmp_path / "c.qasm"), "--out-report", str(folder)],
+        "validate-zero-modes": ["validate", "--n-modes", "0"],
+        "validate-negative-modes": ["validate", "--n-modes", "-1"],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("run-config-directory", EXIT_CONFIG),
+        ("run-config-not-utf8", EXIT_CONFIG),
+        ("model-out-directory", EXIT_CONFIG),
+        ("circuit-qasm-directory", EXIT_CONFIG),
+        ("circuit-report-directory", EXIT_CONFIG),
+        ("validate-zero-modes", EXIT_NUMERICAL),
+        ("validate-negative-modes", EXIT_NUMERICAL),
+    ],
+)
+def test_bad_path_or_mode_count_exits_with_its_code(case, code, tmp_path, capsys):
+    assert main(_path_case_argv(case, tmp_path)) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_warnings():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -196,11 +196,16 @@ def test_evaluator_bundles_match_single_calls_past_dense_cap():
     cov = random_pure_covariance(12, rng)
     w = random_symmetric_zero_diag(12, rng, scale=0.8)
     ev = StateEvaluator(cov, w, hamil)
-    keys = {np.round(wick.wrap_angles(alpha(w)), 14).tobytes() for _, alpha in _terms(hamil)}
+    # one key per charge (+1 on the annihilated, -1 on the created modes)
+    charges = {
+        tuple(np.bincount(idx[len(idx) // 2:], minlength=12) - np.bincount(idx[: len(idx) // 2], minlength=12))
+        for idx, _ in _terms(hamil)
+    }
     c = ev.contraction
     assert isinstance(c, wick.Contraction)
-    assert c.alpha.shape == (len(keys), 12) and len(keys) > 20
-    assert {np.round(alpha, 14).tobytes() for alpha in c.alpha} == keys
+    assert c.alpha.shape == (len(charges), 12) and len(charges) > 20
+    for (_, alpha), k in zip(_terms(hamil), ev.layout.term_key):
+        assert np.max(np.abs(c.alpha[k] - wick.wrap_angles(alpha(w)))) < 1e-14
     for k, alpha in enumerate(c.alpha):
         assert abs(c.coeff[k] - wick.a_coeff(cov, alpha)) < TOL
         g = wick.g_matrix(cov, alpha, method="direct")
@@ -379,8 +384,10 @@ def test_mean_field_reads_q_from_l_without_inverting(model, monkeypatch, rng):
 def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
     # mean_field_h reads Q from L and has no Gamma_F guard of its own: a key whose
     # Gamma_F is singular must already fail when the evaluator is built, by D's
-    # guard, since det Gamma_F = 4^N det D.  Keys: 0 (f_00), (0, 0, pi) (f_01,
-    # f_10) and (0, pi, pi) (f_12, f_21), singular on the pair state of modes 0, 1
+    # guard, since det Gamma_F = 4^N det D.  Keys: 0 (f_00), then one per charge:
+    # (0, 0, pi) for f_01 and f_10, whose charges are +-(e1 - e0), the second key
+    # a conjugate copy of the first, and (0, pi, pi) for f_12 (key 3, built) and
+    # f_21 (key 4), singular on the pair state of modes 0, 1
     f = np.zeros((3, 3), dtype=complex)
     f[0, 0] = 1.0
     f[0, 1] = f[1, 0] = f[1, 2] = f[2, 1] = 0.5
@@ -389,12 +396,14 @@ def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
     w[1, 2] = w[2, 1] = np.pi
     cov = bell_pair_and_vacuum()
     singular = np.array([0.0, np.pi, np.pi])
-    np.testing.assert_array_equal(wick.wrap_angles(PhaseLayout(w, hamil).alphas[2]), singular)
+    layout = PhaseLayout(w, hamil)
+    np.testing.assert_array_equal(layout.plan.sources, [-1, 1, 1, 3, 3])
+    np.testing.assert_array_equal(layout.alphas[3], singular)
     with pytest.raises(SingularContractionError, match="phase-dressed covariance"):
         wick.q_matrix(cov, singular)
     with pytest.raises(SingularContractionError) as info:
         StateEvaluator(cov, w, hamil)
-    assert info.value.index == 2
+    assert info.value.index == 3
     assert "one-body term (p,q)=(1,2)" in str(info.value)
     assert "contraction denominator" in str(info.value)
     np.testing.assert_array_equal(info.value.alpha, singular)
@@ -456,11 +465,10 @@ def test_only_one_key_of_each_conjugate_pair_is_built(sites, built, monkeypatch,
     assert rows == [("_g_direct", built), ("a_coeff", built)]
 
 
-def test_rounding_split_keys_pair_only_mutual_mirrors():
-    # acceptance test 05's seventh draw: the terms (1,3) and (1,2,2,3) have
-    # the same phase vector to 1.1e-16, but rounding gives them two keys, so
-    # the mirror relation (the key of a key's first adjoint term) is not an
-    # involution; conjugating a non-mutual mirror would conjugate twice
+def test_one_charge_is_one_key_past_rounding():
+    # acceptance test 05's seventh draw: the terms (1,3) and (1,2,2,3) have the
+    # same charge, and phase vectors 1.1e-16 apart from their different sums;
+    # a key per charge builds that vector once: 19 keys, 9 built rows
     rng = np.random.default_rng(105)
     for _ in range(7):
         hamil = random_hamiltonian(4, rng)
@@ -468,20 +476,16 @@ def test_rounding_split_keys_pair_only_mutual_mirrors():
         w = random_symmetric_zero_diag(4, rng)
     ev = StateEvaluator(cov, w, hamil)
     lay = ev.layout
-    keys = np.arange(len(lay.alphas))
-    wrapped = wick.wrap_angles(lay.alphas)
-    gaps = np.max(np.abs(wrapped[:, None] - wrapped[None]), axis=2) + np.eye(len(keys))
-    assert gaps.min() < 1e-15
-    mirror = lay.term_key[hamil._adjoint_terms[lay.first_term]]
-    lone = np.flatnonzero(mirror[mirror] != keys)
-    assert lone.size
-    assert np.all(np.isin(lone, lay.plan.built))
+    _, _, terms = hamil._term_indices
+    assert lay.term_key[terms.index((1, 3))] == lay.term_key[terms.index((1, 2, 2, 3))]
+    assert len(lay.alphas) == 19
+    assert lay.plan.built.size == 9
     _assert_same_results(ev, _built_every_key(ev))
 
 
-def test_absent_adjoint_entry_leaves_its_key_unpaired(rng):
-    # h_0123 = 5e-11 with its adjoint h_3210 = 0 is Hermitian to SYMMETRY_TOL;
-    # the key of (0,1,2,3) has no adjoint term, so it is built
+def test_charge_without_adjoint_term_has_no_mirror(rng):
+    # h_0123 = 5e-11 with its adjoint h_3210 = 0 is Hermitian to SYMMETRY_TOL:
+    # the charge of (0,1,2,3) has no mirror, so its key is built
     h = random_two_body(4, rng)
     for pq in ((0, 1), (1, 0)):
         for rs in ((2, 3), (3, 2)):
@@ -492,12 +496,13 @@ def test_absent_adjoint_entry_leaves_its_key_unpaired(rng):
     f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     hamil = ManyBodyHamiltonian(4, f + f.conj().T, h)
     _, _, terms = hamil._term_indices
-    adjoint = hamil._adjoint_terms
-    for t, term in enumerate(terms):
-        if set(term[:2]) == {0, 1} and set(term[2:]) == {2, 3}:
-            assert adjoint[t] == -1
-        else:
-            assert terms[adjoint[t]] == term[::-1]
+    label, first, mirror = hamil._charges
+    lone = label[terms.index((0, 1, 2, 3))]
+    assert mirror[lone] == -1
+    assert np.flatnonzero(mirror < 0).tolist() == [lone]
+    # every other charge's mirror holds the reversed first term
+    for c in np.flatnonzero(mirror >= 0):
+        assert label[terms.index(terms[first[c]][::-1])] == mirror[c]
     ev = StateEvaluator(random_pure_covariance(4, rng), random_symmetric_zero_diag(4, rng, scale=1.5), hamil)
     k = ev.layout.term_key[terms.index((0, 1, 2, 3))]
     assert k in ev.layout.plan.built

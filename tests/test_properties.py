@@ -1,13 +1,15 @@
 """Property tests over random draws: the Q sum read from L, bundles at -alpha
-as conjugates of bundles at alpha, the pair-space flow matrix and its
-pseudo-inverse, the purity projection, and Pf^2 = det.
+as conjugates of bundles at alpha, the phase layout's charge keys and their
+conjugate pairs, the pair-space flow matrix and its pseudo-inverse, the
+purity projection, and Pf^2 = det.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
-a zero row, zero entries and +-pi entries, and complex skew stacks with
-forced zero pivots; hypothesis picks the sizes, the seeds and where the
-zeros go.
+a zero row, zero entries and +-pi entries, sparse Hamiltonians with an entry
+whose adjoint is zero, and complex skew stacks with forced zero pivots;
+hypothesis picks the sizes, the seeds and where the zeros go.
 """
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symmetric_zero_diag
+from conftest import random_symmetric_zero_diag, random_two_body
 from ngfermi import wick
 from ngfermi.errors import DegeneracyError, ValidationError
 from ngfermi.gaussian import (
@@ -26,6 +28,7 @@ from ngfermi.gaussian import (
     random_pure_covariance,
     upsilon,
 )
+from ngfermi.hamiltonian import ManyBodyHamiltonian, PhaseLayout, StateEvaluator
 from ngfermi.linalg import pfaffian
 from ngfermi.optimizer import BTensor, b_tensor, dtau_omega_hitgd, matricize_b
 
@@ -100,6 +103,90 @@ def test_bundle_at_minus_alpha_is_the_conjugate(case):
     built = wick.contract(gamma, stack)
     for name in FIELDS:
         assert _rel_err(getattr(paired, name), getattr(built, name)) <= 1e-13
+
+
+# the index images of a two-body entry: h_pqrs = -h_qprs = -h_pqsr = h_srqp
+H_IMAGES = [
+    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+    (3, 2, 1, 0), (2, 3, 1, 0), (3, 2, 0, 1), (2, 3, 0, 1),
+]
+
+
+@st.composite
+def charged_states(draw):
+    """A Hamiltonian on 2..5 modes with zeroed entries and one one-body entry
+    whose adjoint is zero (Hermitian to SYMMETRY_TOL), a pure gamma, and
+    omega with 0 and +-pi entries."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    frac = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    f = f + f.conj().T
+    cut = rng.random((n, n)) < frac
+    f[cut | cut.T] = 0.0
+    a, b = rng.choice(n, size=2, replace=False)
+    f[a, b], f[b, a] = 5e-11, 0.0
+    h = random_two_body(n, rng)
+    cut = rng.random((n,) * 4) < frac
+    h[np.any([cut.transpose(p) for p in H_IMAGES], axis=0)] = 0.0
+    w = random_symmetric_zero_diag(n, rng, scale=1.5)
+    special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    w[special] = rng.choice([0.0, np.pi, -np.pi], size=special.sum())
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    return ManyBodyHamiltonian(n, f, h), random_pure_covariance(n, rng), w
+
+
+def _charge(term) -> tuple:
+    """+1 on the annihilated, -1 on the created modes of a term's indices."""
+    created, annihilated = term[: len(term) // 2], term[len(term) // 2:]
+    v = np.zeros(max(term) + 1, dtype=int)
+    np.add.at(v, list(annihilated), 1)
+    np.add.at(v, list(created), -1)
+    return tuple(np.trim_zeros(v, "b"))
+
+
+@SETTINGS
+@given(case=charged_states())
+def test_keys_are_charges_and_copies_are_mirrors(case):
+    hamil, cov, w = case
+    _, _, terms = hamil._term_indices
+    charges = [_charge(t) for t in terms]
+    label, first, mirror = hamil._charges
+    # one label per charge, and the mirror holds the charge -v, or no term does
+    assert len(set(zip(label.tolist(), charges))) == len(first) == len(set(charges))
+    for c, t in enumerate(first):
+        minus = tuple(-x for x in charges[t])
+        if mirror[c] < 0:
+            assert minus not in charges
+        else:
+            assert mirror[mirror[c]] == c
+            assert charges[first[mirror[c]]] == minus
+    for omega in (w, np.zeros_like(w)):
+        layout = PhaseLayout(omega, hamil)
+        keys = {}
+        for k, v in zip(layout.term_key.tolist(), charges):
+            keys.setdefault(k, set()).add(v)
+        # no two keys share a charge; only the zero key holds several
+        assert sum(map(len, keys.values())) == len(set(charges))
+        assert all(len(held) == 1 for k, held in keys.items() if layout.plan.sources[k] >= 0)
+        copies = layout.plan.copies
+        source = layout.plan.sources[copies]
+        assert np.all(np.isin(source, layout.plan.built))
+        np.testing.assert_allclose(
+            np.exp(1j * layout.alphas[copies]), np.exp(-1j * layout.alphas[source]), atol=1e-13
+        )
+        ev = StateEvaluator(cov, omega, hamil, layout)
+        every = copy.copy(layout)
+        every.plan = None
+        ref = StateEvaluator(cov, omega, hamil, every)
+        # a copy and a direct build differ by rounding, amplified by the
+        # condition number of the denominator D (L = D^-T): with +-pi entries
+        # the draws reach states with |coeff| ~ 2e-4 and cond(D) ~ 500
+        tol = 1e-12 * max(1.0, float(np.max(np.linalg.cond(ref.contraction.l))))
+        for method in ("energy", "gradient", "mean_field_h"):
+            assert _rel_err(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())) <= tol
+    # omega = 0 (the last layout): every charge in the one zero key
+    np.testing.assert_array_equal(layout.plan.sources, [-1])
 
 
 @st.composite
