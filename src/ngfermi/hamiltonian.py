@@ -30,6 +30,7 @@ from .wick import contract, wrap_angles
 
 SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-9
+KEY_STRUCTURES = 8
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,25 @@ class ManyBodyHamiltonian:
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
     @cached_property
-    def _charges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each term's charge v_t (+1 on the annihilated, -1 on the created
-        modes; alpha_t = omega v_t), grouped: each term's charge label, in
-        the order of :attr:`_term_indices`, each charge's first term, and
-        each charge's mirror, the label of -v (-1 where no term has it, a
-        Hamiltonian Hermitian only to SYMMETRY_TOL).  The match is exact, so
-        the mirror relation is an involution."""
+    def _charge_rows(self) -> np.ndarray:
+        """Each term's charge v_t as a read-only float row (T, N), in the
+        order of :attr:`_term_indices`: +1 on the annihilated and -1 on the
+        created modes, so alpha_t = omega v_t."""
         f_idx, h_idx, _ = self._term_indices
-        eye = np.eye(self.n_modes, dtype=np.int8)
+        eye = np.eye(self.n_modes)
         (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
         v = np.concatenate([eye[q1] - eye[p1], eye[r] + eye[s] - eye[p] - eye[q]])
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def _charges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms' charges (:attr:`_charge_rows`), grouped: each term's
+        charge label, in the order of :attr:`_term_indices`, each charge's
+        first term, and each charge's mirror, the label of -v (-1 where no
+        term has it, a Hamiltonian Hermitian only to SYMMETRY_TOL).  The
+        match is exact, so the mirror relation is an involution."""
+        v = self._charge_rows.astype(np.int8)
         rows = np.dtype((np.void, self.n_modes))  # one key per row, grouped by bytes
         _, first, label = np.unique(v.view(rows).ravel(), return_index=True, return_inverse=True)
         # the labels of the charges and of their negatives, in one grouping
@@ -145,6 +154,42 @@ class ManyBodyHamiltonian:
         of_key = np.full(len(both), -1)
         of_key[both[: len(first)]] = np.arange(len(first))
         return label, first, of_key[both[len(first):]]
+
+    @cached_property
+    def _key_structures(self) -> dict:
+        """The phase layouts' key structures by zero set (:meth:`_key_structure`)."""
+        return {}
+
+    def _key_structure(self, zero: np.ndarray) -> tuple:
+        """The key structure of a phase layout whose charges with an exactly
+        zero wrapped vector are ``zero`` (one bool per charge): the keys'
+        first terms, each term's key, each key's charge, the phased keys and
+        the row plan (:class:`PhaseLayout`).  It depends on omega only
+        through ``zero``, so the last KEY_STRUCTURES zero sets keep theirs:
+        a hitgd run meets omega = 0 and then one generic zero set."""
+        found = self._key_structures.get(zero.tobytes())
+        if found is not None:
+            return found
+        label, first, mirror = self._charges
+        # the charges whose phase vector is exactly zero share the earliest one's
+        # first term; sorting those first terms numbers the keys in order of appearance
+        lead = np.where(zero, first[zero].min(initial=len(label)), first)
+        first_term, lead_charge, key = np.unique(lead, return_index=True, return_inverse=True)
+        # each key's vector is its first term's, whose charge that term starts
+        key_charge = label[first_term]
+        # the keys whose Q is not identically zero
+        phased = np.flatnonzero(~zero[key_charge])
+        # each key's source row: -1 for the zero key, else the earlier of the key
+        # and its mirror's key; the mirror relation is an involution, so that
+        # row is built
+        source = np.where(zero, -1, np.minimum(key, np.where(mirror < 0, key, key[mirror])))
+        found = first_term, key[label], key_charge, phased, wick.RowPlan(source[lead_charge])
+        for arr in found[:4]:
+            arr.flags.writeable = False  # shared by every layout of this zero set
+        if len(self._key_structures) >= KEY_STRUCTURES:
+            del self._key_structures[next(iter(self._key_structures))]
+        self._key_structures[zero.tobytes()] = found
+        return found
 
 
 class PhaseLayout:
@@ -158,15 +203,24 @@ class PhaseLayout:
     exactly zero share one key (at omega = 0 that is every charge).  It
     keeps the K keys' vectors, each its first term's, wrapped into
     (-pi, pi] once here (:func:`~ngfermi.wick.contract` takes them as they
-    are), each term's key, the terms' mode index arrays and their
-    coefficient-free weights: (i/4) f_pq for a one-body term and
-    -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term.  It also
-    keeps :attr:`plan`, each key's row plan for
+    are), their phase factors :attr:`phase` = e^{i alpha}, taken once here
+    for the gradient and the Q sum, each term's key, the terms' mode
+    index arrays and their coefficient-free weights: (i/4) f_pq for a
+    one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a
+    two-body term.  It also keeps :attr:`plan`, each key's row plan for
     :func:`~ngfermi.wick.contract`: H is Hermitian, so the charge -v of a
     term's adjoint is a charge of H too, with phase vector -alpha, and of
     each such key pair only the first is built; the other gets its bundle
     by conjugation.  None of this depends on gamma, so the states of a run
     share one layout for as long as omega stays the same object.
+
+    The key structure (the keys' first terms, each term's key, the phased
+    keys and the row plan) depends on omega only through the set of charges
+    whose wrapped vector is exactly zero, so the Hamiltonian keeps it per
+    zero set (:meth:`ManyBodyHamiltonian._key_structure`): a layout for a
+    new omega with a zero set seen before computes only the charges'
+    vectors, their phase factors and the weights, and a new zero set
+    (omega = 0 to a generic omega, once per Hamiltonian) groups the keys.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
@@ -177,25 +231,21 @@ class PhaseLayout:
         f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
         self.modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
-        alphas = wrap_angles(np.concatenate(
-            [(w[:, q1] - w[:, p1]).T, (w[:, r] + w[:, s] - w[:, p] - w[:, q]).T]
-        ).reshape(-1, n))
-        label, first, mirror = hamil._charges
-        # the charges whose phase vector is exactly zero share the earliest one's
-        # first term; sorting those first terms numbers the keys in order of appearance
-        zero = ~alphas[first].any(axis=1)
-        lead = np.where(zero, first[zero].min(initial=len(alphas)), first)
-        self.first_term, lead_charge, key = np.unique(lead, return_index=True, return_inverse=True)
-        self.term_key = key[label]
-        self.alphas = alphas[self.first_term]
-        # the keys whose Q is not identically zero
-        self.phased = np.flatnonzero(self.alphas.any(axis=1))
-        # each key's source row: -1 for the zero key, else the earlier of the key
-        # and its mirror's key; the mirror relation is an involution, so that
-        # row is built
-        source = np.where(zero, -1, np.minimum(key, np.where(mirror < 0, key, key[mirror])))
-        self.plan = wick.RowPlan(source[lead_charge])
+        first = hamil._charges[1]
+        # each charge's wrapped phase vector, from its first term's own expression
+        one = first < len(f_idx)
+        fp1, fq1 = f_idx[first[one]].T
+        fp, fq, fr, fs = h_idx[first[~one] - len(f_idx)].T
+        charge_alphas = np.empty((len(first), n))
+        charge_alphas[one] = (w[:, fq1] - w[:, fp1]).T
+        charge_alphas[~one] = (w[:, fr] + w[:, fs] - w[:, fp] - w[:, fq]).T
+        charge_alphas = wrap_angles(charge_alphas)
+        self.first_term, self.term_key, key_charge, self.phased, self.plan = hamil._key_structure(
+            ~charge_alphas.any(axis=1)
+        )
         self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
+        self.alphas = charge_alphas[key_charge]
+        self.phase = np.exp(1j * self.alphas)
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
         self.w1 = 0.25j * hamil.f[p1, q1]
@@ -300,7 +350,7 @@ class StateEvaluator:
             w_q = np.zeros(len(lay.alphas), dtype=complex)
             np.add.at(w_q, lay.term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
             ph = lay.phased
-            out += wick.q_sum_from_l(self.contraction.l[ph], lay.alphas[ph], w_q[ph])
+            out += wick.q_sum_from_l(self.contraction.l[ph], lay.phase[ph], w_q[ph])
 
         scale = max(1.0, float(np.max(np.abs(out.real))))
         imag_dev = float(np.max(np.abs(out.imag)))
@@ -328,7 +378,6 @@ class StateEvaluator:
         because the solve's numerator and denominator give
         (Upsilon gamma - 1) D^{-1} = Upsilon G.
         """
-        n = self.hamil.n_modes
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes
         c = self.contraction
@@ -345,9 +394,7 @@ class StateEvaluator:
         def d_mm(k, p, q):
             return -(gpm[k, :, p] * gmm[k, :, q] + gmm[k, p] * gpm[k, :, q])
 
-        eye = np.eye(n)
         d1 = self._w1[:, None] * d_pm(k1, p1, q1)
-        v1 = eye[q1] - eye[p1]
 
         ps, qr, pr, qs, pq, rs = self._pairs
         d2 = self._w2[:, None] * (
@@ -358,14 +405,11 @@ class StateEvaluator:
             + d_pp(k2, p, q) * rs[:, None]
             + pq[:, None] * d_mm(k2, r, s)
         )
-        v2 = eye[r] + eye[s] - eye[p] - eye[q]
 
         diag = np.diagonal(gpm, axis1=1, axis2=2)
         e_t = np.concatenate([self._e1, self._e2])
-        d_alpha = -0.25 * np.exp(1j * lay.alphas[keys]) * (
-            diag[keys] * e_t[:, None] + np.concatenate([d1, d2])
-        )
-        x = d_alpha.real.T @ np.concatenate([v1, v2])  # x[m, c] = dE / d omega_mc
+        d_alpha = -0.25 * lay.phase[keys] * (diag[keys] * e_t[:, None] + np.concatenate([d1, d2]))
+        x = d_alpha.real.T @ self.hamil._charge_rows  # x[m, c] = dE / d omega_mc
         # the two-body scalar phase: d Re(E_t) / d omega_rs = Re(i E_t)
         np.add.at(x, (r, s), -self._e2.imag)
         np.add.at(x, (p, q), self._e2.imag)

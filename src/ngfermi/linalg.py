@@ -156,22 +156,6 @@ _CONTRACTION_SIGNS = {
 #   "--": column (1, +i), row (1, +i)   -> (-1, +1)
 
 
-def block_contract_all(mat: np.ndarray, kind: BlockContractionKind) -> np.ndarray:
-    """All block contractions at once: out[..., p, q] = contraction of (p, q).
-
-    Accepts one 2N x 2N matrix or a stack of them.
-    """
-    mat = np.asarray(mat)
-    n = mat.shape[-1] // 2
-    cp, cq = _CONTRACTION_SIGNS[kind]
-    m11 = mat[..., :n, :n]
-    m12 = mat[..., :n, n:]
-    m21 = mat[..., n:, :n]
-    m22 = mat[..., n:, n:]
-    # out[p, q]: row index of mat is q, column index is p -> transpose blocks
-    return np.swapaxes(m11 + cp * (-1j) * m12 + cq * 1j * m21 + cp * cq * m22, -1, -2)
-
-
 def miller_inverse(
     base_inverse: np.ndarray,
     updates: list[tuple[complex, np.ndarray, np.ndarray]],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +87,14 @@ def b_tensor(gamma) -> BTensor:
     return BTensor(gvec, blocks_sq)
 
 
+@lru_cache(maxsize=None)
+def _pairs(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k<l mode pairs (row-major) as read-only index arrays, once per mode count."""
+    rows, cols = np.triu_indices(n_modes, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def matricize_b(tensor: BTensor) -> np.ndarray:
     """Reduced matrix over k<l pairs (row-major): B[(kl),(mn)] = B_klmn.
 
@@ -93,7 +102,7 @@ def matricize_b(tensor: BTensor) -> np.ndarray:
     X[(kl), j] = g_l delta_kj + g_k delta_lj and d_kl = blocks_sq[k, l] (the
     term delta_kn delta_lm of the tensor vanishes for k<l, m<n).
     """
-    rows, cols = np.triu_indices(tensor.n_modes, 1)
+    rows, cols = _pairs(tensor.n_modes)
     pairs = np.arange(len(rows))
     x = np.zeros((len(rows), tensor.n_modes))
     x[pairs, rows] = tensor.g[cols]
@@ -140,7 +149,7 @@ def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> 
     reduced = matricize_b(tensor)
     if not np.all(np.isfinite(reduced)):
         raise ValidationError("flow matrix has non-finite entries")
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _pairs(n)
     rhs = grad[rows, cols]
     # a screen: lambda_min >= min(d)/8 (Weyl) and lambda_max <= (max(d) + 2|g|^2)/8,
     # since X^T X = g g^T + diag(|g|^2 - 2 g_j^2); when these bounds keep every

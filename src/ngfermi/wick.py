@@ -10,7 +10,15 @@ factorization built from ``gamma + Upsilon``.
 :func:`contract` builds the coefficient, ``G``, its three block tables and
 ``L`` in one pass, for one phase vector or for a (K, N) stack of them (one
 batched Pfaffian and one batched solve); :func:`expectation_from` evaluates
-operator strings from a single-vector bundle.
+operator strings from a single-vector bundle.  Gamma_F, the denominator
+``D``, ``G`` and ``L`` of the built rows all come from one set of phase
+factors e^{i alpha}, taken once per call, through the private helpers that
+:func:`gamma_F`, :func:`a_coeff`, :func:`g_matrix` and :func:`l_matrix`
+also call.  The block tables are transposed blocks of ``P^T G P``, with the
+Dirac transform ``P = [[1, 1], [i 1, -i 1]]``: its columns are the row and
+column selectors (1_q, +-i_q) of the four-entry block contractions
+(:func:`~ngfermi.linalg.block_contract`).  P is built once per mode count
+and shared read-only.
 
 A phase vector that is exactly zero gets its closed form without any
 linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
@@ -23,8 +31,8 @@ sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 - e^{i alpha})).  So
 the caller (the phase layout pairs the keys of charges v and -v): which rows
 are zero, which are built, and which copy the conjugate of an earlier built
 row; without one, the zero rows take the closed form and every other row is
-built.  The block tables are built once from the filled G stack.  The built
-rows pay for the Pfaffian and the inversions, and each inversion is guarded
+built.  The block tables are built once from the filled G stack, by two
+batched products.  The built rows pay for the Pfaffian and the inversions, and each inversion is guarded
 against a condition number above ``COND_LIMIT``.  The guard needs no SVD
 for a well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
 from the inverse already at hand,
@@ -56,7 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import _as_gamma, upsilon
-from .linalg import BlockContractionKind, block_contract_all, miller_inverse
+from .linalg import miller_inverse
 
 MAX_STRING_LENGTH = 12
 FAST_PATH_MIN_PHASE = 1e-12
@@ -174,12 +182,15 @@ def gamma_F(gamma, alpha) -> np.ndarray:
     enters only through e^{i alpha}, so it is used as given, not wrapped.
     """
     g = _as_gamma(gamma)
+    return _gamma_f(g, np.exp(1j * _check_alpha(alpha, g.shape[0] // 2)))
+
+
+def _gamma_f(g: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Gamma_F from the phase factors e^{i alpha} (N,) or (K, N)."""
     n = g.shape[0] // 2
-    a = _check_alpha(alpha, n)
-    phase = np.exp(1j * a)
     sq2 = _doubled(np.sqrt(1.0 - phase))  # values lie in the right half-plane
     modes = np.arange(n)
-    second = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    second = np.zeros(phase.shape[:-1] + (2 * n, 2 * n), dtype=complex)
     second[..., modes, n + modes] = 1.0 + phase
     second[..., n + modes, modes] = -(1.0 + phase)
     return sq2[..., :, None] * g * sq2[..., None, :] - second
@@ -191,11 +202,16 @@ def a_coeff(gamma, alpha):
     A stack of K phase vectors gives K coefficients from one batched Pfaffian.
     The phase vectors are used as given (:func:`gamma_F`).
     """
+    g = _as_gamma(gamma)
+    return _coeff(g, np.exp(1j * _check_alpha(alpha, g.shape[0] // 2)))
+
+
+def _coeff(g: np.ndarray, phase: np.ndarray):
+    """The coefficient from the phase factors e^{i alpha} (N,) or (K, N)."""
     from .linalg import pfaffian
 
-    g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    gf = gamma_F(g, alpha)
+    gf = _gamma_f(g, phase)
     gf = 0.5 * (gf - np.swapaxes(gf, -1, -2))
     return sign_prefactor(n) * (0.5 ** n) * pfaffian(gf)
 
@@ -204,11 +220,23 @@ def _phase_ok_for_rank1(alpha: np.ndarray) -> bool:
     return bool(np.all(np.abs(1.0 - np.exp(1j * alpha)) > FAST_PATH_MIN_PHASE))
 
 
-def _g_denominator(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _dirac(n_modes: int) -> np.ndarray:
+    """The Dirac transform P = [[1, 1], [i 1, -i 1]], built once per mode
+    count and read-only.  Column j < N of P selects (1_j, +i_j) and column
+    N + j selects (1_j, -i_j), so the blocks of P^T G P are the block tables
+    of G (:func:`contract`)."""
+    one = np.eye(n_modes)
+    out = np.block([[one, one], [1j * one, -1j * one]])
+    out.flags.writeable = False
+    return out
+
+
+def _g_denominator(g: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
+    """D = 1 + (1/2) diag(1 - e^{i alpha}) (Upsilon gamma - 1), from the
+    doubled factors 1 - e^{i alpha} (2N,) or (K, 2N)."""
     n = g.shape[0] // 2
-    ups = upsilon(n)
-    one_minus = _doubled(1.0 - np.exp(1j * alpha))
-    return np.eye(2 * n) + 0.5 * one_minus[..., :, None] * (ups @ g - np.eye(2 * n))
+    return np.eye(2 * n) + 0.5 * one_minus[..., :, None] * (upsilon(n) @ g - np.eye(2 * n))
 
 
 def _check_condition(mats: np.ndarray, a: np.ndarray, what: str, inverses: np.ndarray | None) -> None:
@@ -260,11 +288,11 @@ class RowPlan:
 def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = None) -> tuple:
     """Per-phase-vector results over one phase vector or a (K, N) stack.
 
-    Zero rows get the closed forms ``zero_phase``; the stack of the built
-    rows goes through ``phased``, which returns one array per closed form;
-    the copies of a :class:`RowPlan` get the complex conjugates of their
-    sources' results.  Without a plan the rows that are exactly zero take
-    the closed form and every other row is built.  A
+    Zero rows get the closed forms ``zero_phase``; ``phased`` gets the
+    indices of the built rows in the (K, N) stack and returns one array per
+    closed form for them; the copies of a :class:`RowPlan` get the complex
+    conjugates of their sources' results.  Without a plan the rows that are
+    exactly zero take the closed form and every other row is built.  A
     :class:`SingularContractionError` from ``phased`` is given the failing
     row's index in the whole stack.
     """
@@ -277,7 +305,7 @@ def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = N
     outs = [np.full((len(stack),) + np.shape(z), z, dtype=complex) for z in zero_phase]
     if rows.size:
         try:
-            values = phased(stack[rows])
+            values = phased(rows)
         except SingularContractionError as exc:
             exc.index = int(rows[exc.index])
             raise
@@ -303,7 +331,8 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     if method == "direct":
-        return _g_direct(g, _as_alpha(alpha, n))[0]
+        a = _as_alpha(alpha, n)
+        return _g_direct(g, a, np.exp(1j * a))[0]
     a = _as_single_alpha(alpha, n)
     if method == "rank1":
         if not _phase_ok_for_rank1(a):
@@ -320,13 +349,15 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
             cand = None
         if cand is not None and _g_residual_ok(cand, g, a):
             return cand
-    return _g_direct(g, a)[0]
+    return _g_direct(g, a, np.exp(1j * a))[0]
 
 
-def _g_direct(g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G and L = D^-T, D the denominator, by one (batched) solve."""
+def _g_direct(g: np.ndarray, a: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and L = D^-T, D the denominator, by one (batched) solve, from the
+    phase factors ``phase`` = e^{i a}; ``a`` names a failing phase vector."""
     n = g.shape[0] // 2
-    denom = _g_denominator(g, a)
+    one_minus = _doubled(1.0 - phase)
+    denom = _g_denominator(g, one_minus)
     # b gets as many axes as a: NumPy 1.x reads a b with one axis fewer as
     # a stack of vectors
     numer_t = np.broadcast_to((g + upsilon(n)).T, denom.shape)
@@ -336,7 +367,7 @@ def _g_direct(g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _check_condition(denom, a, "contraction denominator", None)
         raise
     gmat = 0.5 * (out - np.swapaxes(out, -1, -2))
-    lmat = _l_from_g(gmat, a)
+    lmat = _l_from_g(gmat, one_minus)
     _check_condition(denom, a, "contraction denominator", lmat)
     return gmat, lmat
 
@@ -359,7 +390,7 @@ def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _g_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 1e-8) -> bool:
     n = g.shape[0] // 2
-    denom = _g_denominator(g, a)
+    denom = _g_denominator(g, _doubled(1.0 - np.exp(1j * a)))
     residual = cand @ denom - (g + upsilon(n))
     scale = max(1.0, float(np.max(np.abs(cand))))
     return np.max(np.abs(residual)) <= tol * scale
@@ -398,18 +429,20 @@ def q_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
 
 def _q_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = g.shape[0] // 2
-    return _by_phase(a, (np.zeros((2 * n, 2 * n)),), lambda rows: (_q_phased(g, rows),))[0]
+    stack = np.atleast_2d(a)
+    return _by_phase(a, (np.zeros((2 * n, 2 * n)),), lambda rows: (_q_phased(g, stack[rows]),))[0]
 
 
 def _q_phased(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    gf = gamma_F(g, a)
+    phase = np.exp(1j * a)
+    gf = _gamma_f(g, phase)
     try:
         inv = np.linalg.inv(gf)
     except np.linalg.LinAlgError:
         _check_condition(gf, a, "phase-dressed covariance", None)
         raise
     _check_condition(gf, a, "phase-dressed covariance", inv)
-    sq2 = _doubled(np.sqrt(1.0 - np.exp(1j * a)))
+    sq2 = _doubled(np.sqrt(1.0 - phase))
     out = -0.5 * (sq2[..., :, None] * inv * sq2[..., None, :])
     return 0.5 * (out - np.swapaxes(out, -1, -2))
 
@@ -442,8 +475,9 @@ def _q_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 
     return np.max(np.abs(residual)) <= tol * scale
 
 
-def q_sum_from_l(l_mat: np.ndarray, alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k Q_k over a (K, 2N, 2N) stack of L, with no inversion.
+def q_sum_from_l(l_mat: np.ndarray, phase: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k Q_k over a (K, 2N, 2N) stack of L and the (K, N) phase
+    factors e^{i alpha}, with no inversion.
 
     For a pure gamma, Upsilon D = -(1/2) S Gamma_F S^-1 with
     S = diag(sqrt(1 - e^{i alpha})) over both halves, so with L = D^-T
@@ -457,7 +491,7 @@ def q_sum_from_l(l_mat: np.ndarray, alpha: np.ndarray, weights: np.ndarray) -> n
     every phase vector whose Gamma_F is singular.
     """
     n = l_mat.shape[-1] // 2
-    z = np.asarray(weights)[:, None] * (1.0 - np.exp(1j * np.asarray(alpha)))
+    z = np.asarray(weights)[:, None] * (1.0 - np.asarray(phase))
     y_t = np.concatenate([-np.einsum("kj,kji->ji", z, l_mat[:, n:]), np.einsum("kj,kji->ji", z, l_mat[:, :n])])
     return -0.125 * (y_t.T - y_t)
 
@@ -472,14 +506,16 @@ def l_matrix(gamma, alpha, g_mat: np.ndarray | None = None) -> np.ndarray:
     """
     g = _as_gamma(gamma)
     a = _as_alpha(alpha, g.shape[0] // 2)
+    phase = np.exp(1j * a)
     if g_mat is None:
-        return _g_direct(g, a)[1]
-    return _l_from_g(np.asarray(g_mat), a)
+        return _g_direct(g, a, phase)[1]
+    return _l_from_g(np.asarray(g_mat), _doubled(1.0 - phase))
 
 
-def _l_from_g(g_mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _l_from_g(g_mat: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
+    """L from G and the doubled factors 1 - e^{i alpha} (2N,) or (K, 2N)."""
     n = g_mat.shape[-1] // 2
-    x = g_mat * _doubled(1.0 - np.exp(1j * a))[..., None, :]
+    x = g_mat * one_minus[..., None, :]
     # x Upsilon, with Upsilon = [[0, 1], [-1, 0]]: the column halves swapped
     return np.eye(2 * n) - 0.5 * np.concatenate([-x[..., n:], x[..., :n]], axis=-1)
 
@@ -532,9 +568,11 @@ class Contraction:
 def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     """The contraction bundle of one phase vector or a (K, N) stack, in one
     pass: one (batched) Pfaffian, one (batched) direct solve for G and L,
-    and three block tables.  Phase vectors that are exactly zero take the
-    closed form (coefficient 1, G = skew part of gamma + Upsilon, L = 1)
-    and no part of the Pfaffian or the solve.
+    and three block tables, transposed blocks of G~ = P^T G P (the Dirac
+    transform P): ``g_dag_plain`` = G~[:N, N:]^T, ``g_dag_dag`` =
+    G~[N:, N:]^T and ``g_plain_plain`` = G~[:N, :N]^T.  Phase vectors that
+    are exactly zero take the closed form (coefficient 1, G = skew part of
+    gamma + Upsilon, L = 1) and no part of the Pfaffian or the solve.
 
     ``plan``, for a (K, N) stack, says which rows are zero, which are built
     and which are the conjugates of built rows (:class:`RowPlan`; the
@@ -543,25 +581,33 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     comes with a plan is taken as already wrapped into (-pi, pi] (the layout
     wraps its vectors once); without a plan the stack is wrapped here, and
     the default plan gives the zero rows the closed form and builds the rest.
+    Gamma_F, D, G and L of the built rows all come from one set of phase
+    factors e^{i alpha}, taken once here.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     a = _as_alpha(alpha, n) if plan is None else _check_alpha(alpha, n)
+    stack = np.atleast_2d(a)
     g0 = g + upsilon(n)
 
     def phased(rows):
-        gmat, lmat = _g_direct(g, rows)
-        return a_coeff(gamma, rows), gmat, lmat
+        phase = np.exp(1j * stack[rows])
+        gmat, lmat = _g_direct(g, stack[rows], phase)
+        return _coeff(g, phase), gmat, lmat
 
     coeff, gmat, lmat = _by_phase(a, (1.0, 0.5 * (g0 - g0.T), np.eye(2 * n)), phased, plan)
+    # the block tables are transposed blocks of P^T G P: entry (q, p) of a block
+    # is the row selector of mode q times G times the column selector of mode p
+    dirac = _dirac(n)
+    tables = np.swapaxes(dirac.T @ gmat @ dirac, -1, -2)
     return Contraction(
         alpha=a,
         coeff=coeff,
         g=gmat,
         l=lmat,
-        g_dag_plain=block_contract_all(gmat, BlockContractionKind.PLUS_MINUS),
-        g_dag_dag=block_contract_all(gmat, BlockContractionKind.PLUS_PLUS),
-        g_plain_plain=block_contract_all(gmat, BlockContractionKind.MINUS_MINUS),
+        g_dag_plain=tables[..., n:, :n],
+        g_dag_dag=tables[..., n:, n:],
+        g_plain_plain=tables[..., :n, :n],
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import ngfermi.hamiltonian
+import ngfermi.linalg
 import ngfermi.optimizer
 from conftest import (
     bell_pair_and_vacuum,
@@ -374,7 +375,7 @@ def test_mean_field_reads_q_from_l_without_inverting(model, monkeypatch, rng):
     ev = StateEvaluator(cov, w, hamil)
     assert ev.layout.phased.size > 1
     reference = _reference_mean_field(cov, w, hamil)
-    for name in ("q_matrix", "gamma_F"):
+    for name in ("q_matrix", "gamma_F", "_gamma_f"):
         monkeypatch.setattr(wick, name, _forbid(name))
     for name in ("inv", "solve", "pinv", "cond"):
         monkeypatch.setattr(np.linalg, name, _forbid(name))
@@ -444,25 +445,25 @@ def test_conjugate_keys_change_no_result(model, rng):
 
 @pytest.mark.parametrize("sites, built", [(5, 8), (6, 10)])
 def test_only_one_key_of_each_conjugate_pair_is_built(sites, built, monkeypatch, rng):
-    # a Hubbard chain has the zero key and one +-alpha pair per bond and spin
+    # a Hubbard chain has the zero key and one +-alpha pair per bond and spin;
+    # only the built rows reach the batched solve and the batched Pfaffian
     hamil = hubbard_model(sites, 1.0, 4.0, 2.0)
     n = hamil.n_modes
-    rows = []
+    cov, w = random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5)
+    stacks = []
 
-    def spy(name):
-        original = getattr(wick, name)
-
-        def counting(g, a):
-            rows.append((name, len(a)))
-            return original(g, a)
+    def spy(name, original):
+        def counting(mat, *args, **kwargs):
+            stacks.append((name, np.shape(mat)[:-2]))
+            return original(mat, *args, **kwargs)
 
         return counting
 
-    for name in ("_g_direct", "a_coeff"):
-        monkeypatch.setattr(wick, name, spy(name))
-    ev = StateEvaluator(random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5), hamil)
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    monkeypatch.setattr(ngfermi.linalg, "pfaffian", spy("pfaffian", ngfermi.linalg.pfaffian))
+    ev = StateEvaluator(cov, w, hamil)
     assert len(ev.layout.alphas) == 2 * built + 1
-    assert rows == [("_g_direct", built), ("a_coeff", built)]
+    assert stacks == [("solve", (built,)), ("pfaffian", (built,))]
 
 
 def test_one_charge_is_one_key_past_rounding():

@@ -6,7 +6,6 @@ from ngfermi.gaussian import upsilon
 from ngfermi.linalg import (
     BlockContractionKind,
     block_contract,
-    block_contract_all,
     miller_inverse,
     pfaffian,
     pseudo_inverse,
@@ -120,14 +119,6 @@ class TestBlockContract:
     def test_out_of_range_rejected(self):
         with pytest.raises(DimensionError):
             block_contract(np.zeros((4, 4)), BlockContractionKind.PLUS_PLUS, 2, 0)
-
-    def test_vectorized_matches_scalar(self, rng):
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        for kind in BlockContractionKind:
-            table = block_contract_all(m, kind)
-            for p in range(4):
-                for q in range(4):
-                    assert table[p, q] == pytest.approx(block_contract(m, kind, p, q))
 
 
 class TestMillerInverse:
