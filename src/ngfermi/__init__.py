@@ -37,7 +37,6 @@ from .linalg import (
     block_contract,
     miller_inverse,
     pfaffian,
-    pseudo_inverse,
     skew_exp,
 )
 from .optimizer import (

@@ -30,7 +30,6 @@ from .wick import contract, wrap_angles
 
 SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-9
-KEY_STRUCTURES = 8
 
 
 @dataclass(frozen=True)
@@ -141,14 +140,19 @@ class ManyBodyHamiltonian:
 
     @cached_property
     def _charges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms' charges (:attr:`_charge_rows`), grouped: each term's
-        charge label, in the order of :attr:`_term_indices`, each charge's
-        first term, and each charge's mirror, the label of -v (-1 where no
-        term has it, a Hamiltonian Hermitian only to SYMMETRY_TOL).  The
-        match is exact, so the mirror relation is an involution."""
+        """The terms' charges (:attr:`_charge_rows`), numbered in order of
+        first appearance: each term's charge label, in the order of
+        :attr:`_term_indices`, each charge's first term (so ascending), and
+        each charge's mirror, the label of -v (-1 where no term has it, a
+        Hamiltonian Hermitian only to SYMMETRY_TOL).  The match is exact,
+        so the mirror relation is an involution."""
         v = self._charge_rows.astype(np.int8)
         rows = np.dtype((np.void, self.n_modes))  # one key per row, grouped by bytes
         _, first, label = np.unique(v.view(rows).ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first, label = first[order], rank[label]
         # the labels of the charges and of their negatives, in one grouping
         _, both = np.unique(np.concatenate([v[first], -v[first]]).view(rows).ravel(), return_inverse=True)
         of_key = np.full(len(both), -1)
@@ -156,40 +160,34 @@ class ManyBodyHamiltonian:
         return label, first, of_key[both[len(first):]]
 
     @cached_property
-    def _key_structures(self) -> dict:
-        """The phase layouts' key structures by zero set (:meth:`_key_structure`)."""
-        return {}
-
-    def _key_structure(self, zero: np.ndarray) -> tuple:
-        """The key structure of a phase layout whose charges with an exactly
-        zero wrapped vector are ``zero`` (one bool per charge): the keys'
-        first terms, each term's key, each key's charge, the phased keys and
-        the row plan (:class:`PhaseLayout`).  It depends on omega only
-        through ``zero``, so the last KEY_STRUCTURES zero sets keep theirs:
-        a hitgd run meets omega = 0 and then one generic zero set."""
-        found = self._key_structures.get(zero.tobytes())
-        if found is not None:
-            return found
+    def _charged_keys(self) -> tuple:
+        """The key structure of every phase layout with a nonzero omega: one
+        key per charge (key = charge label), as the keys' first terms, each
+        term's key, the phased keys (the nonzero charges) and the row plan
+        (:class:`PhaseLayout`).  The v = 0 charge is the closed-form row;
+        of each pair v, -v the earlier charge is built, the other copied."""
         label, first, mirror = self._charges
-        # the charges whose phase vector is exactly zero share the earliest one's
-        # first term; sorting those first terms numbers the keys in order of appearance
-        lead = np.where(zero, first[zero].min(initial=len(label)), first)
-        first_term, lead_charge, key = np.unique(lead, return_index=True, return_inverse=True)
-        # each key's vector is its first term's, whose charge that term starts
-        key_charge = label[first_term]
-        # the keys whose Q is not identically zero
-        phased = np.flatnonzero(~zero[key_charge])
-        # each key's source row: -1 for the zero key, else the earlier of the key
-        # and its mirror's key; the mirror relation is an involution, so that
-        # row is built
-        source = np.where(zero, -1, np.minimum(key, np.where(mirror < 0, key, key[mirror])))
-        found = first_term, key[label], key_charge, phased, wick.RowPlan(source[lead_charge])
-        for arr in found[:4]:
-            arr.flags.writeable = False  # shared by every layout of this zero set
-        if len(self._key_structures) >= KEY_STRUCTURES:
-            del self._key_structures[next(iter(self._key_structures))]
-        self._key_structures[zero.tobytes()] = found
-        return found
+        keys = np.arange(len(first))
+        uncharged = ~self._charge_rows[first].any(axis=1)
+        source = np.where(uncharged, -1, np.minimum(keys, np.where(mirror < 0, keys, mirror)))
+        return _read_only(first, label, np.flatnonzero(~uncharged)) + (wick.RowPlan(source),)
+
+    @cached_property
+    def _neutral_keys(self) -> tuple:
+        """The key structure of the phase layout at omega = 0, laid out as
+        :attr:`_charged_keys`: every term in one key, the closed-form row."""
+        label, first, _ = self._charges
+        first = first[:1]
+        return _read_only(first, np.zeros_like(label), np.empty(0, dtype=int)) + (
+            wick.RowPlan(np.full(len(first), -1)),
+        )
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: every layout of a Hamiltonian shares them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 class PhaseLayout:
@@ -198,29 +196,29 @@ class PhaseLayout:
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
     string with phase vector alpha_t = omega v_t, where v_t is the term's
     integer charge (:attr:`ManyBodyHamiltonian._charges`).  So the layout
-    keys the terms by their charge: one key per charge, numbered in order of
-    first appearance, except that all charges whose wrapped phase vector is
-    exactly zero share one key (at omega = 0 that is every charge).  It
-    keeps the K keys' vectors, each its first term's, wrapped into
-    (-pi, pi] once here (:func:`~ngfermi.wick.contract` takes them as they
-    are), their phase factors :attr:`phase` = e^{i alpha}, taken once here
-    for the gradient and the Q sum, each term's key, the terms' mode
-    index arrays and their coefficient-free weights: (i/4) f_pq for a
-    one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a
+    keys the terms by their charge: at a nonzero omega one key per charge,
+    numbered in order of first appearance, and at omega = 0 one key for
+    every term.  It keeps the K keys' vectors, each its first term's,
+    wrapped into (-pi, pi] once here (:func:`~ngfermi.wick.contract` takes
+    them as they are), their phase factors :attr:`phase` = e^{i alpha},
+    taken once here for the gradient and the Q sum, each term's key, the
+    terms' mode index arrays and their coefficient-free weights: (i/4) f_pq
+    for a one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a
     two-body term.  It also keeps :attr:`plan`, each key's row plan for
-    :func:`~ngfermi.wick.contract`: H is Hermitian, so the charge -v of a
-    term's adjoint is a charge of H too, with phase vector -alpha, and of
-    each such key pair only the first is built; the other gets its bundle
-    by conjugation.  None of this depends on gamma, so the states of a run
-    share one layout for as long as omega stays the same object.
+    :func:`~ngfermi.wick.contract`: the v = 0 key takes the closed form, and
+    H is Hermitian, so the charge -v of a term's adjoint is a charge of H
+    too, with phase vector -alpha, and of each such key pair only the first
+    is built; the other gets its bundle by conjugation.  None of this
+    depends on gamma, so the states of a run share one layout for as long as
+    omega stays the same object.
 
     The key structure (the keys' first terms, each term's key, the phased
-    keys and the row plan) depends on omega only through the set of charges
-    whose wrapped vector is exactly zero, so the Hamiltonian keeps it per
-    zero set (:meth:`ManyBodyHamiltonian._key_structure`): a layout for a
-    new omega with a zero set seen before computes only the charges'
-    vectors, their phase factors and the weights, and a new zero set
-    (omega = 0 to a generic omega, once per Hamiltonian) groups the keys.
+    keys and the row plan) is one of the Hamiltonian's two, computed once
+    each (:attr:`ManyBodyHamiltonian._charged_keys` and
+    :attr:`~ManyBodyHamiltonian._neutral_keys`), so a layout computes only
+    the keys' vectors, their phase factors and the weights.  At an omega
+    with exact 0 or +-pi entries a nonzero charge can still have an exactly
+    zero vector; its key is built like any other.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
@@ -231,20 +229,19 @@ class PhaseLayout:
         f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
         self.modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
-        first = hamil._charges[1]
-        # each charge's wrapped phase vector, from its first term's own expression
+        self.first_term, self.term_key, self.phased, self.plan = (
+            hamil._charged_keys if w.any() else hamil._neutral_keys
+        )
+        self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
+        # each key's wrapped phase vector, from its first term's own expression
+        first = self.first_term
         one = first < len(f_idx)
         fp1, fq1 = f_idx[first[one]].T
         fp, fq, fr, fs = h_idx[first[~one] - len(f_idx)].T
-        charge_alphas = np.empty((len(first), n))
-        charge_alphas[one] = (w[:, fq1] - w[:, fp1]).T
-        charge_alphas[~one] = (w[:, fr] + w[:, fs] - w[:, fp] - w[:, fq]).T
-        charge_alphas = wrap_angles(charge_alphas)
-        self.first_term, self.term_key, key_charge, self.phased, self.plan = hamil._key_structure(
-            ~charge_alphas.any(axis=1)
-        )
-        self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
-        self.alphas = charge_alphas[key_charge]
+        alphas = np.empty((len(first), n))
+        alphas[one] = (w[:, fq1] - w[:, fp1]).T
+        alphas[~one] = (w[:, fr] + w[:, fs] - w[:, fp] - w[:, fq]).T
+        self.alphas = wrap_angles(alphas)
         self.phase = np.exp(1j * self.alphas)
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase

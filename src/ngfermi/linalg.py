@@ -186,12 +186,3 @@ def miller_inverse(
         inv -= (beta / denom) * np.outer(iu, vi)
     return inv, False
 
-
-def pseudo_inverse(mat: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff."""
-    mat = np.asarray(mat)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("pseudo_inverse requires finite entries")
-    if not (0.0 < rcond < 1.0):
-        raise ValidationError(f"rcond must lie in (0, 1), got {rcond}")
-    return np.linalg.pinv(mat, rcond=rcond)

@@ -37,6 +37,8 @@ from .hamiltonian import (
 from .wick import wrap_angles
 
 ENERGY_INCREASE_TOL = 1e-12
+# the next step size after an accepted step, as a multiple of its own (up to dtau_max)
+STEP_GROWTH = 1.2
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,6 @@ class RunOptions:
     dtau0: float = 0.1
     dtau_max: float = 1.0
     dtau_min: float = 1e-8
-    growth: float = 1.2
     tol_g: float = 1e-7
     tol_e: float = 1e-11
     patience: int = 10
@@ -338,7 +339,7 @@ def step(
             )
         try:
             new_omega = state.omega if frozen else NonGaussianParams(
-                _wrap_symmetric(state.omega.omega + dtau * domega)
+                wrap_angles(state.omega.omega + dtau * domega)
             )
             new_gamma = purify(state.gamma.gamma + dtau * dgamma)
             trial = StateEvaluator(new_gamma, new_omega, hamil, layout)
@@ -353,7 +354,7 @@ def step(
         dtau *= 0.5
         backtracks += 1
 
-    next_size = min(dtau * options.growth, options.dtau_max)
+    next_size = min(dtau * STEP_GROWTH, options.dtau_max)
     new_state = OptimizerState(
         gamma=new_gamma,
         omega=new_omega,
@@ -386,13 +387,6 @@ def _coupling_gradient(
     if options.freeze_omega:
         return np.zeros((state.omega.n_modes,) * 2)
     return energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
-
-
-def _wrap_symmetric(omega: np.ndarray) -> np.ndarray:
-    out = wrap_angles(omega)
-    out = 0.5 * (out + out.T)
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def initial_state(

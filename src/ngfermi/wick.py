@@ -61,6 +61,7 @@ from .errors import (
     DimensionError,
     ParityError,
     SingularContractionError,
+    SingularUpdateError,
     ValidationError,
 )
 from .gaussian import _as_gamma, upsilon
@@ -325,8 +326,8 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     stack from one batched solve.  The opt-in "rank1" path assembles the
     inverse by iterative rank-1 updates (requires every
     |1 - e^{i alpha(j)}| > 1e-12), and "auto" tries the rank-1 path when
-    eligible and falls back to the direct solve whenever the assembled
-    inverse fails a residual check.
+    eligible and falls back to the direct solve whenever an update's
+    denominator vanishes or the assembled inverse fails a residual check.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
@@ -345,7 +346,7 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     if _phase_ok_for_rank1(a):
         try:
             cand = _g_rank1(g, a)
-        except (SingularContractionError, np.linalg.LinAlgError):
+        except (SingularContractionError, SingularUpdateError, np.linalg.LinAlgError):
             cand = None
         if cand is not None and _g_residual_ok(cand, g, a):
             return cand

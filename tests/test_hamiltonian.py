@@ -21,7 +21,8 @@ from ngfermi.hamiltonian import (
     mean_field_o,
     save_hamiltonian,
 )
-from ngfermi.optimizer import _wrap_symmetric, b_tensor, quadratic_form
+from ngfermi.optimizer import b_tensor, quadratic_form
+from ngfermi.wick import wrap_angles
 
 
 class TestNonGaussianParams:
@@ -41,7 +42,7 @@ class TestNonGaussianParams:
     def test_wrapped_preserves_unitary(self, rng):
         # the optimizer wraps the couplings this way after every step
         w = random_symmetric_zero_diag(3, rng, scale=8.0)
-        wrapped = NonGaussianParams(_wrap_symmetric(w))
+        wrapped = NonGaussianParams(wrap_angles(w))
         np.testing.assert_allclose(
             oracle.flux_unitary_diagonal(wrapped.omega),
             oracle.flux_unitary_diagonal(w),

@@ -8,7 +8,6 @@ from ngfermi.linalg import (
     block_contract,
     miller_inverse,
     pfaffian,
-    pseudo_inverse,
     skew_exp,
 )
 
@@ -169,36 +168,3 @@ class TestMillerInverse:
         assert fell_back
         np.testing.assert_allclose(out, np.linalg.inv(fallback))
 
-
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3))
-
-    def test_rank_deficient_diagonal(self):
-        np.testing.assert_allclose(
-            pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0])
-        )
-
-    def test_penrose_conditions(self, rng):
-        for _ in range(5):
-            m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
-            p = pseudo_inverse(m)
-            assert np.max(np.abs(m @ p @ m - m)) < 1e-10
-            assert np.max(np.abs(p @ m @ p - p)) < 1e-10
-            assert np.max(np.abs((m @ p).conj().T - m @ p)) < 1e-10
-            assert np.max(np.abs((p @ m).conj().T - p @ m)) < 1e-10
-
-    def test_psd_input_gives_psd_output(self, rng):
-        x = rng.standard_normal((6, 3))
-        m = x @ x.T  # symmetric PSD, rank 3
-        p = pseudo_inverse(m)
-        assert np.max(np.abs(p - p.T)) < 1e-10
-        assert np.min(np.linalg.eigvalsh(0.5 * (p + p.T))) > -1e-10
-
-    def test_bad_rcond_rejected(self):
-        with pytest.raises(ValidationError):
-            pseudo_inverse(np.eye(2), rcond=2.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            pseudo_inverse(np.array([[np.inf, 0.0], [0.0, 1.0]]))

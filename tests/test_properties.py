@@ -1,7 +1,7 @@
 """Property tests over random draws: the Q sum read from L, bundles at -alpha
 as conjugates of bundles at alpha, the phase layout's charge keys and their
-conjugate pairs, layouts that reuse a key structure against fresh ones, the
-pair-space flow matrix and its pseudo-inverse, the purity projection,
+conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
+zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the purity projection,
 Pf^2 = det, and Wick's theorem with the block tables against the dense oracle.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
@@ -31,7 +31,7 @@ from ngfermi.gaussian import (
     random_pure_covariance,
     upsilon,
 )
-from ngfermi.hamiltonian import ManyBodyHamiltonian, PhaseLayout, StateEvaluator
+from ngfermi.hamiltonian import ManyBodyHamiltonian, PhaseLayout, StateEvaluator, hubbard_model
 from ngfermi.linalg import BlockContractionKind, block_contract, pfaffian
 from ngfermi.optimizer import BTensor, b_tensor, dtau_omega_hitgd, matricize_b
 
@@ -144,11 +144,6 @@ def charged_states(draw):
     return ManyBodyHamiltonian(n, f, h), random_pure_covariance(n, rng), w
 
 
-def _zero_terms(layout) -> np.ndarray:
-    """Which terms have an exactly zero phase vector: the charges of the zero key."""
-    return ~layout.alphas[layout.term_key].any(axis=1)
-
-
 def _charge(term) -> tuple:
     """+1 on the annihilated, -1 on the created modes of a term's indices."""
     created, annihilated = term[: len(term) // 2], term[len(term) // 2:]
@@ -174,8 +169,12 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
         else:
             assert mirror[mirror[c]] == c
             assert charges[first[mirror[c]]] == minus
-    # a moved generic omega (often the same zero set), then generic -> 0 -> generic:
-    # each layout matches one of a copy of H that has seen no omega, bit for bit
+    # labels are numbered in order of first appearance, from each charge's first term
+    seen = list(dict.fromkeys(label.tolist()))
+    assert seen == list(range(len(first)))
+    assert first.tolist() == [label.tolist().index(c) for c in seen]
+    # a moved generic omega, then generic -> 0 -> generic: each layout matches
+    # one of a copy of H that has seen no omega, bit for bit
     moved = np.where(np.isin(w, [0.0, np.pi, -np.pi]), w, 1.1 * w)
     plans = {}
     for omega in (w, moved, np.zeros_like(w), w):
@@ -184,16 +183,20 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
         for field in ("term_key", "first_term", "phased", "alphas", "phase", "w1", "w2"):
             assert _same_bits(getattr(layout, field), getattr(fresh, field)), field
         assert _same_bits(layout.plan.sources, fresh.plan.sources)
-        # the key structure is kept per zero set: taken over when the zero set
-        # was seen before, grouped afresh for a new one
-        assert layout.plan is plans.setdefault(_zero_terms(fresh).tobytes(), layout.plan)
+        # every nonzero omega holds the Hamiltonian's one charged plan, omega = 0
+        # the one-key plan
+        assert layout.plan is plans.setdefault(bool(omega.any()), layout.plan)
         assert len({id(plan) for plan in plans.values()}) == len(plans)
-        keys = {}
-        for k, v in zip(layout.term_key.tolist(), charges):
-            keys.setdefault(k, set()).add(v)
-        # no two keys share a charge; only the zero key holds several
-        assert sum(map(len, keys.values())) == len(set(charges))
-        assert all(len(held) == 1 for k, held in keys.items() if layout.plan.sources[k] >= 0)
+        if not omega.any():
+            np.testing.assert_array_equal(layout.plan.sources, [-1])
+            assert not layout.term_key.any()
+            continue
+        # one key per charge, the charge's label; the v = 0 charge alone is the
+        # zero key, and a nonzero charge keeps its key even where its wrapped
+        # vector is exactly zero (omega's 0 and +-pi entries)
+        np.testing.assert_array_equal(layout.term_key, label)
+        neutral = [not any(charges[t]) for t in first]
+        np.testing.assert_array_equal(layout.plan.sources < 0, neutral)
         copies = layout.plan.copies
         source = layout.plan.sources[copies]
         assert np.all(np.isin(source, layout.plan.built))
@@ -210,9 +213,31 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
         tol = 1e-12 * max(1.0, float(np.max(np.linalg.cond(ref.contraction.l))))
         for method in ("energy", "gradient", "mean_field_h"):
             assert _rel_err(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())) <= tol
-        if not omega.any():
-            # every charge in the one zero key
-            np.testing.assert_array_equal(layout.plan.sources, [-1])
+
+
+def test_charge_on_an_exactly_zero_vector_keeps_its_built_key():
+    # one nonzero coupling, between modes 0 and 3 of a Hubbard chain at L=3:
+    # the hopping f_12 has charge e_2 - e_1, but omega (e_2 - e_1) = 0 exactly.
+    # Its key is built (f_21's copies it) and equals the closed form, which a
+    # build-every-key evaluator gives that row
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    w = np.zeros((6, 6))
+    w[0, 3] = w[3, 0] = 0.9
+    cov = random_pure_covariance(6, np.random.default_rng(14))
+    layout = PhaseLayout(w, hamil)
+    _, _, terms = hamil._term_indices
+    k, mirror = (layout.term_key[terms.index(t)] for t in ((1, 2), (2, 1)))
+    assert not layout.alphas[k].any()
+    assert k in layout.plan.built and layout.plan.sources[mirror] == k
+    ev = StateEvaluator(cov, w, hamil, layout)
+    every = copy.copy(layout)
+    every.plan = None
+    ref = StateEvaluator(cov, w, hamil, every)
+    for field in ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
+        np.testing.assert_array_equal(getattr(ev.contraction, field)[k], getattr(ref.contraction, field)[k])
+    tol = 1e-12 * max(1.0, float(np.max(np.linalg.cond(ref.contraction.l))))
+    for method in ("energy", "gradient", "mean_field_h"):
+        assert _rel_err(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())) <= tol
 
 
 @st.composite

@@ -11,6 +11,7 @@ from ngfermi.gaussian import (
     covariance_from_xi,
     random_generator,
     random_pure_covariance,
+    slater_covariance,
     upsilon,
 )
 from ngfermi.linalg import BlockContractionKind, block_contract, pfaffian
@@ -193,6 +194,16 @@ class TestGMatrix:
             g_matrix(-upsilon(3), alpha, method="auto"),
             g_matrix(-upsilon(3), alpha, method="direct"),
             atol=1e-12,
+        )
+
+    def test_auto_survives_singular_update(self):
+        # occupations (1/2, 1/2) and alpha(0) = pi: the first rank-1 update's
+        # denominator vanishes, and the auto path must use the direct solve
+        c = s = 1.0 / np.sqrt(2.0)
+        cov = slater_covariance([1, 0], [[c, -s], [s, c]])
+        alpha = np.array([np.pi, 0.7])
+        np.testing.assert_allclose(
+            g_matrix(cov, alpha, method="auto"), g_matrix(cov, alpha, method="direct"), atol=1e-12
         )
 
     def test_singular_contraction_raises(self):
