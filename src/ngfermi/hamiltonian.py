@@ -5,6 +5,10 @@ with Hermitian ``f`` and a real two-body tensor ``h`` carrying the
 antisymmetrized index symmetries.  Conjugating H with the flux-attachment
 unitary exp((i/2) sum omega_jk :n_j n_k:) turns every term into a phased
 operator string over the Gaussian state, which the wick module evaluates.
+At omega = 0 every string is plain Wick, and the energy is the generalized
+Hartree-Fock-Bogoliubov functional: fixed forms of f and h, built once per
+Hamiltonian, in the block tables of gamma + Upsilon, with no contraction
+bundle (:class:`StateEvaluator`).
 
 All mode indices are 0-based in code; the text file format is 1-based.
 """
@@ -182,6 +186,37 @@ class ManyBodyHamiltonian:
             wick.RowPlan(np.full(len(first), -1)),
         )
 
+    @cached_property
+    def _hfb_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The plain-Wick energy of a layout with no phased key as fixed forms
+        in its block tables (the generalized Hartree-Fock-Bogoliubov
+        functional): the one-body weights (i/4) f_pq as an N^2 row, and the
+        N^2 x N^2 matrices ``pm`` and ``pp`` of the two-body pairings, times -1/32.
+
+        With x, y and z the row-major N^2 vectors of the tables gpm, gpp and
+        gmm, an entry h_pqrs adds h_pqrs (x_ps x_qr - x_pr x_qs + y_pq z_rs).
+        Each pairing's matrix is h with its axes reordered, so it holds the
+        entries as given: no symmetry of h is assumed, and the forms equal the
+        per-term sum for every h the constructor accepts.  The two gpm
+        pairings share one matrix K; ``pm`` is the symmetric -(K + K^T)/32,
+        since x.K x = x.K^T x for any K, so E2 = x.pm x / 2 + y.pp z and pm x
+        is also dE2/dx.  Read-only and real (:func:`_real_times` applies them).
+        """
+        n2 = self.n_modes**2
+        h = self.h
+        # K[(p, s), (q, r)] = h_pqrs for x_ps x_qr, minus K'[(p, r), (q, s)] = h_pqrs
+        k = h.transpose(0, 3, 1, 2).reshape(n2, n2) - h.transpose(0, 2, 1, 3).reshape(n2, n2)
+        pm = -(1.0 / 32.0) * (k + k.T)
+        pp = -(1.0 / 32.0) * h.reshape(n2, n2)  # rows (p, q), columns (r, s)
+        return _read_only(0.25j * self.f.ravel(), pm, pp)
+
+
+def _real_times(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a real matrix and a contiguous complex vector: one real
+    product over the vector's (real, imaginary) columns, with no complex copy
+    of the matrix."""
+    return (mat @ vec.view(float).reshape(-1, 2)).view(complex).ravel()
+
 
 def _read_only(*arrays: np.ndarray) -> tuple:
     """The arrays, made read-only: every layout of a Hamiltonian shares them."""
@@ -275,34 +310,63 @@ class StateEvaluator:
     :meth:`gradient` differentiates them, and :meth:`mean_field_h` adds
     their derivatives with one sum over the Q stack and one product of L
     columns; no method loops over terms in Python.
+
+    A layout with no phased key (every omega = 0 state) calls no
+    :func:`~ngfermi.wick.contract`, and :attr:`contraction` is None: every
+    term sits at alpha = 0 with coefficient 1, so the energy is the
+    Hamiltonian's fixed Hartree-Fock-Bogoliubov forms
+    (:attr:`ManyBodyHamiltonian._hfb_forms`) in the block tables of
+    G = gamma + Upsilon, read from one Dirac transform X = P^T G P:
+    gpm = X[:N, N:]^T, gpp = X[N:, N:]^T and gmm = X[:N, :N]^T.
+    :meth:`mean_field_h` maps the forms' products back through P, and
+    :meth:`gradient` reads the same tables.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
         self.gamma = gamma if isinstance(gamma, CovarianceMatrix) else CovarianceMatrix(gamma)
         self.omega = omega
         self.hamil = hamil
-        if self.gamma.n_modes != hamil.n_modes:
-            raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {hamil.n_modes}")
+        n = hamil.n_modes
+        if self.gamma.n_modes != n:
+            raise DimensionError(f"gamma has {self.gamma.n_modes} modes, expected {n}")
         if layout is None or not (layout.omega is omega and layout.hamil is hamil):
             layout = PhaseLayout(omega, hamil)
         self.layout = lay = layout
-        try:
-            self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
-        except SingularContractionError as exc:
-            raise lay.term_error(exc) from exc
-        a, gpm, gpp, gmm = c.coeff, c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        self.contraction = self._forms = None
+        if lay.phased.size:
+            try:
+                self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
+            except SingularContractionError as exc:
+                raise lay.term_error(exc) from exc
+            self._coeff, self._tables = c.coeff, (c.g_dag_plain, c.g_dag_dag, c.g_plain_plain)
+            self._terms = self._gather_terms()
+            return
+        # gamma and Upsilon are exactly skew, so G = gamma + Upsilon is the closed form's G
+        dirac = wick._dirac(n)
+        x = (dirac.T @ (self.gamma.gamma + upsilon(n)) @ dirac).T
+        tables = x[n:, :n], x[n:, n:], x[:n, :n]
+        self._coeff, self._tables = np.ones(1, dtype=complex), tuple(t[None] for t in tables)
+        self._terms = None  # gathered only for the gradient
+        _, pm, pp = hamil._hfb_forms
+        gpm, gpp, gmm = (t.ravel() for t in tables)
+        # the products the energy and the mean-field matrix share
+        self._forms = gpm, gpp, _real_times(pm, gpm), _real_times(pp, gmm)
+
+    def _gather_terms(self) -> tuple:
+        """Every term's weight times its key's coefficient and its energy
+        E_t = w_t x_t, one-body (w1, e1) and two-body (w2, e2), and the six
+        block entries of each two-body contraction x_t (``pairs``), gathered
+        from the (K, N, N) block stacks."""
+        lay = self.layout
+        a, (gpm, gpp, gmm) = self._coeff, self._tables
         (p1, q1), (p, q, r, s) = lay.modes
         k1, k2 = lay.k1, lay.k2
-
-        # every term's energy E_t = w_t x_t
-        self._w1 = lay.w1 * a[k1]
-        self._e1 = self._w1 * gpm[k1, p1, q1]
-        self._w2 = lay.w2 * a[k2]
-        # the block entries of the two-body contraction x_t
-        self._pairs = ps, qr, pr, qs, pq, rs = (
+        w1 = lay.w1 * a[k1]
+        w2 = lay.w2 * a[k2]
+        pairs = ps, qr, pr, qs, pq, rs = (
             gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s], gpp[k2, p, q], gmm[k2, r, s]
         )
-        self._e2 = self._w2 * (ps * qr - pr * qs + pq * rs)
+        return w1, w1 * gpm[k1, p1, q1], w2, pairs, w2 * (ps * qr - pr * qs + pq * rs)
 
     def built_for(self, gamma, omega, hamil: ManyBodyHamiltonian) -> bool:
         """Whether this evaluator was built from exactly these objects."""
@@ -310,7 +374,13 @@ class StateEvaluator:
 
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
-        e1, e2 = np.sum(self._e1), np.sum(self._e2)
+        if self._forms is None:
+            _, e1, _, _, e2 = self._terms
+            e1, e2 = np.sum(e1), np.sum(e2)
+        else:
+            gpm, gpp, pm_x, pp_z = self._forms
+            e1 = self.hamil._hfb_forms[0] @ gpm
+            e2 = 0.5 * (gpm @ pm_x) + gpp @ pp_z
         for label, val in (("one-body", e1), ("two-body", e2)):
             if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
                 raise NumericsError(
@@ -329,25 +399,25 @@ class StateEvaluator:
         The Q sum is read from the bundles' L (:func:`~ngfermi.wick.q_sum_from_l`),
         with no second inversion; Q is zero on the zero phase vector, so only
         the other keys enter it.
-        """
-        lay = self.layout
-        lt_plus, lt_minus = wick.derivative_columns(self.contraction.l)
-        k1, k2 = lay.k1, lay.k2
-        c2 = 2.0 * self._w2
-        ps, qr, _, _, pq, rs = self._pairs
-        (p1, q1), (p, q, r, s) = lay.modes
 
-        # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
-        u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
-        v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
-        c = np.concatenate([2.0 * self._w1, 4.0 * c2 * qr, c2 * rs, c2 * pq])
-        rmat = (u * c[:, None]).T @ v
-        out = rmat - rmat.T
-        if lay.phased.size:
-            w_q = np.zeros(len(lay.alphas), dtype=complex)
-            np.add.at(w_q, lay.term_key, np.concatenate([4.0 * self._e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
-            ph = lay.phased
-            out += wick.q_sum_from_l(self.contraction.l[ph], lay.phase[ph], w_q[ph])
+        With no phased key the matrix is 4 skew(dE/dG), G = gamma + Upsilon:
+        the forms' derivatives dE/dgpm, dE/dgpp and dE/dgmm, transposed, fill
+        the upper-right, lower-right and upper-left blocks of W, and
+        dE/dG = P W P^T.
+        """
+        if self._forms is None:
+            out = self._phased_mean_field()
+        else:
+            n = self.hamil.n_modes
+            one, _, pp = self.hamil._hfb_forms
+            gpm, gpp, pm_x, pp_z = self._forms
+            w = np.zeros((2 * n, 2 * n), dtype=complex)
+            w[:n, n:] = (one + pm_x).reshape(n, n).T
+            w[n:, n:] = pp_z.reshape(n, n).T
+            w[:n, :n] = _real_times(pp.T, gpp).reshape(n, n).T
+            dirac = wick._dirac(n)
+            d_g = dirac @ w @ dirac.T
+            out = 2.0 * (d_g - d_g.T)
 
         scale = max(1.0, float(np.max(np.abs(out.real))))
         imag_dev = float(np.max(np.abs(out.imag)))
@@ -355,6 +425,26 @@ class StateEvaluator:
             raise NumericsError(f"mean-field matrix has imaginary residue {imag_dev:.3e}")
         real = out.real
         return 0.5 * (real - real.T)
+
+    def _phased_mean_field(self) -> np.ndarray:
+        """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`), complex."""
+        lay = self.layout
+        l_mat = self.contraction.l
+        lt_plus, lt_minus = wick.derivative_columns(l_mat)
+        k1, k2 = lay.k1, lay.k2
+        w1, e1, w2, (ps, qr, _, _, pq, rs), _ = self._terms
+        c2 = 2.0 * w2
+        (p1, q1), (p, q, r, s) = lay.modes
+
+        # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
+        u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
+        v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
+        c = np.concatenate([2.0 * w1, 4.0 * c2 * qr, c2 * rs, c2 * pq])
+        rmat = (u * c[:, None]).T @ v
+        w_q = np.zeros(len(lay.alphas), dtype=complex)
+        np.add.at(w_q, lay.term_key, np.concatenate([4.0 * e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
+        ph = lay.phased
+        return rmat - rmat.T + wick.q_sum_from_l(l_mat[ph], lay.phase[ph], w_q[ph])
 
     def gradient(self) -> np.ndarray:
         """Gradient with respect to the couplings; see :func:`energy_gradient_omega`.
@@ -373,13 +463,16 @@ class StateEvaluator:
         which are exact: dA/d alpha_m = i <e^{i alpha n} n_m>, and
         dG/d alpha_m = (i/2) e^{i alpha_m} (G[:, m] G[N+m, :] - G[:, N+m] G[m, :])
         because the solve's numerator and denominator give
-        (Upsilon gamma - 1) D^{-1} = Upsilon G.
+        (Upsilon gamma - 1) D^{-1} = Upsilon G.  With no phased key the same
+        formulas read the tables of the one zero key.
         """
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes
-        c = self.contraction
-        gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        gpm, gpp, gmm = self._tables
         keys, k1, k2 = lay.term_key, lay.k1, lay.k2
+        if self._terms is None:
+            self._terms = self._gather_terms()
+        w1, e1, w2, pairs, e2 = self._terms
 
         # d/d alpha of one block entry per term, over m and without x_m: (T, N)
         def d_pm(k, p, q):
@@ -391,10 +484,10 @@ class StateEvaluator:
         def d_mm(k, p, q):
             return -(gpm[k, :, p] * gmm[k, :, q] + gmm[k, p] * gpm[k, :, q])
 
-        d1 = self._w1[:, None] * d_pm(k1, p1, q1)
+        d1 = w1[:, None] * d_pm(k1, p1, q1)
 
-        ps, qr, pr, qs, pq, rs = self._pairs
-        d2 = self._w2[:, None] * (
+        ps, qr, pr, qs, pq, rs = pairs
+        d2 = w2[:, None] * (
             d_pm(k2, p, s) * qr[:, None]
             + ps[:, None] * d_pm(k2, q, r)
             - d_pm(k2, p, r) * qs[:, None]
@@ -404,12 +497,12 @@ class StateEvaluator:
         )
 
         diag = np.diagonal(gpm, axis1=1, axis2=2)
-        e_t = np.concatenate([self._e1, self._e2])
+        e_t = np.concatenate([e1, e2])
         d_alpha = -0.25 * lay.phase[keys] * (diag[keys] * e_t[:, None] + np.concatenate([d1, d2]))
         x = d_alpha.real.T @ self.hamil._charge_rows  # x[m, c] = dE / d omega_mc
         # the two-body scalar phase: d Re(E_t) / d omega_rs = Re(i E_t)
-        np.add.at(x, (r, s), -self._e2.imag)
-        np.add.at(x, (p, q), self._e2.imag)
+        np.add.at(x, (r, s), -e2.imag)
+        np.add.at(x, (p, q), e2.imag)
         grad = 0.5 * (x + x.T)
         np.fill_diagonal(grad, 0.0)
         return grad

@@ -73,14 +73,24 @@ def check_wick_vs_dense(n_modes: int, rng: np.random.Generator, draws: int = 10)
     return CheckResult("generalized Wick vs dense", worst, 1e-9)
 
 
+def _omega(n_modes: int, rng: np.random.Generator, trial: int, draws: int, scale: float = 1.0) -> np.ndarray:
+    """Random couplings for trials 0 .. draws - 1, and zero for one trial more:
+    at omega = 0 the evaluator has no phased key and reads the energy from
+    the Hamiltonian's closed forms, not from a contraction bundle."""
+    if trial == draws:
+        return np.zeros((n_modes, n_modes))
+    return random_symmetric_zero_diag(n_modes, rng, scale=scale)
+
+
 def check_energy_vs_dense(n_modes: int, rng: np.random.Generator, draws: int = 8) -> CheckResult:
     worst = 0.0
     hubbard = ham.hubbard_model(2, 1.0, 4.0, 2.0) if n_modes == 4 else None
-    for trial in range(draws):
-        hamil = hubbard if (hubbard is not None and trial % 2 == 0) else random_hamiltonian(n_modes, rng)
+    for trial in range(draws + 1):  # the last at omega = 0, on a random Hamiltonian
+        hubbard_draw = hubbard is not None and trial % 2 == 0 and trial < draws
+        hamil = hubbard if hubbard_draw else random_hamiltonian(n_modes, rng)
         params = gaussian.random_generator(n_modes, rng)
         cov = gaussian.covariance_from_xi(params)
-        w = random_symmetric_zero_diag(n_modes, rng, scale=1.5)
+        w = _omega(n_modes, rng, trial, draws, scale=1.5)
         state = oracle.dense_state(params.xi, w)
         _, _, e = ham.energy(cov, w, hamil)
         worst = max(worst, abs(e - oracle.dense_energy(state, hamil)))
@@ -90,11 +100,11 @@ def check_energy_vs_dense(n_modes: int, rng: np.random.Generator, draws: int = 8
 def check_gradient_vs_dense(n_modes: int, rng: np.random.Generator, draws: int = 3) -> CheckResult:
     worst = 0.0
     step = 1e-5
-    for _ in range(draws):
+    for trial in range(draws + 1):  # the last at omega = 0
         hamil = random_hamiltonian(n_modes, rng)
         params = gaussian.random_generator(n_modes, rng)
         cov = gaussian.covariance_from_xi(params)
-        w = random_symmetric_zero_diag(n_modes, rng)
+        w = _omega(n_modes, rng, trial, draws)
         grad = ham.energy_gradient_omega(cov, w, hamil)
         scale = max(1.0, float(np.max(np.abs(grad))))
         for i in range(n_modes):
@@ -115,10 +125,10 @@ def check_gradient_vs_dense(n_modes: int, rng: np.random.Generator, draws: int =
 def check_mean_field_vs_fd(n_modes: int, rng: np.random.Generator, draws: int = 2) -> CheckResult:
     worst = 0.0
     step = 1e-5
-    for _ in range(draws):
+    for trial in range(draws + 1):  # the last at omega = 0
         hamil = random_hamiltonian(n_modes, rng)
         cov = gaussian.random_pure_covariance(n_modes, rng)
-        w = random_symmetric_zero_diag(n_modes, rng)
+        w = _omega(n_modes, rng, trial, draws)
         h_m = ham.mean_field_h(cov, w, hamil)
         scale = max(1.0, float(np.max(np.abs(h_m))))
         g0 = cov.gamma

@@ -6,9 +6,10 @@ matrix and the coupling gradient; its omega-only part, the phase layout, is
 shared between the states of one omega.  These tests pin that sharing and
 batching change no result, that the mean-field matrix is the energy's
 derivative past the dense oracle's cap, that a step builds each bundle
-once, that a zero coupling velocity skips all coupling work, and that
+once, that a zero coupling velocity skips all coupling work, that
 filling the partner of each conjugate key pair by conjugation changes no
-result.
+result, and that omega = 0 states, evaluated in closed form, call no
+contraction at all.
 """
 
 import copy
@@ -541,3 +542,46 @@ def test_singular_key_and_its_partner_name_the_built_term():
         assert "one-body term (p,q)=(2,3)" in str(exc)
         np.testing.assert_allclose(exc.alpha, [np.pi, 0.0, 0.7, -0.7], atol=1e-15)
     assert str(errors[0]) == str(errors[1])
+
+
+def test_gaussian_baseline_calls_no_contract(monkeypatch):
+    # at omega = 0 the layout has no phased key: every state of a freeze_omega
+    # run reads its energy and mean-field matrix from the Hamiltonian's forms
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    options = RunOptions(freeze_omega=True, max_steps=20)
+    monkeypatch.setattr(wick, "contract", _forbid("wick.contract"))
+    monkeypatch.setattr(ngfermi.hamiltonian, "contract", _forbid("wick.contract"))
+    state = initial_state(hamil, options, seed=5)
+    final, records, _ = run(hamil, options, state)
+    assert len(records) == 21
+    assert final.omega is state.omega and final.evaluator.contraction is None
+
+
+def test_zero_omega_state_builds_its_tables_once(monkeypatch):
+    # the omega = 0 start of a hitgd run: its energy, mean-field matrix and
+    # first coupling gradient read one Dirac transform of gamma and call no
+    # contract; the trial states of the step, at a nonzero omega, do
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    options = RunOptions(max_steps=1, tol_g=0.0)
+    dirac, phased = [], []
+    original_dirac, original_contract = wick._dirac, ngfermi.hamiltonian.contract
+
+    def counting_dirac(n):
+        dirac.append(n)
+        return original_dirac(n)
+
+    def counting_contract(gamma, alpha, plan=None):
+        phased.append(bool(np.any(alpha)))
+        return original_contract(gamma, alpha, plan)
+
+    monkeypatch.setattr(wick, "_dirac", counting_dirac)
+    monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
+    state = initial_state(hamil, options, seed=5)
+    grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    assert np.any(grad)
+    assert dirac == [6] and phased == []
+    mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    assert phased == []
+    _, records, _ = run(hamil, options, state)
+    assert len(records) == 2
+    assert phased and all(phased)

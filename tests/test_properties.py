@@ -2,7 +2,9 @@
 as conjugates of bundles at alpha, the phase layout's charge keys and their
 conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
 zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the purity projection,
-Pf^2 = det, and Wick's theorem with the block tables against the dense oracle.
+Pf^2 = det, Wick's theorem with the block tables against the dense oracle,
+and the omega = 0 closed form against the per-term plain-Wick sum, the dense
+oracle and central differences.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
 a zero row, zero entries and +-pi entries, sparse Hamiltonians with an entry
@@ -415,3 +417,105 @@ def test_wick_matches_the_dense_oracle(case):
     for string in strings:
         dense = oracle.dense_expectation(state, alpha, string)
         assert abs(wick.expectation_from(bundle, string) - dense) <= tol
+
+
+@st.composite
+def neutral_states(draw):
+    """A Hubbard chain (L = 2 or 3, open or periodic) or a random dense
+    Hamiltonian on 1..5 modes with zeroed entries, and a Gaussian gamma: pure,
+    from a random generator, or mixed (scaled or perturbed)."""
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        sites, periodic = draw(st.integers(2, 3)), draw(st.booleans())
+        hamil = hubbard_model(sites, rng.normal(), rng.uniform(0.0, 8.0), rng.normal(), periodic=periodic)
+    else:
+        n = draw(st.integers(1, 5))
+        frac = draw(st.sampled_from([0.0, 0.3, 0.6]))
+        f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        f = f + f.conj().T
+        cut = rng.random((n, n)) < frac
+        f[cut | cut.T] = 0.0
+        h = random_two_body(n, rng)
+        cut = rng.random((n,) * 4) < frac
+        h[np.any([cut.transpose(p) for p in H_IMAGES], axis=0)] = 0.0
+        hamil = ManyBodyHamiltonian(n, f, h)
+    params = random_generator(hamil.n_modes, rng)
+    gamma = covariance_from_xi(params).gamma
+    kind = draw(st.sampled_from(["pure", "scaled", "perturbed"]))
+    if kind == "scaled":
+        gamma = rng.uniform(0.2, 0.95) * gamma
+    elif kind == "perturbed":
+        x = rng.normal(scale=0.05, size=gamma.shape)
+        gamma = gamma + x - x.T
+    return hamil, gamma, params if kind == "pure" else None
+
+
+def _plain_wick_energy(hamil, gamma) -> complex:
+    """The per-term sum at omega = 0: w_t times the plain-Wick expectation
+    of term t's operator string, from the zero-phase bundle."""
+    bundle = wick.contract(gamma, np.zeros(hamil.n_modes))
+    total = 0.0 + 0.0j
+    for p, q in np.argwhere(hamil.f != 0.0):
+        total += hamil.f[p, q] * wick.expectation_from(bundle, ((p, True), (q, False)))
+    for p, q, r, s in hamil.two_body_entries():
+        string = ((p, True), (q, True), (r, False), (s, False))
+        total += 0.5 * hamil.h[p, q, r, s] * wick.expectation_from(bundle, string)
+    return total
+
+
+@SETTINGS
+@given(case=neutral_states())
+def test_closed_form_energy_is_the_plain_wick_sum(case):
+    # at omega = 0 the evaluator reads the energy from the Hamiltonian's fixed
+    # forms, with no contraction bundle; the reference sums one Wick
+    # expectation per term, and the dense oracle measures pure states
+    hamil, gamma, params = case
+    n = hamil.n_modes
+    omega = np.zeros((n, n))
+    ev = StateEvaluator(gamma, omega, hamil)
+    assert ev.contraction is None
+    e = ev.energy()[2]
+    assert abs(e - _plain_wick_energy(hamil, gamma).real) <= 1e-12 * max(1.0, abs(e))
+    if params is not None and n <= 4:
+        dense = oracle.dense_energy(oracle.dense_state(params.xi, omega), hamil)
+        assert abs(e - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+@settings(SETTINGS, max_examples=60)  # up to 90 energies per draw
+@given(case=neutral_states())
+def test_closed_form_mean_field_is_the_energy_derivative(case):
+    # at omega = 0 the energy is quadratic in gamma, so a central difference is
+    # its exact derivative, up to rounding; the steps leave the pure states
+    hamil, gamma, _ = case
+    n2 = 2 * hamil.n_modes
+    omega = np.zeros((n2 // 2, n2 // 2))
+    h_m = StateEvaluator(gamma, omega, hamil).mean_field_h()
+    step = 1e-2
+    fd = np.zeros((n2, n2))
+    for i, j in zip(*np.triu_indices(n2, 1)):
+        d = np.zeros((n2, n2))
+        d[i, j], d[j, i] = step, -step
+        ep = StateEvaluator(gamma + d, omega, hamil).energy()[2]
+        em = StateEvaluator(gamma - d, omega, hamil).energy()[2]
+        fd[i, j] = (ep - em) / step  # 4 * (1/2) (ep - em) / (2 step)
+        fd[j, i] = -fd[i, j]
+    assert _rel_err(h_m, fd) <= 1e-10
+    assert np.array_equal(h_m, -h_m.T)
+
+
+def test_closed_form_takes_h_as_given():
+    # every entry of h off by up to 1e-11: the constructor accepts it (each
+    # symmetry holds to SYMMETRY_TOL = 1e-10), and the forms, built from the
+    # entries as given, still equal the per-term sum.  A form that merges the
+    # two gpm pairings through h_pqrs = -h_pqsr would be off by about 1e-12.
+    rng = np.random.default_rng(41)
+    for n in (4, 5):
+        f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = random_two_body(n, rng)
+        nonzero = h != 0.0
+        h[nonzero] += rng.uniform(-1e-11, 1e-11, size=nonzero.sum())
+        hamil = ManyBodyHamiltonian(n, f + f.conj().T, h)
+        for _ in range(4):
+            gamma = random_pure_covariance(n, rng).gamma
+            e = StateEvaluator(gamma, np.zeros((n, n)), hamil).energy()[2]
+            assert abs(e - _plain_wick_energy(hamil, gamma).real) <= 1e-13
