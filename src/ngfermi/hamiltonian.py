@@ -164,27 +164,26 @@ class ManyBodyHamiltonian:
         return label, first, of_key[both[len(first):]]
 
     @cached_property
-    def _charged_keys(self) -> tuple:
-        """The key structure of every phase layout with a nonzero omega: one
+    def _keys(self) -> tuple:
+        """The key structure every phase layout shares, at every omega: one
         key per charge (key = charge label), as the keys' first terms, each
-        term's key, the phased keys (the nonzero charges) and the row plan
-        (:class:`PhaseLayout`).  The v = 0 charge is the closed-form row;
-        of each pair v, -v the earlier charge is built, the other copied."""
+        term's key, the phased keys (the nonzero charges), the keys' charge
+        rows V_keys (so the keys' vectors are V_keys omega) and the row plan
+        (:class:`PhaseLayout`).  The v = 0 charge is the closed-form row; of
+        each pair v, -v the earlier charge is built, the other copied."""
         label, first, mirror = self._charges
         keys = np.arange(len(first))
-        uncharged = ~self._charge_rows[first].any(axis=1)
+        v_keys = self._charge_rows[first]
+        uncharged = ~v_keys.any(axis=1)
         source = np.where(uncharged, -1, np.minimum(keys, np.where(mirror < 0, keys, mirror)))
-        return _read_only(first, label, np.flatnonzero(~uncharged)) + (wick.RowPlan(source),)
+        return _read_only(first, label, np.flatnonzero(~uncharged), v_keys) + (wick.RowPlan(source),)
 
     @cached_property
-    def _neutral_keys(self) -> tuple:
-        """The key structure of the phase layout at omega = 0, laid out as
-        :attr:`_charged_keys`: every term in one key, the closed-form row."""
-        label, first, _ = self._charges
-        first = first[:1]
-        return _read_only(first, np.zeros_like(label), np.empty(0, dtype=int)) + (
-            wick.RowPlan(np.full(len(first), -1)),
-        )
+    def _term_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms' omega-free weights, in the order of :attr:`_term_indices`:
+        (i/4) f_pq per one-body term and -h_pqrs / 32 per two-body term."""
+        f_idx, h_idx, _ = self._term_indices
+        return _read_only(0.25j * self.f[tuple(f_idx.T)], -(1.0 / 32.0) * self.h[tuple(h_idx.T)])
 
     @cached_property
     def _hfb_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,57 +230,47 @@ class PhaseLayout:
     Every nonzero term of the flux-rotated Hamiltonian is a phased operator
     string with phase vector alpha_t = omega v_t, where v_t is the term's
     integer charge (:attr:`ManyBodyHamiltonian._charges`).  So the layout
-    keys the terms by their charge: at a nonzero omega one key per charge,
-    numbered in order of first appearance, and at omega = 0 one key for
-    every term.  It keeps the K keys' vectors, each its first term's,
-    wrapped into (-pi, pi] once here (:func:`~ngfermi.wick.contract` takes
-    them as they are), their phase factors :attr:`phase` = e^{i alpha},
-    taken once here for the gradient and the Q sum, each term's key, the
-    terms' mode index arrays and their coefficient-free weights: (i/4) f_pq
-    for a one-body term and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a
-    two-body term.  It also keeps :attr:`plan`, each key's row plan for
-    :func:`~ngfermi.wick.contract`: the v = 0 key takes the closed form, and
-    H is Hermitian, so the charge -v of a term's adjoint is a charge of H
-    too, with phase vector -alpha, and of each such key pair only the first
-    is built; the other gets its bundle by conjugation.  None of this
-    depends on gamma, so the states of a run share one layout for as long as
-    omega stays the same object.
+    keys the terms by their charge, one key per charge, numbered in order of
+    first appearance, at every omega.  The key structure (the keys' first
+    terms, each term's key, the phased keys, the keys' charge rows and the
+    row plan) is the Hamiltonian's, computed once
+    (:attr:`ManyBodyHamiltonian._keys`), and so are the terms' mode index
+    arrays and their omega-free weights.  :attr:`plan` is each key's row
+    plan for :func:`~ngfermi.wick.contract`: the v = 0 key takes the closed
+    form, and H is Hermitian, so the charge -v of a term's adjoint is a
+    charge of H too, with phase vector -alpha, and of each such key pair
+    only the first is built; the other gets its bundle by conjugation.
 
-    The key structure (the keys' first terms, each term's key, the phased
-    keys and the row plan) is one of the Hamiltonian's two, computed once
-    each (:attr:`ManyBodyHamiltonian._charged_keys` and
-    :attr:`~ManyBodyHamiltonian._neutral_keys`), so a layout computes only
-    the keys' vectors, their phase factors and the weights.  At an omega
-    with exact 0 or +-pi entries a nonzero charge can still have an exactly
-    zero vector; its key is built like any other.
+    A layout computes only what moves with omega: the K keys' vectors
+    V_keys omega, wrapped into (-pi, pi] once here
+    (:func:`~ngfermi.wick.contract` takes them as they are), their phase
+    factors :attr:`phase` = e^{i alpha}, taken once here for the gradient
+    and the Q sum, and the terms' weights: (i/4) f_pq for a one-body term
+    and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term.  At
+    omega = 0 every vector is zero and :attr:`phased` is empty, the one
+    place where omega = 0 is decided.  At an omega with exact 0 or +-pi
+    entries a nonzero charge can still have an exactly zero vector; its key
+    is phased and built like any other.  None of this depends on gamma, so
+    the states of a run share one layout for as long as omega stays the
+    same object.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
         self.omega = omega
         self.hamil = hamil
-        n = hamil.n_modes
-        w = _as_omega(omega, n)
+        w = _as_omega(omega, hamil.n_modes)
         f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
-        self.modes = (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
-        self.first_term, self.term_key, self.phased, self.plan = (
-            hamil._charged_keys if w.any() else hamil._neutral_keys
-        )
+        self.modes = _, (p, q, r, s) = f_idx.T, h_idx.T
+        self.first_term, self.term_key, phased, v_keys, self.plan = hamil._keys
+        self.phased = phased if w.any() else phased[:0]
         self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
-        # each key's wrapped phase vector, from its first term's own expression
-        first = self.first_term
-        one = first < len(f_idx)
-        fp1, fq1 = f_idx[first[one]].T
-        fp, fq, fr, fs = h_idx[first[~one] - len(f_idx)].T
-        alphas = np.empty((len(first), n))
-        alphas[one] = (w[:, fq1] - w[:, fp1]).T
-        alphas[~one] = (w[:, fr] + w[:, fs] - w[:, fp] - w[:, fq]).T
-        self.alphas = wrap_angles(alphas)
+        self.alphas = wrap_angles(v_keys @ w)
         self.phase = np.exp(1j * self.alphas)
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
-        self.w1 = 0.25j * hamil.f[p1, q1]
-        self.w2 = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q]))
+        self.w1, h2 = hamil._term_weights
+        self.w2 = h2 * np.exp(1j * (w[r, s] - w[p, q]))
 
     def term_error(self, exc: SingularContractionError) -> SingularContractionError:
         """The error of a batched routine, naming the failing phase vector's first term."""
@@ -313,13 +302,14 @@ class StateEvaluator:
 
     A layout with no phased key (every omega = 0 state) calls no
     :func:`~ngfermi.wick.contract`, and :attr:`contraction` is None: every
-    term sits at alpha = 0 with coefficient 1, so the energy is the
+    key sits at alpha = 0 with coefficient 1, so the energy is the
     Hamiltonian's fixed Hartree-Fock-Bogoliubov forms
     (:attr:`ManyBodyHamiltonian._hfb_forms`) in the block tables of
     G = gamma + Upsilon, read from one Dirac transform X = P^T G P:
     gpm = X[:N, N:]^T, gpp = X[N:, N:]^T and gmm = X[:N, :N]^T.
     :meth:`mean_field_h` maps the forms' products back through P, and
-    :meth:`gradient` reads the same tables.
+    :meth:`gradient` reads the same tables for every key, through the same
+    gathers as a phased layout.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
@@ -344,11 +334,14 @@ class StateEvaluator:
         # gamma and Upsilon are exactly skew, so G = gamma + Upsilon is the closed form's G
         dirac = wick._dirac(n)
         x = (dirac.T @ (self.gamma.gamma + upsilon(n)) @ dirac).T
-        tables = x[n:, :n], x[n:, n:], x[:n, :n]
-        self._coeff, self._tables = np.ones(1, dtype=complex), tuple(t[None] for t in tables)
+        # every key reads the same tables, through a read-only (K, 2N, 2N) view of X
+        k = len(lay.alphas)
+        xk = np.broadcast_to(x, (k, 2 * n, 2 * n))
+        self._coeff = np.ones(k, dtype=complex)
+        self._tables = xk[:, n:, :n], xk[:, n:, n:], xk[:, :n, :n]
         self._terms = None  # gathered only for the gradient
         _, pm, pp = hamil._hfb_forms
-        gpm, gpp, gmm = (t.ravel() for t in tables)
+        gpm, gpp, gmm = x[n:, :n].ravel(), x[n:, n:].ravel(), x[:n, :n].ravel()
         # the products the energy and the mean-field matrix share
         self._forms = gpm, gpp, _real_times(pm, gpm), _real_times(pp, gmm)
 
@@ -463,8 +456,8 @@ class StateEvaluator:
         which are exact: dA/d alpha_m = i <e^{i alpha n} n_m>, and
         dG/d alpha_m = (i/2) e^{i alpha_m} (G[:, m] G[N+m, :] - G[:, N+m] G[m, :])
         because the solve's numerator and denominator give
-        (Upsilon gamma - 1) D^{-1} = Upsilon G.  With no phased key the same
-        formulas read the tables of the one zero key.
+        (Upsilon gamma - 1) D^{-1} = Upsilon G.  With no phased key every
+        key's tables are the closed form's.
         """
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes

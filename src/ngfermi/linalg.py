@@ -2,8 +2,8 @@
 
 Everything here operates on plain numpy arrays: Pfaffians of skew-symmetric
 matrices, exponentials of Hermitian-antisymmetric generators, the four signed
-block contractions of 2N x 2N matrices, iterative rank-1 inverse updates and
-SVD pseudo-inverses.  All functions are pure.
+block contractions of 2N x 2N matrices and iterative rank-1 inverse
+updates.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -159,18 +159,13 @@ _CONTRACTION_SIGNS = {
 def miller_inverse(
     base_inverse: np.ndarray,
     updates: list[tuple[complex, np.ndarray, np.ndarray]],
-    fallback_matrix: np.ndarray | None = None,
     denom_tol: float = 1e-12,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Inverse of A + sum_k beta_k |u_k><v_k| built iteratively from A^-1.
 
     Each step applies C^-1 <- C^-1 - g C^-1 B C^-1 with B = beta |u><v| and
     g = 1/(1 + beta <v|C^-1|u>).  When a denominator falls below ``denom_tol``
-    the update sequence is abandoned: if ``fallback_matrix`` (the full matrix
-    A + sum B) was supplied its direct inverse is returned with the fallback
-    flag set, otherwise :class:`SingularUpdateError` is raised naming the step.
-
-    Returns ``(inverse, used_fallback)``.
+    :class:`SingularUpdateError` is raised naming the step.
     """
     inv = np.array(base_inverse, dtype=complex, copy=True)
     for step, (beta, u, v) in enumerate(updates):
@@ -180,9 +175,7 @@ def miller_inverse(
         vi = v @ inv
         denom = 1.0 + beta * (v @ iu)
         if abs(denom) < denom_tol:
-            if fallback_matrix is not None:
-                return np.linalg.inv(np.asarray(fallback_matrix, dtype=complex)), True
             raise SingularUpdateError(step, denom)
         inv -= (beta / denom) * np.outer(iu, vi)
-    return inv, False
+    return inv
 

@@ -251,9 +251,12 @@ class TrajectoryRecord:
 class RunOptions:
     """Optimizer knobs: update variant, step-size policy, stopping rules.
 
-    Setting ``tol_g`` or ``tol_e`` to exactly 0 disables that stopping rule
-    (the comparisons are strict, and a gradient can vanish identically at
-    symmetric points).
+    The gradient stop needs the coupling gradient and the covariance
+    velocity (:func:`dtau_gamma` with O = 0) both below ``tol_g`` in
+    max-norm, since at omega = 0 the first can vanish off a stationary
+    point.  Setting ``tol_g`` or ``tol_e`` to exactly 0 disables that
+    stopping rule (the comparisons are strict, and a gradient can vanish
+    identically at symmetric points).
     """
 
     omega_update: str = "hitgd"  # "hitgd" | "simple"
@@ -435,11 +438,12 @@ def run(
 ) -> tuple[OptimizerState, list[TrajectoryRecord], str]:
     """Drive :func:`step` until a stopping rule fires.
 
-    Stops when the gradient max-norm falls below ``tol_g``, when the energy
-    change stays below ``tol_e`` for ``patience`` consecutive accepted steps,
-    or after ``max_steps`` steps.  Returns the final state, one record per
-    accepted step (plus the step-0 baseline), and the stop reason
-    ("gradient", "energy", "max_steps").  A record's ``wall_ms`` covers its
+    Stops when the gradient and the covariance velocity both fall below
+    ``tol_g`` (:class:`RunOptions`), when the energy change stays below
+    ``tol_e`` for ``patience`` consecutive accepted steps, or after
+    ``max_steps`` steps.  Returns the final state, one record per accepted
+    step (plus the step-0 baseline), and the stop reason ("gradient",
+    "energy", "max_steps").  A record's ``wall_ms`` covers its
     whole iteration: the coupling gradient and the call to :func:`step`.
     """
     options = options or RunOptions()
@@ -464,8 +468,11 @@ def run(
         grad = _coupling_gradient(state, hamil, options)
         grad_norm = _grad_norm(grad, options)
         if not options.freeze_omega and grad_norm < options.tol_g:
-            reason = "gradient"
-            break
+            # a stationary point only if the covariance velocity vanishes too
+            h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+            if np.max(np.abs(dtau_gamma(state.gamma, h_m))) < options.tol_g:
+                reason = "gradient"
+                break
         prev_energy = state.energy
         state, info = step(state, hamil, options, grad=grad)
         records.append(

@@ -186,7 +186,8 @@ def dense_hamiltonian_matrix(hamil: ManyBodyHamiltonian) -> np.ndarray:
 
 
 def dense_energy(state: DenseState, hamil: ManyBodyHamiltonian) -> float:
-    """<state|H|state> with the Hermiticity residue checked."""
+    """The real part of <state|H|state>; the imaginary part, rounding for a
+    Hermitian H, is dropped unchecked."""
     val = complex(np.vdot(state.amplitudes, dense_hamiltonian_matrix(hamil) @ state.amplitudes))
     return val.real
 

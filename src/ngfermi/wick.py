@@ -384,7 +384,7 @@ def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
         for k in range(2 * n)
         if abs(betas[k]) > 0.0
     ]
-    inv, _ = miller_inverse(base_inverse, updates, fallback_matrix=None)
+    inv = miller_inverse(base_inverse, updates)
     out = -ups @ inv
     return 0.5 * (out - out.T)
 
@@ -460,7 +460,7 @@ def _q_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     for j in range(n):
         if abs(coeff[j]) > 0.0:
             updates.append((coeff[j], eye[:, n + j], eye[:, j]))
-    inv, _ = miller_inverse(-g.astype(complex), updates, fallback_matrix=None)
+    inv = miller_inverse(-g.astype(complex), updates)
     out = -0.5 * inv
     return 0.5 * (out - out.T)
 

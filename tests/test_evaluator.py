@@ -8,8 +8,8 @@ batching change no result, that the mean-field matrix is the energy's
 derivative past the dense oracle's cap, that a step builds each bundle
 once, that a zero coupling velocity skips all coupling work, that
 filling the partner of each conjugate key pair by conjugation changes no
-result, and that omega = 0 states, evaluated in closed form, call no
-contraction at all.
+result, and that omega = 0 states, evaluated in closed form through the
+same charge keys, call no contraction at all and match the per-term path.
 """
 
 import copy
@@ -355,15 +355,33 @@ def test_zero_velocity_step_skips_the_flux_term(case, monkeypatch):
 
 
 def test_zero_keys_never_build_q(monkeypatch, rng):
-    # at omega = 0 every phase vector is zero, so Q = 0 and no Q sum is formed
+    # at omega = 0 every phase vector is zero, so Q = 0 and no Q sum is formed;
+    # the layout keeps the Hamiltonian's one key per charge and its one plan
     hamil = random_hamiltonian(4, rng)
     cov = random_pure_covariance(4, rng)
     ev = StateEvaluator(cov, np.zeros((4, 4)), hamil)
-    assert ev.layout.phased.size == 0
-    assert np.all(ev.layout.plan.sources == -1)  # no key is built or paired
+    assert ev.layout.phased.size == 0 and not ev.layout.alphas.any()
+    assert len(ev.layout.alphas) == len(hamil._charges[1])
+    assert ev.layout.plan is PhaseLayout(random_symmetric_zero_diag(4, rng), hamil).plan
     reference = _reference_mean_field(cov, np.zeros((4, 4)), hamil)
     monkeypatch.setattr(wick, "q_sum_from_l", _forbid("q_sum_from_l"))
     assert _rel_dev(ev.mean_field_h(), reference) < TOL
+
+
+@pytest.mark.parametrize("model", ["hubbard-3", "random-4"])
+def test_zero_omega_closed_form_matches_the_per_term_path(model, rng):
+    # the same charge keys at omega = 0, once in closed form (no phased key) and
+    # once from a layout copy that phases every key, so the evaluator runs
+    # contract and the per-term energy, mean-field matrix and gradient
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0) if model == "hubbard-3" else random_hamiltonian(4, rng)
+    n = hamil.n_modes
+    ev = StateEvaluator(random_pure_covariance(n, rng), np.zeros((n, n)), hamil)
+    layout = copy.copy(ev.layout)
+    layout.phased, layout.plan = np.arange(len(layout.alphas)), None
+    ref = StateEvaluator(ev.gamma, ev.omega, hamil, layout)
+    assert ev.contraction is None and ref.contraction is not None
+    assert np.any(ev.gradient())
+    _assert_same_results(ev, ref)
 
 
 @pytest.mark.parametrize("model", ["hubbard-5", "random-4"])

@@ -255,6 +255,18 @@ class TestRun:
         assert len(records) == 1
         assert final.energy == pytest.approx(-4.0, abs=1e-10)
 
+    def test_vanishing_gradient_off_a_stationary_point_does_not_stop(self):
+        # the mean-field start of Hubbard L=3 has an exactly vanishing coupling
+        # gradient at omega = 0, but a covariance velocity of 1: the run must
+        # go on to the Gaussian optimum, not stop there on the gradient
+        hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
+        state = initial_state(hamil)
+        assert not ham.energy_gradient_omega(state.gamma, state.omega, hamil).any()
+        final, records, reason = run(hamil, RunOptions(), state)
+        assert reason == "energy"
+        assert len(records) > 1
+        assert final.energy < -6.96
+
     def test_monotone_energy(self, hubbard):
         options = RunOptions(max_steps=40, tol_g=1e-10, tol_e=1e-14)
         final, records, _ = run(hubbard, options, initial_state(hubbard, options, seed=7))

@@ -178,24 +178,19 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
     # a moved generic omega, then generic -> 0 -> generic: each layout matches
     # one of a copy of H that has seen no omega, bit for bit
     moved = np.where(np.isin(w, [0.0, np.pi, -np.pi]), w, 1.1 * w)
-    plans = {}
+    plans = set()
     for omega in (w, moved, np.zeros_like(w), w):
         layout = PhaseLayout(omega, hamil)
         fresh = PhaseLayout(omega, ManyBodyHamiltonian(hamil.n_modes, hamil.f, hamil.h))
         for field in ("term_key", "first_term", "phased", "alphas", "phase", "w1", "w2"):
             assert _same_bits(getattr(layout, field), getattr(fresh, field)), field
         assert _same_bits(layout.plan.sources, fresh.plan.sources)
-        # every nonzero omega holds the Hamiltonian's one charged plan, omega = 0
-        # the one-key plan
-        assert layout.plan is plans.setdefault(bool(omega.any()), layout.plan)
-        assert len({id(plan) for plan in plans.values()}) == len(plans)
-        if not omega.any():
-            np.testing.assert_array_equal(layout.plan.sources, [-1])
-            assert not layout.term_key.any()
-            continue
-        # one key per charge, the charge's label; the v = 0 charge alone is the
-        # zero key, and a nonzero charge keeps its key even where its wrapped
-        # vector is exactly zero (omega's 0 and +-pi entries)
+        # every omega holds the Hamiltonian's one plan and its one key per
+        # charge, the charge's label; the v = 0 charge alone is the zero key,
+        # and a nonzero charge keeps its key even where its wrapped vector is
+        # exactly zero (omega's 0 and +-pi entries)
+        plans.add(id(layout.plan))
+        assert len(plans) == 1
         np.testing.assert_array_equal(layout.term_key, label)
         neutral = [not any(charges[t]) for t in first]
         np.testing.assert_array_equal(layout.plan.sources < 0, neutral)
@@ -205,6 +200,11 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
         np.testing.assert_allclose(
             np.exp(1j * layout.alphas[copies]), np.exp(-1j * layout.alphas[source]), atol=1e-13
         )
+        if not omega.any():
+            # no key is phased, and every vector is zero
+            assert layout.phased.size == 0 and not layout.alphas.any()
+            continue
+        np.testing.assert_array_equal(layout.phased, np.flatnonzero(~np.array(neutral)))
         ev = StateEvaluator(cov, omega, hamil, layout)
         every = copy.copy(layout)
         every.plan = None
