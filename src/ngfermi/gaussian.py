@@ -9,6 +9,7 @@ symplectic structure is ``Upsilon = sigma (x) 1_N`` with sigma = [[0,1],[-1,0]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,12 +27,16 @@ POLAR_MAX_PASSES = 10
 POLAR_LAST_PASS = 1e-8
 
 
+@lru_cache(maxsize=None)
 def upsilon(n_modes: int) -> np.ndarray:
-    """The symplectic form sigma (x) 1_N as a real 2N x 2N array."""
+    """The symplectic form sigma (x) 1_N as a real 2N x 2N array, built once
+    per mode count and read-only: every caller shares the one array, so
+    writing into it raises (take a copy to modify it)."""
     eye = np.eye(n_modes)
     out = np.zeros((2 * n_modes, 2 * n_modes))
     out[:n_modes, n_modes:] = eye
     out[n_modes:, :n_modes] = -eye
+    out.flags.writeable = False
     return out
 
 
@@ -77,6 +82,21 @@ class CovarianceMatrix:
         g = np.ascontiguousarray(g, dtype=float)
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
+
+    @classmethod
+    def _of_skew(cls, g: np.ndarray) -> CovarianceMatrix:
+        """Wrap an array that is a valid covariance by construction, with no check.
+
+        The caller guarantees that ``g`` is a fresh, finite, real float64,
+        C-contiguous 2N x 2N array that is exactly skew (g == -g.T bitwise),
+        such as 0.5 * (x - x.T) of a finite real x; it is marked read-only
+        here and must not be written afterwards.  Everything else goes
+        through the validating constructor.
+        """
+        g.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "gamma", g)
+        return obj
 
     @property
     def n_modes(self) -> int:
@@ -137,7 +157,8 @@ def purify(gamma_raw: np.ndarray | CovarianceMatrix, eig_tol: float = PURITY_TOL
         for _ in range(POLAR_MAX_PASSES):
             x = x - 0.5 * (x @ e)
             if dev < POLAR_LAST_PASS:
-                return CovarianceMatrix(x)  # which takes the exactly skew part
+                # finite (dev is), real, and exactly skew by construction
+                return CovarianceMatrix._of_skew(0.5 * (x - x.T))
             e = -(x @ x) - eye
             dev = float(np.linalg.norm(e))
     herm = 1j * g

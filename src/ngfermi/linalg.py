@@ -36,17 +36,26 @@ def check_skew(mat: np.ndarray, tol: float = SKEW_TOL, what: str = "matrix") -> 
 
     Accepts one square matrix or a stack of them (the last two axes).
     Symmetrizing after validation kills accumulated floating-point drift
-    without hiding genuinely non-skew inputs; non-finite entries are
-    rejected because they would pass every tolerance comparison.
+    without hiding genuinely non-skew inputs.
+
+    One reduction, dev = max|M + M^T|, screens both conditions: a non-finite
+    entry makes its sum with the mirror entry non-finite (inf + x, inf - inf
+    and NaN + x are all inf or NaN), so dev is then NaN or inf and fails
+    ``dev <= tol``.  Only on that failure path does ``np.isfinite`` tell a
+    non-finite entry ("has non-finite entries", reported first) from a
+    finite non-skew pair; the verdicts and messages are those of checking
+    finiteness first.  The add raises no floating-point warning (inf - inf,
+    or a finite pair that overflows).
     """
     mat = np.asarray(mat)
     if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
         raise DimensionError(f"{what} must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{what} has non-finite entries")
     mat_t = np.swapaxes(mat, -1, -2)
-    dev = np.max(np.abs(mat + mat_t)) if mat.size else 0.0
-    if dev > tol:
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = float(np.max(np.abs(mat + mat_t), initial=0.0))
+    if not dev <= tol:
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError(f"{what} has non-finite entries")
         raise ValidationError(f"{what} is not skew-symmetric: |M + M^T| = {dev:.3e}")
     return 0.5 * (mat - mat_t)
 

@@ -384,6 +384,23 @@ def test_zero_omega_closed_form_matches_the_per_term_path(model, rng):
     _assert_same_results(ev, ref)
 
 
+def test_zero_omega_evaluator_defers_its_gradient_tables(rng):
+    # a Gaussian-baseline state keeps only X for its energy and mean-field
+    # matrix; the per-key tables appear on the first gradient call, which
+    # still matches the per-term path
+    hamil = random_hamiltonian(4, rng)
+    ev = StateEvaluator(random_pure_covariance(4, rng), np.zeros((4, 4)), hamil)
+    ev.energy()
+    ev.mean_field_h()
+    assert not {"_coeff", "_tables"} & set(vars(ev))
+    layout = copy.copy(ev.layout)
+    layout.phased, layout.plan = np.arange(len(layout.alphas)), None
+    ref = StateEvaluator(ev.gamma, ev.omega, hamil, layout)
+    assert np.any(ev.gradient())
+    assert {"_coeff", "_tables"} <= set(vars(ev))
+    _assert_same_results(ev, ref)
+
+
 @pytest.mark.parametrize("model", ["hubbard-5", "random-4"])
 def test_mean_field_reads_q_from_l_without_inverting(model, monkeypatch, rng):
     # Q comes from the bundles' L: no q_matrix, no second Gamma_F, no inversion

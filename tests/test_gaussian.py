@@ -28,6 +28,12 @@ class TestSymplecticForm:
             np.testing.assert_allclose(ups @ ups, -np.eye(2 * n))
             np.testing.assert_allclose(ups.T, -ups)
 
+    def test_built_once_and_read_only(self):
+        assert upsilon(3) is upsilon(3)
+        with pytest.raises(ValueError):
+            upsilon(3)[0, 3] = 2.0
+        np.testing.assert_array_equal(np.diag(upsilon(3)[:3, 3:]), np.ones(3))
+
 
 class TestCovarianceFromXi:
     def test_zero_gives_vacuum(self):
@@ -168,6 +174,27 @@ class TestPurify:
         assert len(calls) == 1
         for out in (at, below):
             assert np.max(np.abs(out.gamma - gamma / np.sqrt(1.25))) < 1e-15
+
+    @pytest.mark.parametrize("branch", ["newton-schulz", "eigh"])
+    def test_result_is_an_exactly_skew_read_only_covariance(self, branch, rng, monkeypatch):
+        # a drifted pure state inside the screen, and a pure state with one
+        # mode pair scaled to 0.2, outside it; either way the result is
+        # exactly what the validating constructor makes of it
+        if branch == "newton-schulz":
+            d = rng.standard_normal((6, 6))
+            gamma = random_pure_covariance(3, rng).gamma + 0.025 * (d - d.T)
+        else:
+            gamma = _rotated_block_form(rng, [1.0, 0.2, 1.0])
+        calls = _count_eigh(monkeypatch)
+        g = purify(gamma).gamma
+        assert len(calls) == (branch == "eigh")
+        assert np.array_equal(g, -g.T)
+        assert g.dtype == np.float64 and g.flags.c_contiguous and np.all(np.isfinite(g))
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 1] = 0.0
+        np.testing.assert_array_equal(CovarianceMatrix(g).gamma, g)
+        assert CovarianceMatrix(g).purity_error < 1e-12
 
     def test_optimizer_trials_call_eigh_only_outside_the_screen(self, monkeypatch):
         # dtau0 = 1 makes some trials of this frozen run leave the screen

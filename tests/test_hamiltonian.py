@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ngfermi.gaussian import (
     upsilon,
 )
 from ngfermi.hamiltonian import (
+    SYMMETRY_TOL,
     ManyBodyHamiltonian,
     NonGaussianParams,
     energy,
@@ -39,6 +42,45 @@ class TestNonGaussianParams:
         with pytest.raises(ValidationError, match="non-finite"):
             NonGaussianParams(np.array([[0.0, bad], [bad, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],
+            [((0, 1), np.nan)],
+            [((1, 1), np.nan)],
+            [((0, 2), np.nan), ((2, 0), np.nan)],
+            [((0, 1), np.inf), ((1, 0), -np.inf)],
+            [((0, 1), -np.inf), ((1, 0), -np.inf)],
+            [((2, 2), np.inf)],
+            [((0, 2), 1e308), ((2, 0), -1e308)],
+            [((0, 1), 0.25)],
+            [((1, 1), 1e-3)],
+            [((1, 1), 1e-3), ((0, 1), np.nan)],
+        ],
+        ids=[
+            "symmetric", "nan off the diagonal", "nan on the diagonal", "nan mirror pair",
+            "+inf/-inf pair", "-inf/-inf pair", "inf on the diagonal", "1e308 - -1e308 overflow pair",
+            "finite asymmetric", "finite nonzero diagonal", "nonzero diagonal and nan",
+        ],
+    )
+    def test_matches_the_two_pass_rule(self, entries, rng):
+        w = random_symmetric_zero_diag(3, rng)
+        for idx, val in entries:
+            w[idx] = val
+        expected = _outcome(_two_pass_omega, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda m: NonGaussianParams(m).omega, w)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    def test_empty_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert NonGaussianParams(np.zeros((0, 0))).omega.shape == (0, 0)
+
     def test_wrapped_preserves_unitary(self, rng):
         # the optimizer wraps the couplings this way after every step
         w = random_symmetric_zero_diag(3, rng, scale=8.0)
@@ -49,6 +91,29 @@ class TestNonGaussianParams:
             atol=1e-12,
         )
         assert np.all(wrapped.omega <= np.pi) and np.all(wrapped.omega > -np.pi)
+
+
+def _two_pass_omega(w):
+    """The two-pass rule NonGaussianParams must agree with: finiteness
+    first, then symmetry, then the diagonal (overflow warnings silenced)."""
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("omega has non-finite entries")
+    with np.errstate(all="ignore"):
+        asym = np.max(np.abs(w - w.T), initial=0.0)
+    if asym > SYMMETRY_TOL:
+        raise ValidationError("omega must be symmetric")
+    if np.max(np.abs(np.diag(w)), initial=0.0) > SYMMETRY_TOL:
+        raise ValidationError("omega must have zero diagonal")
+    out = 0.5 * (w + w.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _outcome(build, w):
+    try:
+        return build(w)
+    except ValidationError as exc:
+        return type(exc), str(exc)
 
 
 class TestManyBodyHamiltonian:

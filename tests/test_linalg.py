@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ngfermi.errors import DimensionError, SingularUpdateError, ValidationError
 from ngfermi.gaussian import upsilon
 from ngfermi.linalg import (
+    SKEW_TOL,
     BlockContractionKind,
     block_contract,
+    check_skew,
     miller_inverse,
     pfaffian,
     skew_exp,
@@ -155,3 +159,87 @@ class TestMillerInverse:
         with pytest.raises(SingularUpdateError) as err:
             miller_inverse(np.linalg.inv(a), updates)
         assert err.value.step == 1
+
+
+def _two_pass_check_skew(mat, tol=SKEW_TOL, what="matrix"):
+    """The two-pass rule check_skew must agree with: finiteness first, then
+    max|M + M^T| (overflow warnings silenced, the verdict is the point)."""
+    mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError(f"{what} has non-finite entries")
+    mat_t = np.swapaxes(mat, -1, -2)
+    with np.errstate(all="ignore"):
+        dev = np.max(np.abs(mat + mat_t)) if mat.size else 0.0
+    if dev > tol:
+        raise ValidationError(f"{what} is not skew-symmetric: |M + M^T| = {dev:.3e}")
+    return 0.5 * (mat - mat_t)
+
+
+def _outcome(check, mat):
+    try:
+        return check(mat, what="test input")
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _with_entries(base, entries):
+    """A copy of base with m[idx] = val for each (idx, val)."""
+    out = base.copy()
+    for idx, val in entries:
+        out[idx] = val
+    return out
+
+
+# (name, entries m[idx] = val set in the last matrix of a stack, or in the single matrix)
+_SKEW_CASES = [
+    ("skew", []),
+    ("within tolerance", [((0, 1), 0.5 + 1e-12)]),
+    ("nan on the diagonal", [((2, 2), np.nan)]),
+    ("nan off the diagonal", [((0, 3), np.nan)]),
+    ("nan mirror pair", [((0, 3), np.nan), ((3, 0), np.nan)]),
+    ("+inf/-inf mirror pair", [((0, 1), np.inf), ((1, 0), -np.inf)]),
+    ("-inf/+inf mirror pair", [((1, 2), -np.inf), ((2, 1), np.inf)]),
+    ("+inf/+inf mirror pair", [((0, 1), np.inf), ((1, 0), np.inf)]),
+    ("inf on the diagonal", [((3, 3), np.inf)]),
+    ("1e308 + 1e308 overflow pair", [((0, 2), 1e308), ((2, 0), 1e308)]),
+    ("finite non-skew pair", [((1, 3), 0.25), ((3, 1), 0.75)]),
+    ("finite nonzero diagonal", [((1, 1), 1e-3)]),
+]
+
+
+class TestCheckSkew:
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("entries", [c[1] for c in _SKEW_CASES], ids=[c[0] for c in _SKEW_CASES])
+    def test_matches_the_two_pass_rule(self, entries, complex_entries, stack, rng):
+        base = np.stack([random_skew(4, rng, complex_entries) for _ in range(3)])
+        base[-1, 0, 1], base[-1, 1, 0] = 0.5, -0.5  # the pair "within tolerance" perturbs
+        mats = [_with_entries(base[-1], entries)]
+        if complex_entries:
+            # the same entries on the imaginary axis
+            mats.append(_with_entries(base[-1], [(idx, 1j * val) for idx, val in entries]))
+        for mat in mats:
+            if stack:
+                mat = np.concatenate([base[:-1], mat[None]])
+            expected = _outcome(_two_pass_check_skew, mat)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(check_skew, mat)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert not isinstance(got, tuple)
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4, 4), (2, 0, 0)])
+    def test_empty_input_passes(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = check_skew(np.zeros(shape))
+        assert out.shape == shape
+        np.testing.assert_array_equal(out, _two_pass_check_skew(np.zeros(shape)))
+
+    def test_non_finite_is_reported_before_non_skew(self):
+        mat = _with_entries(np.zeros((4, 4)), [((0, 1), 1.0), ((2, 3), np.nan)])
+        with pytest.raises(ValidationError, match="has non-finite entries"):
+            check_skew(mat)
