@@ -239,8 +239,10 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
     gamma, omega, tau, stored = load_checkpoint(init["checkpoint"])
     if gamma.n_modes != hamil.n_modes:
         raise ConfigError(f"checkpoint has {gamma.n_modes} modes, the Hamiltonian {hamil.n_modes}")
-    if gamma.purity_error > gaussian.PURITY_TOL:
-        raise ConfigError(f"checkpoint gamma is not pure: purity error {gamma.purity_error:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        purity = gamma.purity_error
+    if not purity <= gaussian.PURITY_TOL:  # also NaN
+        raise ConfigError(f"checkpoint gamma is not pure: purity error {purity:.3e}")
     state = optimizer.initial_state(hamil, options, gamma=gamma, omega=omega)
     # a stored energy that the state does not reproduce means another
     # Hamiltonian (or a damaged file): the restart would not continue that run

@@ -56,7 +56,8 @@ class NonGaussianParams:
             raise ValidationError("omega must be symmetric")
         if np.max(np.abs(np.diag(w)), initial=0.0) > SYMMETRY_TOL:
             raise ValidationError("omega must have zero diagonal")
-        w = 0.5 * (w + w.T)
+        w = 0.5 * w
+        w = w + w.T  # halved first: no overflow for entries near the float maximum
         np.fill_diagonal(w, 0.0)
         w = np.ascontiguousarray(w)
         w.flags.writeable = False

@@ -16,6 +16,8 @@ import scipy.linalg
 from .errors import DimensionError, SingularUpdateError, ValidationError
 
 SKEW_TOL = 1e-10
+# a rank-1 update whose denominator is smaller in modulus is singular
+UPDATE_DENOM_TOL = 1e-12
 
 
 class BlockContractionKind(Enum):
@@ -57,10 +59,11 @@ def check_skew(mat: np.ndarray, tol: float = SKEW_TOL, what: str = "matrix") -> 
         if not np.all(np.isfinite(mat)):
             raise ValidationError(f"{what} has non-finite entries")
         raise ValidationError(f"{what} is not skew-symmetric: |M + M^T| = {dev:.3e}")
-    return 0.5 * (mat - mat_t)
+    half = 0.5 * mat
+    return half - np.swapaxes(half, -1, -2)  # halved first: no overflow near the float maximum
 
 
-def pfaffian(skew: np.ndarray, tol: float = SKEW_TOL):
+def pfaffian(skew: np.ndarray):
     """Pfaffian of an even-dimensional skew-symmetric matrix, or of each
     matrix in a (K, n, n) stack.
 
@@ -70,7 +73,7 @@ def pfaffian(skew: np.ndarray, tol: float = SKEW_TOL):
     Pf(S)^2 = det(S).  Returns a complex scalar for one matrix and a complex
     array of length K for a stack.
     """
-    a = check_skew(skew, tol=tol, what="pfaffian input")
+    a = check_skew(skew, what="pfaffian input")
     single = a.ndim == 2
     if single:
         a = a[None]
@@ -102,14 +105,15 @@ def pfaffian(skew: np.ndarray, tol: float = SKEW_TOL):
     return complex(val[0]) if single else val
 
 
-def check_generator(xi: np.ndarray, tol: float = SKEW_TOL) -> np.ndarray:
-    """Validate a Hermitian-antisymmetric generator and return i*xi (real skew)."""
+def check_generator(xi: np.ndarray) -> np.ndarray:
+    """Validate a Hermitian-antisymmetric generator (to ``SKEW_TOL``) and return
+    i*xi (real skew)."""
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise DimensionError(f"generator must be square, got shape {xi.shape}")
     dev_h = np.max(np.abs(xi - xi.conj().T)) if xi.size else 0.0
     dev_a = np.max(np.abs(xi + xi.T)) if xi.size else 0.0
-    if dev_h > tol or dev_a > tol:
+    if dev_h > SKEW_TOL or dev_a > SKEW_TOL:
         raise ValidationError(
             f"generator must satisfy xi^dag = xi and xi^T = -xi "
             f"(deviations {dev_h:.3e}, {dev_a:.3e})"
@@ -118,9 +122,9 @@ def check_generator(xi: np.ndarray, tol: float = SKEW_TOL) -> np.ndarray:
     return 0.5 * (ixi - ixi.T)
 
 
-def skew_exp(xi: np.ndarray, tol: float = SKEW_TOL) -> np.ndarray:
+def skew_exp(xi: np.ndarray) -> np.ndarray:
     """exp(i*xi) for a Hermitian-antisymmetric xi; the result is real orthogonal."""
-    ixi = check_generator(xi, tol=tol)
+    ixi = check_generator(xi)
     return scipy.linalg.expm(ixi)
 
 
@@ -168,13 +172,13 @@ _CONTRACTION_SIGNS = {
 def miller_inverse(
     base_inverse: np.ndarray,
     updates: list[tuple[complex, np.ndarray, np.ndarray]],
-    denom_tol: float = 1e-12,
 ) -> np.ndarray:
     """Inverse of A + sum_k beta_k |u_k><v_k| built iteratively from A^-1.
 
     Each step applies C^-1 <- C^-1 - g C^-1 B C^-1 with B = beta |u><v| and
-    g = 1/(1 + beta <v|C^-1|u>).  When a denominator falls below ``denom_tol``
-    :class:`SingularUpdateError` is raised naming the step.
+    g = 1/(1 + beta <v|C^-1|u>).  When a denominator falls below
+    ``UPDATE_DENOM_TOL`` (1e-12) in modulus, :class:`SingularUpdateError` is
+    raised naming the step.
     """
     inv = np.array(base_inverse, dtype=complex, copy=True)
     for step, (beta, u, v) in enumerate(updates):
@@ -183,7 +187,7 @@ def miller_inverse(
         iu = inv @ u
         vi = v @ inv
         denom = 1.0 + beta * (v @ iu)
-        if abs(denom) < denom_tol:
+        if abs(denom) < UPDATE_DENOM_TOL:
             raise SingularUpdateError(step, denom)
         inv -= (beta / denom) * np.outer(iu, vi)
     return inv

@@ -39,6 +39,8 @@ from .wick import wrap_angles
 ENERGY_INCREASE_TOL = 1e-12
 # the next step size after an accepted step, as a multiple of its own (up to dtau_max)
 STEP_GROWTH = 1.2
+# the spectral cutoff of the flow matrix's pseudo-inverse, relative to its largest eigenvalue
+PINV_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,14 @@ def simple_step_bound(tensor: BTensor) -> float:
     return float(np.max(np.linalg.eigvalsh(reduced))) / 4.0
 
 
-def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> np.ndarray:
+def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray) -> np.ndarray:
     """Coupling velocity from the pseudo-inverse of the reduced flow matrix.
 
     Solves (1/8) sum_mn B_klmn domega_mn = -grad_kl in the k<l pair basis,
     which makes (1/8) tr(O_m^2) + sum_kl grad_kl domega_kl vanish identically;
     the identity survives any spectral cutoff because P B P = P for the
-    truncated pseudo-inverse.  The default cutoff is deliberately loose:
+    truncated pseudo-inverse.  The cutoff ``PINV_RCOND`` (1e-8, relative to
+    the largest eigenvalue) is deliberately loose:
     symmetric states carry exact zero modes of the flow tensor that state
     noise lifts to ~1e-12, and retaining them turns noise-level gradients
     into enormous velocities that stall the time stepper.
@@ -157,13 +160,13 @@ def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray, rcond: float = 1e-8) -> 
     # since X^T X = g g^T + diag(|g|^2 - 2 g_j^2); when these bounds keep every
     # eigenvalue above the cutoff, the pseudo-inverse is the inverse
     d = tensor.blocks_sq[rows, cols]
-    if d.min() > rcond * (d.max() + 2.0 * (tensor.g @ tensor.g)):
+    if d.min() > PINV_RCOND * (d.max() + 2.0 * (tensor.g @ tensor.g)):
         x = -4.0 * np.linalg.solve(reduced, rhs)
     else:
         # the pseudo-inverse from the eigenvectors of the symmetric PSD matrix: its
         # singular values are |lambda|, so this keeps what pinv's cutoff keeps
         lam, vecs = np.linalg.eigh(reduced)
-        keep = np.abs(lam) > rcond * np.max(np.abs(lam))
+        keep = np.abs(lam) > PINV_RCOND * np.max(np.abs(lam))
         vecs = vecs[:, keep]
         x = -4.0 * (vecs @ ((vecs.T @ rhs) / lam[keep]))
     out[rows, cols] = out[cols, rows] = x
@@ -294,7 +297,6 @@ class StepInfo:
     grad_norm: float
     dtau: float
     backtracks: int
-    wall_ms: float
 
 
 def _coupling_velocity(state: OptimizerState, grad: np.ndarray, options: RunOptions) -> np.ndarray:
@@ -321,7 +323,6 @@ def step(
     (then :class:`StagnationError`).
     """
     options = options or RunOptions()
-    t0 = time.perf_counter()
     if grad is None:
         grad = _coupling_gradient(state, hamil, options)
     domega = _coupling_velocity(state, grad, options)
@@ -366,14 +367,7 @@ def step(
         step_size=next_size,
         evaluator=trial,
     )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    info = StepInfo(
-        grad_norm=_grad_norm(grad, options),
-        dtau=dtau,
-        backtracks=backtracks,
-        wall_ms=wall_ms,
-    )
-    return new_state, info
+    return new_state, StepInfo(grad_norm=_grad_norm(grad, options), dtau=dtau, backtracks=backtracks)
 
 
 def _grad_norm(grad: np.ndarray, options: RunOptions) -> float:

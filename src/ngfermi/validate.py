@@ -205,27 +205,20 @@ def check_rank1_paths(n_modes: int, rng: np.random.Generator, draws: int = 8) ->
     for _ in range(draws):
         cov = gaussian.random_pure_covariance(n_modes, rng)
         alpha = rng.uniform(-np.pi, np.pi, size=n_modes)
-        alpha[np.abs(alpha) < 1e-3] = 0.5  # keep the fast path eligible
+        alpha[np.abs(alpha) < 1e-3] = 0.5  # keep the rank-1 path eligible
         g_fast = wick.g_matrix(cov, alpha, method="rank1")
         g_direct = wick.g_matrix(cov, alpha, method="direct")
         q_fast = wick.q_matrix(cov, alpha, method="rank1")
         q_direct = wick.q_matrix(cov, alpha, method="direct")
         worst = max(worst, float(np.max(np.abs(g_fast - g_direct))))
         worst = max(worst, float(np.max(np.abs(q_fast - q_direct))))
-        # inject a zero phase: the auto path must fall back and stay correct
-        alpha_zero = alpha.copy()
-        alpha_zero[0] = 0.0
+        # inject a zero phase: the rank-1 path must refuse it
+        alpha[0] = 0.0
         try:
-            wick.g_matrix(cov, alpha_zero, method="rank1")
+            wick.g_matrix(cov, alpha, method="rank1")
             return CheckResult("rank-1 inverse paths vs direct", np.inf, 1e-10)
         except ValidationError:
             pass
-        g_auto = wick.g_matrix(cov, alpha_zero, method="auto")
-        g_dir0 = wick.g_matrix(cov, alpha_zero, method="direct")
-        worst = max(worst, float(np.max(np.abs(g_auto - g_dir0))))
-        q_auto = wick.q_matrix(cov, alpha_zero, method="auto")
-        q_dir0 = wick.q_matrix(cov, alpha_zero, method="direct")
-        worst = max(worst, float(np.max(np.abs(q_auto - q_dir0))))
     return CheckResult("rank-1 inverse paths vs direct", worst, 1e-10)
 
 

@@ -57,13 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    ParityError,
-    SingularContractionError,
-    SingularUpdateError,
-    ValidationError,
-)
+from .errors import DimensionError, ParityError, SingularContractionError, ValidationError
 from .gaussian import _as_gamma, upsilon
 from .linalg import miller_inverse
 
@@ -217,10 +211,6 @@ def _coeff(g: np.ndarray, phase: np.ndarray):
     return sign_prefactor(n) * (0.5 ** n) * pfaffian(gf)
 
 
-def _phase_ok_for_rank1(alpha: np.ndarray) -> bool:
-    return bool(np.all(np.abs(1.0 - np.exp(1j * alpha)) > FAST_PATH_MIN_PHASE))
-
-
 @lru_cache(maxsize=None)
 def _dirac(n_modes: int) -> np.ndarray:
     """The Dirac transform P = [[1, 1], [i 1, -i 1]], built once per mode
@@ -323,34 +313,28 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
 
     ``method`` selects the inversion path: "direct" solves the linear system
     and also takes a (K, N) stack of phase vectors, giving a (K, 2N, 2N)
-    stack from one batched solve.  The opt-in "rank1" path assembles the
-    inverse by iterative rank-1 updates (requires every
-    |1 - e^{i alpha(j)}| > 1e-12), and "auto" tries the rank-1 path when
-    eligible and falls back to the direct solve whenever an update's
-    denominator vanishes or the assembled inverse fails a residual check.
+    stack from one batched solve.  The opt-in "rank1" path reproduces the
+    paper's assembly of the inverse by iterative rank-1 updates for one
+    phase vector; it needs every |1 - e^{i alpha(j)}| > 1e-12 and raises
+    :class:`~ngfermi.errors.SingularUpdateError` when an update's
+    denominator vanishes.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     if method == "direct":
         a = _as_alpha(alpha, n)
         return _g_direct(g, a, np.exp(1j * a))[0]
-    a = _as_single_alpha(alpha, n)
-    if method == "rank1":
-        if not _phase_ok_for_rank1(a):
-            raise ValidationError(
-                "rank-1 assembly needs all |1 - e^{i alpha(j)}| > 1e-12"
-            )
-        return _g_rank1(g, a)
-    if method != "auto":
-        raise ValidationError(f"unknown g_matrix method {method!r}")
-    if _phase_ok_for_rank1(a):
-        try:
-            cand = _g_rank1(g, a)
-        except (SingularContractionError, SingularUpdateError, np.linalg.LinAlgError):
-            cand = None
-        if cand is not None and _g_residual_ok(cand, g, a):
-            return cand
-    return _g_direct(g, a, np.exp(1j * a))[0]
+    return _g_rank1(g, _as_rank1_alpha(alpha, n, method, "g_matrix"))
+
+
+def _as_rank1_alpha(alpha, n_modes: int, method: str, what: str) -> np.ndarray:
+    """The single phase vector of a "rank1" call, after the method and phase checks."""
+    if method != "rank1":
+        raise ValidationError(f"unknown {what} method {method!r}")
+    a = _as_single_alpha(alpha, n_modes)
+    if not np.all(np.abs(1.0 - np.exp(1j * a)) > FAST_PATH_MIN_PHASE):
+        raise ValidationError(f"rank-1 assembly needs all |1 - e^{{i alpha(j)}}| > {FAST_PATH_MIN_PHASE:.0e}")
+    return a
 
 
 def _g_direct(g: np.ndarray, a: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,43 +373,20 @@ def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 0.5 * (out - out.T)
 
 
-def _g_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 1e-8) -> bool:
-    n = g.shape[0] // 2
-    denom = _g_denominator(g, _doubled(1.0 - np.exp(1j * a)))
-    residual = cand @ denom - (g + upsilon(n))
-    scale = max(1.0, float(np.max(np.abs(cand))))
-    return np.max(np.abs(residual)) <= tol * scale
-
-
 def q_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Scaled inverse of the phase-dressed covariance driving d(coeff)/d(gamma).
 
-    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}).  The direct
-    path takes a (K, N) stack of phase vectors like :func:`g_matrix`; the
-    opt-in rank-1 path additionally needs a pure ``gamma`` (it seeds the
-    iteration with -gamma as the base inverse).
+    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}).  The
+    "direct" path takes a (K, N) stack of phase vectors like
+    :func:`g_matrix`; the opt-in "rank1" path has the same phase condition
+    and additionally needs a pure ``gamma`` (it seeds the iteration with
+    -gamma as the base inverse).
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     if method == "direct":
         return _q_direct(g, _as_alpha(alpha, n))
-    a = _as_single_alpha(alpha, n)
-    if method == "rank1":
-        if not _phase_ok_for_rank1(a):
-            raise ValidationError(
-                "rank-1 assembly needs all |1 - e^{i alpha(j)}| > 1e-12"
-            )
-        return _q_rank1(g, a)
-    if method != "auto":
-        raise ValidationError(f"unknown q_matrix method {method!r}")
-    if _phase_ok_for_rank1(a):
-        try:
-            cand = _q_rank1(g, a)
-        except (SingularContractionError, np.linalg.LinAlgError):
-            cand = None
-        if cand is not None and _q_residual_ok(cand, g, a):
-            return cand
-    return _q_direct(g, a)
+    return _q_rank1(g, _as_rank1_alpha(alpha, n, method, "q_matrix"))
 
 
 def _q_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -465,17 +426,6 @@ def _q_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 0.5 * (out - out.T)
 
 
-def _q_residual_ok(cand: np.ndarray, g: np.ndarray, a: np.ndarray, tol: float = 1e-8) -> bool:
-    n = g.shape[0] // 2
-    phase = np.exp(1j * a)
-    coeff = (1.0 + phase) / (1.0 - phase)
-    zero = np.zeros((n, n), dtype=complex)
-    shifted = g - np.block([[zero, np.diag(coeff)], [-np.diag(coeff), zero]])
-    residual = (-2.0 * cand) @ shifted - np.eye(2 * n)
-    scale = max(1.0, float(np.max(np.abs(cand))))
-    return np.max(np.abs(residual)) <= tol * scale
-
-
 def q_sum_from_l(l_mat: np.ndarray, phase: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k w_k Q_k over a (K, 2N, 2N) stack of L and the (K, N) phase
     factors e^{i alpha}, with no inversion.
@@ -497,20 +447,16 @@ def q_sum_from_l(l_mat: np.ndarray, phase: np.ndarray, weights: np.ndarray) -> n
     return -0.125 * (y_t.T - y_t)
 
 
-def l_matrix(gamma, alpha, g_mat: np.ndarray | None = None) -> np.ndarray:
+def l_matrix(gamma, alpha) -> np.ndarray:
     """Left factor of the structured derivative of the contraction matrix,
     L = 1 - (1/2) G diag(1 - e^{i alpha}) Upsilon, which is D^-T for the
-    contraction denominator D.
+    contraction denominator D, from the direct solve of :func:`g_matrix`.
 
-    Takes a (K, N) stack of phase vectors (and matching contraction
-    matrices) like :func:`g_matrix`.
+    Takes a (K, N) stack of phase vectors like :func:`g_matrix`.
     """
     g = _as_gamma(gamma)
     a = _as_alpha(alpha, g.shape[0] // 2)
-    phase = np.exp(1j * a)
-    if g_mat is None:
-        return _g_direct(g, a, phase)[1]
-    return _l_from_g(np.asarray(g_mat), _doubled(1.0 - phase))
+    return _g_direct(g, a, np.exp(1j * a))[1]
 
 
 def _l_from_g(g_mat: np.ndarray, one_minus: np.ndarray) -> np.ndarray:

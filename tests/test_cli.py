@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,31 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "purity error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["gamma", "omega"])
+    def test_checkpoint_with_huge_pair_has_no_traceback(self, tmp_path, capsys, key):
+        # a finite pair near the float maximum: a skew +-1e308 gamma pair is
+        # valid but not pure (its purity error overflows), and a symmetric
+        # 1e308 omega pair is a valid, finite state
+        hamil = hubbard_model(2, 1.0, 4.0, 2.0)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        payload = json.loads(ckpt.read_text())
+        dim = 2 * payload["n_modes"] if key == "gamma" else payload["n_modes"]
+        sign = -1.0 if key == "gamma" else 1.0
+        payload[key][1], payload[key][dim] = 1e308, sign * 1e308
+        ckpt.write_text(json.dumps(payload))
+        config = tmp_path / "run.json"
+        write_config(config, init={"checkpoint": str(ckpt)}, max_steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if key == "gamma":
+            assert code == EXIT_CONFIG and "not pure" in err
+        else:
+            assert code in (EXIT_OK, EXIT_CONFIG)
 
     def test_checkpoint_of_another_hamiltonian_is_config_error(self, tmp_path, capsys):
         # same mode count, other interaction: the stored energy is not reproduced

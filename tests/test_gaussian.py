@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestCovarianceMatrix:
         gamma[0, 2], gamma[2, 0] = bad, -bad
         with pytest.raises(ValidationError, match="non-finite"):
             CovarianceMatrix(gamma)
+
+    def test_huge_skew_pair_stays_finite(self):
+        # halving before the subtract: gamma - gamma.T would overflow to -+inf
+        gamma = np.zeros((2, 2))
+        gamma[0, 1], gamma[1, 0] = -1e308, 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stored = CovarianceMatrix(gamma).gamma
+        np.testing.assert_array_equal(stored, gamma)
 
     def test_purity_error_property(self):
         assert CovarianceMatrix(-upsilon(2)).purity_error < 1e-15

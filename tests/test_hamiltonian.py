@@ -76,6 +76,13 @@ class TestNonGaussianParams:
         else:
             np.testing.assert_array_equal(got, expected)
 
+    def test_huge_symmetric_pair_stays_finite(self):
+        # halving before the add: w + w.T would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = NonGaussianParams(np.array([[0.0, 1e308], [1e308, 0.0]])).omega
+        np.testing.assert_array_equal(w, [[0.0, 1e308], [1e308, 0.0]])
+
     def test_empty_accepted(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -5,7 +5,13 @@ import pytest
 
 from conftest import bell_pair_and_vacuum, bell_pair_covariance, random_operator_string
 from ngfermi import oracle
-from ngfermi.errors import DimensionError, ParityError, SingularContractionError, ValidationError
+from ngfermi.errors import (
+    DimensionError,
+    ParityError,
+    SingularContractionError,
+    SingularUpdateError,
+    ValidationError,
+)
 from ngfermi import wick
 from ngfermi.gaussian import (
     covariance_from_xi,
@@ -177,34 +183,33 @@ class TestGMatrix:
         with pytest.raises(ValidationError):
             g_matrix(cov, np.array([0.0, 1.0, 1.0]), method="rank1")
 
-    def test_auto_falls_back_on_zero_phase(self, rng):
+    def test_unknown_method_rejected(self, rng):
+        # "direct" and "rank1" are the only inversion paths, for G and for Q
         cov = random_pure_covariance(3, rng)
-        alpha = np.array([0.0, 1.1, -0.7])
-        np.testing.assert_allclose(
-            g_matrix(cov, alpha, method="auto"),
-            g_matrix(cov, alpha, method="direct"),
-            atol=1e-12,
-        )
+        alpha = np.array([0.4, 1.1, -0.7])
+        for fn in (g_matrix, q_matrix):
+            for method in ("auto", "bogus"):
+                with pytest.raises(ValidationError, match="unknown"):
+                    fn(cov, alpha, method=method)
 
-    def test_auto_survives_singular_seed(self, rng):
-        # gamma + upsilon is singular at the vacuum: the rank-1 seed inverse
-        # does not exist and the auto path must quietly use the direct solve
+    def test_rank1_at_vacuum_matches_direct(self, rng):
+        # gamma + Upsilon vanishes at the vacuum: the rank-1 seed is the zero
+        # matrix and the updates alone must assemble G
         alpha = rng.uniform(0.5, 2.0, size=3)
         np.testing.assert_allclose(
-            g_matrix(-upsilon(3), alpha, method="auto"),
+            g_matrix(-upsilon(3), alpha, method="rank1"),
             g_matrix(-upsilon(3), alpha, method="direct"),
             atol=1e-12,
         )
 
-    def test_auto_survives_singular_update(self):
+    def test_rank1_singular_update_raises(self):
         # occupations (1/2, 1/2) and alpha(0) = pi: the first rank-1 update's
-        # denominator vanishes, and the auto path must use the direct solve
+        # denominator vanishes, which the rank-1 path reports, not hides
         c = s = 1.0 / np.sqrt(2.0)
         cov = slater_covariance([1, 0], [[c, -s], [s, c]])
-        alpha = np.array([np.pi, 0.7])
-        np.testing.assert_allclose(
-            g_matrix(cov, alpha, method="auto"), g_matrix(cov, alpha, method="direct"), atol=1e-12
-        )
+        with pytest.raises(SingularUpdateError) as err:
+            g_matrix(cov, np.array([np.pi, 0.7]), method="rank1")
+        assert err.value.step == 0
 
     def test_singular_contraction_raises(self):
         # equal-weight pair superposition: <e^{i pi n_0}> = 0 and the
