@@ -328,7 +328,7 @@ class StateEvaluator:
         if layout is None or not (layout.omega is omega and layout.hamil is hamil):
             layout = PhaseLayout(omega, hamil)
         self.layout = lay = layout
-        self.contraction = self._forms = None
+        self.contraction = self._forms = self._h_m = None
         if lay.phased.size:
             try:
                 self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
@@ -383,7 +383,8 @@ class StateEvaluator:
         return float(e1.real), float(e2.real), float(e1.real + e2.real)
 
     def mean_field_h(self) -> np.ndarray:
-        """Mean-field matrix of the rotated Hamiltonian; see :func:`mean_field_h`.
+        """Mean-field matrix of the rotated Hamiltonian, built once and kept
+        read-only (later calls return the same array); see :func:`mean_field_h`.
 
         Each term adds a multiple of its bundle's Q_k and rank-2 skew pieces
         u v^T - v u^T with u, v columns of the bundle's L^T (one piece per
@@ -399,6 +400,8 @@ class StateEvaluator:
         the upper-right, lower-right and upper-left blocks of W, and
         dE/dG = P W P^T.
         """
+        if self._h_m is not None:
+            return self._h_m
         if self._forms is None:
             out = self._phased_mean_field()
         else:
@@ -418,7 +421,9 @@ class StateEvaluator:
         if imag_dev > IMAG_TOL * scale:
             raise NumericsError(f"mean-field matrix has imaginary residue {imag_dev:.3e}")
         real = out.real
-        return 0.5 * (real - real.T)
+        self._h_m = h_m = 0.5 * (real - real.T)
+        h_m.flags.writeable = False
+        return h_m
 
     def _phased_mean_field(self) -> np.ndarray:
         """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`), complex."""
@@ -549,7 +554,8 @@ def mean_field_h(
 
     The derivative follows the ordered-entry convention for structured skew
     matrices: dE = sum_{ij} (dE/dGamma_ij) dGamma_ij over all ordered (i, j).
-    Output is real skew-symmetric (2N x 2N).
+    Output is real skew-symmetric (2N x 2N) and read-only: it is the array
+    the evaluator keeps (:meth:`StateEvaluator.mean_field_h`).
     """
     return _state_evaluator(gamma, omega, hamil, evaluator).mean_field_h()
 

@@ -291,21 +291,10 @@ class RunOptions:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one accepted step; ``grad_norm`` is NaN when the
-    couplings are frozen."""
+    """Diagnostics of one accepted step: its step size and how often it was halved."""
 
-    grad_norm: float
     dtau: float
     backtracks: int
-
-
-def _coupling_velocity(state: OptimizerState, grad: np.ndarray, options: RunOptions) -> np.ndarray:
-    n = state.omega.n_modes
-    if options.freeze_omega:
-        return np.zeros((n, n))
-    if options.omega_update == "hitgd":
-        return dtau_omega_hitgd(b_tensor(state.gamma), grad)
-    return dtau_omega_simple(grad, options.simple_c)
 
 
 def step(
@@ -316,19 +305,26 @@ def step(
 ) -> tuple[OptimizerState, StepInfo]:
     """One accepted forward-Euler step with backtracking on energy increase.
 
-    The coupling velocity is computed first because the covariance flow
-    depends on it through the flux mean-field matrix.  The trial step is
-    accepted only if the energy after purification does not rise by more
-    than 1e-12; otherwise the step size is halved, down to ``dtau_min``
-    (then :class:`StagnationError`).
+    ``grad`` is the state's coupling gradient when the caller has it, as
+    :func:`run` does.  The coupling velocity comes first, since the
+    covariance flow depends on it through the flux mean-field matrix; under
+    ``freeze_omega`` or an exactly vanishing gradient it is zero, and no flow
+    tensor, solve or flux term is built.  A trial is accepted only if the
+    purified energy does not rise by more than 1e-12; otherwise the step size
+    is halved, down to ``dtau_min`` (then :class:`StagnationError`).
     """
     options = options or RunOptions()
-    if grad is None:
-        grad = _coupling_gradient(state, hamil, options)
-    domega = _coupling_velocity(state, grad, options)
-    # a zero coupling velocity (freeze_omega, or a vanishing gradient) keeps the
-    # omega object, so every trial reuses the state's phase layout, and O = 0
-    frozen = not domega.any()
+    if grad is None and not options.freeze_omega:
+        grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    # a zero coupling velocity keeps the omega object, so every trial reuses
+    # the state's phase layout, and O = 0
+    frozen = options.freeze_omega or not np.any(grad)
+    if frozen:
+        domega = None
+    elif options.omega_update == "hitgd":
+        domega = dtau_omega_hitgd(b_tensor(state.gamma), grad)
+    else:
+        domega = dtau_omega_simple(grad, options.simple_c)
     o_m = None if frozen else mean_field_o(state.gamma, domega)
     h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
     dgamma = dtau_gamma(state.gamma, h_m, o_m)
@@ -367,23 +363,7 @@ def step(
         step_size=next_size,
         evaluator=trial,
     )
-    return new_state, StepInfo(grad_norm=_grad_norm(grad, options), dtau=dtau, backtracks=backtracks)
-
-
-def _grad_norm(grad: np.ndarray, options: RunOptions) -> float:
-    """Max-norm of the coupling gradient, or NaN when the couplings are frozen
-    and the gradient is the stand-in zeros of :func:`_coupling_gradient`."""
-    if options.freeze_omega:
-        return float("nan")
-    return float(np.max(np.abs(grad), initial=0.0))
-
-
-def _coupling_gradient(
-    state: OptimizerState, hamil: ManyBodyHamiltonian, options: RunOptions
-) -> np.ndarray:
-    if options.freeze_omega:
-        return np.zeros((state.omega.n_modes,) * 2)
-    return energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    return new_state, StepInfo(dtau=dtau, backtracks=backtracks)
 
 
 def initial_state(
@@ -437,8 +417,10 @@ def run(
     ``tol_e`` for ``patience`` consecutive accepted steps, or after
     ``max_steps`` steps.  Returns the final state, one record per accepted
     step (plus the step-0 baseline), and the stop reason ("gradient",
-    "energy", "max_steps").  A record's ``wall_ms`` covers its
-    whole iteration: the coupling gradient and the call to :func:`step`.
+    "energy", "max_steps").  Each iteration computes the state's coupling
+    gradient once, for the stop test and :func:`step` (none under
+    ``freeze_omega``).  A record's ``wall_ms`` covers its whole iteration:
+    the coupling gradient and the call to :func:`step`.
     """
     options = options or RunOptions()
     if state is None:
@@ -459,10 +441,13 @@ def run(
     reason = "max_steps"
     for k in range(1, options.max_steps + 1):
         t0 = time.perf_counter()
-        grad = _coupling_gradient(state, hamil, options)
-        grad_norm = _grad_norm(grad, options)
-        if not options.freeze_omega and grad_norm < options.tol_g:
+        grad, grad_norm = None, float("nan")  # NaN fails the stop test below
+        if not options.freeze_omega:
+            grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+            grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        if grad_norm < options.tol_g:
             # a stationary point only if the covariance velocity vanishes too
+            # (the step below reads the same h_m, kept by the state's evaluator)
             h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
             if np.max(np.abs(dtau_gamma(state.gamma, h_m))) < options.tol_g:
                 reason = "gradient"

@@ -206,9 +206,8 @@ def _coeff(g: np.ndarray, phase: np.ndarray):
     from .linalg import pfaffian
 
     n = g.shape[0] // 2
-    gf = _gamma_f(g, phase)
-    gf = 0.5 * (gf - np.swapaxes(gf, -1, -2))
-    return sign_prefactor(n) * (0.5 ** n) * pfaffian(gf)
+    # pfaffian's input check returns the exactly skew part of Gamma_F
+    return sign_prefactor(n) * (0.5 ** n) * pfaffian(_gamma_f(g, phase))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ matrix and the coupling gradient; its omega-only part, the phase layout, is
 shared between the states of one omega.  These tests pin that sharing and
 batching change no result, that the mean-field matrix is the energy's
 derivative past the dense oracle's cap, that a step builds each bundle
-once, that a zero coupling velocity skips all coupling work, that
+once, that a zero coupling velocity skips all coupling work and each
+state's mean-field matrix is computed once, that
 filling the partner of each conjugate key pair by conjugation changes no
 result, and that omega = 0 states, evaluated in closed form through the
 same charge keys, call no contraction at all and match the per-term path.
@@ -352,6 +353,52 @@ def test_zero_velocity_step_skips_the_flux_term(case, monkeypatch):
     assert new.evaluator.layout is state.evaluator.layout
     assert new.energy == expected.energy
     assert np.array_equal(new.gamma.gamma, expected.gamma.gamma)
+
+
+def test_default_mean_field_run_takes_the_frozen_step(monkeypatch):
+    # the mean-field start of Hubbard L=3 keeps an exactly vanishing coupling
+    # gradient at every step of the default run: no step builds the flow
+    # tensor, solves the flow matrix or forms O, and the stop test and the
+    # step read one mean-field matrix per state
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    for name in ("b_tensor", "dtau_omega_hitgd", "mean_field_o"):
+        monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
+    matrices = []
+    original = ngfermi.optimizer.mean_field_h
+
+    def keeping(*args, **kwargs):
+        matrices.append(original(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(ngfermi.optimizer, "mean_field_h", keeping)
+    final, records, reason = run(hamil)
+    assert reason == "energy" and len(records) == 27
+    assert len(matrices) == 52
+    assert len({id(h_m) for h_m in matrices}) == 26
+    assert final.energy < -6.96
+
+
+def test_frozen_step_ignores_a_given_gradient(monkeypatch, rng):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    options = RunOptions(freeze_omega=True)
+    state = initial_state(hamil, options, seed=5)
+    for name in ("energy_gradient_omega", "b_tensor"):
+        monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
+    new, _ = step(state, hamil, options, grad=random_symmetric_zero_diag(6, rng, scale=1.0))
+    assert new.omega is state.omega
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.5])
+def test_mean_field_matrix_is_kept_read_only(scale, rng):
+    hamil = hubbard_model(3, 1.0, 4.0, 2.0)
+    w = random_symmetric_zero_diag(6, rng, scale=scale)
+    ev = StateEvaluator(random_pure_covariance(6, rng), w, hamil)
+    assert (ev.contraction is None) == (scale == 0.0)
+    h_m = ev.mean_field_h()
+    assert ev.mean_field_h() is h_m
+    assert mean_field_h(ev.gamma, ev.omega, hamil, evaluator=ev) is h_m
+    with pytest.raises(ValueError):
+        h_m[0, 1] = 1.0
 
 
 def test_zero_keys_never_build_q(monkeypatch, rng):
