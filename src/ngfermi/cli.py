@@ -259,9 +259,10 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
 def cmd_model(args) -> int:
     if args.model != "hubbard":
         raise ConfigError(f"unknown model {args.model!r}")
-    if args.sites < 2:
-        raise ConfigError(f"hubbard model needs at least 2 sites, got {args.sites}")
-    hamil = ham.hubbard_model(args.sites, args.t, args.u, args.mu, args.periodic)
+    try:
+        hamil = ham.hubbard_model(args.sites, args.t, args.u, args.mu, args.periodic)
+    except ValidationError as exc:  # fewer than 2 sites, or too many to allocate
+        raise ConfigError(str(exc)) from exc
     ham.save_hamiltonian(hamil, args.out)
     print(f"wrote {args.out}: hubbard sites={args.sites} modes={hamil.n_modes}")
     return EXIT_OK

@@ -601,9 +601,9 @@ def hubbard_model(
     coincide as undirected graphs).
     """
     if n_sites < 2:
-        raise ValidationError("hubbard_model needs at least 2 sites")
+        raise ValidationError(f"hubbard_model needs at least 2 sites, got {n_sites}")
     n = 2 * n_sites
-    f = np.zeros((n, n), dtype=complex)
+    f, h = _zero_tensors(n)
     bonds = {tuple(sorted((i, (i + 1) % n_sites))) for i in range(n_sites - 1 + int(periodic))}
     for a, b in sorted(bonds):
         if a == b:
@@ -612,12 +612,20 @@ def hubbard_model(
             f[a + spin, b + spin] = -t
             f[b + spin, a + spin] = -t
     f -= mu * np.eye(n)
-    h = np.zeros((n, n, n, n))
     for site in range(n_sites):
         a, b = site, n_sites + site
         h[a, b, b, a] = h[b, a, a, b] = 0.5 * u
         h[a, b, a, b] = h[b, a, b, a] = -0.5 * u
     return ManyBodyHamiltonian(n, f, h)
+
+
+def _zero_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero f and h for n modes, or a ValidationError naming their size."""
+    try:
+        return np.zeros((n, n), dtype=complex), np.zeros((n, n, n, n))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the shape or the memory
+        size = (16 * n**2 + 8 * n**4) / 2**30
+        raise ValidationError(f"{n} modes need {size:.3g} GiB for f and h ({exc})") from exc
 
 
 def save_hamiltonian(hamil: ManyBodyHamiltonian, path) -> None:
@@ -661,8 +669,7 @@ def load_hamiltonian(path) -> ManyBodyHamiltonian:
                     n = int(tokens[1])
                     if n <= 0:
                         raise FormatError("NMODES must be positive", lineno)
-                    f = np.zeros((n, n), dtype=complex)
-                    h = np.zeros((n, n, n, n))
+                    f, h = _zero_tensors(n)
                 elif tokens[0] == "F":
                     if f is None:
                         raise FormatError("F line before NMODES", lineno)

@@ -10,31 +10,34 @@ factorization built from ``gamma + Upsilon``.
 :func:`contract` builds the coefficient, ``G``, its three block tables and
 ``L`` in one pass, for one phase vector or for a (K, N) stack of them (one
 batched Pfaffian and one batched solve); :func:`expectation_from` evaluates
-operator strings from a single-vector bundle.  Gamma_F, the denominator
-``D``, ``G`` and ``L`` of the built rows all come from one set of phase
-factors e^{i alpha}, taken once per call, through the private helpers that
-:func:`gamma_F`, :func:`a_coeff`, :func:`g_matrix` and :func:`l_matrix`
-also call.  The block tables are transposed blocks of ``P^T G P``, with the
-Dirac transform ``P = [[1, 1], [i 1, -i 1]]``: its columns are the row and
-column selectors (1_q, +-i_q) of the four-entry block contractions
-(:func:`~ngfermi.linalg.block_contract`).  P is built once per mode count
-and shared read-only.
+operator strings from a single-vector bundle.  Every quantity depends on a
+phase vector only through e^{i alpha}, so every routine here takes alpha as
+given and wraps nothing; callers that want (-pi, pi] wrap once
+(:func:`wrap_angles`).  Gamma_F, the denominator ``D``, ``G`` and ``L`` of
+the built rows all come from one set of phase factors e^{i alpha}, taken
+once per call, through the private helpers that :func:`gamma_F`,
+:func:`a_coeff` and :func:`g_matrix` also call.  The block tables are
+transposed blocks of ``P^T G P``, with the Dirac transform ``P = [[1, 1],
+[i 1, -i 1]]``: its columns are the row and column selectors (1_q, +-i_q) of
+the four-entry block contractions (:func:`~ngfermi.linalg.block_contract`).
+P is built once per mode count and shared read-only.
 
 A phase vector that is exactly zero gets its closed form without any
 linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
-Upsilon)^T) / 2``, ``L = 1`` and ``Q = 0`` (:func:`contract` and
-:func:`q_matrix` split a stack into these rows and the rest).  For a real
-gamma the bundle at ``-alpha`` is the complex conjugate of the bundle at
-``alpha`` (coefficient, G and L; D(-alpha) = conj D(alpha), and
-sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 - e^{i alpha})).  So
-:func:`contract` takes an optional :class:`RowPlan`, made once per omega by
-the caller (the phase layout pairs the keys of charges v and -v): which rows
-are zero, which are built, and which copy the conjugate of an earlier built
-row; without one, the zero rows take the closed form and every other row is
-built.  The block tables are built once from the filled G stack, by two
-batched products.  The built rows pay for the Pfaffian and the inversions, and each inversion is guarded
-against a condition number above ``COND_LIMIT``.  The guard needs no SVD
-for a well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
+Upsilon)^T) / 2`` and ``L = 1`` (:func:`contract` splits a stack into these
+rows and the rest; :func:`q_matrix` gives exactly ``Q = 0`` there by its
+general formula).  For a real gamma the bundle at ``-alpha`` is the complex
+conjugate of the bundle at ``alpha`` (coefficient, G and L; D(-alpha) =
+conj D(alpha), and sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 -
+e^{i alpha})).  So :func:`contract` takes an optional :class:`RowPlan`,
+made once per omega by the caller (the phase layout pairs the keys of
+charges v and -v): which rows are zero, which are built, and which copy the
+conjugate of an earlier built row; without one, the zero rows take the
+closed form and every other row is built.  The block tables are built once
+from the filled G stack, by two batched products.  The built rows pay for
+the Pfaffian and the inversions, and each inversion is guarded against a
+condition number above ``COND_LIMIT``.  The guard needs no SVD for a
+well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
 from the inverse already at hand,
 
 * ``L = D^-T`` for the contraction denominator ``D``, since
@@ -146,22 +149,15 @@ def _check_alpha(alpha, n_modes: int) -> np.ndarray:
     return a
 
 
-def _as_alpha(alpha, n_modes: int) -> np.ndarray:
-    """One wrapped phase vector (N,) or a stack of them (K, N)."""
-    return _check_alpha(wrap_angles(alpha), n_modes)
-
-
 def _as_single_alpha(alpha, n_modes: int) -> np.ndarray:
-    a = _as_alpha(alpha, n_modes)
+    a = _check_alpha(alpha, n_modes)
     if a.ndim != 1:
         raise DimensionError(f"expected a single phase vector, got shape {a.shape}")
     return a
 
 
 def sign_prefactor(n_modes: int) -> int:
-    """Mode-parity sign in the Pfaffian coefficient formula."""
-    if n_modes % 2 == 0:
-        return (-1) ** (n_modes // 2)
+    """Mode-parity sign (-1)^ceil(N/2) in the Pfaffian coefficient formula."""
     return (-1) ** ((n_modes + 1) // 2)
 
 
@@ -173,8 +169,7 @@ def _doubled(values: np.ndarray) -> np.ndarray:
 def gamma_F(gamma, alpha) -> np.ndarray:
     """Phase-dressed covariance whose Pfaffian gives the scalar coefficient.
 
-    A stack of K phase vectors gives a (K, 2N, 2N) stack.  The phase vector
-    enters only through e^{i alpha}, so it is used as given, not wrapped.
+    A stack of K phase vectors gives a (K, 2N, 2N) stack.
     """
     g = _as_gamma(gamma)
     return _gamma_f(g, np.exp(1j * _check_alpha(alpha, g.shape[0] // 2)))
@@ -195,7 +190,6 @@ def a_coeff(gamma, alpha):
     """<exp(i sum alpha(j) n_j)> over the Gaussian state: sign * 2^-N * Pf.
 
     A stack of K phase vectors gives K coefficients from one batched Pfaffian.
-    The phase vectors are used as given (:func:`gamma_F`).
     """
     g = _as_gamma(gamma)
     return _coeff(g, np.exp(1j * _check_alpha(alpha, g.shape[0] // 2)))
@@ -275,38 +269,6 @@ class RowPlan:
         self.copies = np.flatnonzero((sources >= 0) & (sources != own))
 
 
-def _by_phase(a: np.ndarray, zero_phase: tuple, phased, plan: RowPlan | None = None) -> tuple:
-    """Per-phase-vector results over one phase vector or a (K, N) stack.
-
-    Zero rows get the closed forms ``zero_phase``; ``phased`` gets the
-    indices of the built rows in the (K, N) stack and returns one array per
-    closed form for them; the copies of a :class:`RowPlan` get the complex
-    conjugates of their sources' results.  Without a plan the rows that are
-    exactly zero take the closed form and every other row is built.  A
-    :class:`SingularContractionError` from ``phased`` is given the failing
-    row's index in the whole stack.
-    """
-    stack = np.atleast_2d(a)
-    if plan is None:
-        plan = RowPlan(np.where(stack.any(axis=1), np.arange(len(stack)), -1))
-    elif len(plan.sources) != len(stack):
-        raise DimensionError(f"row plan covers {len(plan.sources)} rows, the stack has {len(stack)}")
-    rows = plan.built
-    outs = [np.full((len(stack),) + np.shape(z), z, dtype=complex) for z in zero_phase]
-    if rows.size:
-        try:
-            values = phased(rows)
-        except SingularContractionError as exc:
-            exc.index = int(rows[exc.index])
-            raise
-        for out, value in zip(outs, values):
-            out[rows] = value
-    if plan.copies.size:
-        for out in outs:
-            out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
-    return tuple(out if a.ndim == 2 else out[0] for out in outs)
-
-
 def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Skew contraction matrix (gamma + Upsilon) / (1 + (1-e^{i a})(Y gamma - 1)/2).
 
@@ -321,7 +283,7 @@ def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     if method == "direct":
-        a = _as_alpha(alpha, n)
+        a = _check_alpha(alpha, n)
         return _g_direct(g, a, np.exp(1j * a))[0]
     return _g_rank1(g, _as_rank1_alpha(alpha, n, method, "g_matrix"))
 
@@ -375,26 +337,17 @@ def _g_rank1(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 def q_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Scaled inverse of the phase-dressed covariance driving d(coeff)/d(gamma).
 
-    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}).  The
-    "direct" path takes a (K, N) stack of phase vectors like
-    :func:`g_matrix`; the opt-in "rank1" path has the same phase condition
-    and additionally needs a pure ``gamma`` (it seeds the iteration with
-    -gamma as the base inverse).
+    Defined as -(1/2) sqrt(1-e^{ia}) Gamma_F^{-1} sqrt(1-e^{ia}), exactly 0 at
+    a zero phase vector.  The "direct" path takes a (K, N) stack of phase
+    vectors like :func:`g_matrix`; the opt-in "rank1" path has the same phase
+    condition and additionally needs a pure ``gamma`` (it seeds the iteration
+    with -gamma as the base inverse).
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    if method == "direct":
-        return _q_direct(g, _as_alpha(alpha, n))
-    return _q_rank1(g, _as_rank1_alpha(alpha, n, method, "q_matrix"))
-
-
-def _q_direct(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    n = g.shape[0] // 2
-    stack = np.atleast_2d(a)
-    return _by_phase(a, (np.zeros((2 * n, 2 * n)),), lambda rows: (_q_phased(g, stack[rows]),))[0]
-
-
-def _q_phased(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    if method != "direct":
+        return _q_rank1(g, _as_rank1_alpha(alpha, n, method, "q_matrix"))
+    a = _check_alpha(alpha, n)
     phase = np.exp(1j * a)
     gf = _gamma_f(g, phase)
     try:
@@ -446,18 +399,6 @@ def q_sum_from_l(l_mat: np.ndarray, phase: np.ndarray, weights: np.ndarray) -> n
     return -0.125 * (y_t.T - y_t)
 
 
-def l_matrix(gamma, alpha) -> np.ndarray:
-    """Left factor of the structured derivative of the contraction matrix,
-    L = 1 - (1/2) G diag(1 - e^{i alpha}) Upsilon, which is D^-T for the
-    contraction denominator D, from the direct solve of :func:`g_matrix`.
-
-    Takes a (K, N) stack of phase vectors like :func:`g_matrix`.
-    """
-    g = _as_gamma(gamma)
-    a = _as_alpha(alpha, g.shape[0] // 2)
-    return _g_direct(g, a, np.exp(1j * a))[1]
-
-
 def _l_from_g(g_mat: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
     """L from G and the doubled factors 1 - e^{i alpha} (2N,) or (K, 2N)."""
     n = g_mat.shape[-1] // 2
@@ -480,9 +421,9 @@ def derivative_columns(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class Contraction:
     """The Pfaffian coefficient, the contraction matrix G, its three block
-    tables and the derivative factor L (:func:`l_matrix`) of one phase
-    vector (N,), or of a (K, N) stack with a leading K axis on every field.
-    Built by :func:`contract`.
+    tables and the derivative factor L = D^-T (D the contraction denominator)
+    of the phase vector ``alpha`` (N,), as given, or of a (K, N) stack with a
+    leading K axis on every field.  Built by :func:`contract`.
     """
 
     alpha: np.ndarray
@@ -522,26 +463,37 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
 
     ``plan``, for a (K, N) stack, says which rows are zero, which are built
     and which are the conjugates of built rows (:class:`RowPlan`; the
-    evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`).
-    The block tables are built once, from the filled G stack.  A stack that
-    comes with a plan is taken as already wrapped into (-pi, pi] (the layout
-    wraps its vectors once); without a plan the stack is wrapped here, and
-    the default plan gives the zero rows the closed form and builds the rest.
-    Gamma_F, D, G and L of the built rows all come from one set of phase
-    factors e^{i alpha}, taken once here.
+    evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`); by
+    default the zero rows take the closed form and every other row is built.
+    The block tables are built once, from the filled G stack.  Gamma_F, D, G
+    and L of the built rows come from one set of phase factors e^{i alpha}.
+    A :class:`SingularContractionError` names the failing row of the stack.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
-    a = _as_alpha(alpha, n) if plan is None else _check_alpha(alpha, n)
+    a = _check_alpha(alpha, n)
     stack = np.atleast_2d(a)
+    if plan is None:
+        plan = RowPlan(np.where(stack.any(axis=1), np.arange(len(stack)), -1))
+    elif len(plan.sources) != len(stack):
+        raise DimensionError(f"row plan covers {len(plan.sources)} rows, the stack has {len(stack)}")
     g0 = g + upsilon(n)
-
-    def phased(rows):
+    coeff = np.ones(len(stack), dtype=complex)
+    gmat = np.full((len(stack), 2 * n, 2 * n), 0.5 * (g0 - g0.T), dtype=complex)
+    lmat = np.full(gmat.shape, np.eye(2 * n), dtype=complex)
+    rows = plan.built
+    if rows.size:
         phase = np.exp(1j * stack[rows])
-        gmat, lmat = _g_direct(g, stack[rows], phase)
-        return _coeff(g, phase), gmat, lmat
-
-    coeff, gmat, lmat = _by_phase(a, (1.0, 0.5 * (g0 - g0.T), np.eye(2 * n)), phased, plan)
+        try:
+            gmat[rows], lmat[rows] = _g_direct(g, stack[rows], phase)
+            coeff[rows] = _coeff(g, phase)
+        except SingularContractionError as exc:
+            exc.index = int(rows[exc.index])
+            raise
+    for out in (coeff, gmat, lmat):
+        out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
+    if a.ndim == 1:
+        coeff, gmat, lmat = coeff[0], gmat[0], lmat[0]
     # the block tables are transposed blocks of P^T G P: entry (q, p) of a block
     # is the row selector of mode q times G times the column selector of mode p
     dirac = _dirac(n)

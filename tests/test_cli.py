@@ -610,6 +610,8 @@ def _path_case_argv(case, tmp_path):
     circuit = ["circuit", "--checkpoint", str(ckpt)]
     binary = tmp_path / "run.json"
     binary.write_bytes(b"\xff\xfe{")
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"hamiltonian": {"model": "hubbard", "sites": 10**9}}))
     return {
         "run-config-directory": ["run", "--config", str(folder)],
         "run-config-not-utf8": ["run", "--config", str(binary)],
@@ -618,6 +620,9 @@ def _path_case_argv(case, tmp_path):
         "circuit-report-directory": circuit + ["--out-qasm", str(tmp_path / "c.qasm"), "--out-report", str(folder)],
         "validate-zero-modes": ["validate", "--n-modes", "0"],
         "validate-negative-modes": ["validate", "--n-modes", "-1"],
+        # numpy refuses these tensors' shapes before allocating anything
+        "model-too-many-sites": ["model", "hubbard", "--sites", str(10**9), "--out", str(tmp_path / "big.txt")],
+        "run-too-many-sites": ["run", "--config", str(big)],
     }[case]
 
 
@@ -631,11 +636,39 @@ def _path_case_argv(case, tmp_path):
         ("circuit-report-directory", EXIT_CONFIG),
         ("validate-zero-modes", EXIT_NUMERICAL),
         ("validate-negative-modes", EXIT_NUMERICAL),
+        ("model-too-many-sites", EXIT_CONFIG),
+        ("run-too-many-sites", EXIT_CONFIG),
     ],
 )
 def test_bad_path_or_mode_count_exits_with_its_code(case, code, tmp_path, capsys):
     assert main(_path_case_argv(case, tmp_path)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["model", "config", "file"])
+def test_unallocatable_hamiltonian_is_config_error(source, tmp_path, monkeypatch, capsys):
+    # np.zeros raises numpy's MemoryError for any large shape, so nothing is
+    # allocated: a 10**6-site chain needs 58 TiB for f, a 10**5-mode file 149 GiB
+    real = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e8:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    hamiltonian = {"model": "hubbard", "sites": 10**6}
+    if source == "file":
+        (tmp_path / "h.txt").write_text("NMODES 100000\n")
+        hamiltonian = {"path": str(tmp_path / "h.txt")}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"hamiltonian": hamiltonian}))
+    argv = ["run", "--config", str(config)]
+    if source == "model":
+        argv = ["model", "hubbard", "--sites", str(10**6), "--out", str(tmp_path / "big.txt")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "GiB for f and h" in err and "Traceback" not in err
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -90,7 +90,7 @@ def _reference_mean_field(cov, w, hamil) -> np.ndarray:
         alpha = alpha_of(w)
         c = wick.contract(cov, alpha)
         q_mat = wick.q_matrix(cov, alpha)
-        ltp, ltm = wick.derivative_columns(wick.l_matrix(cov, alpha))
+        ltp, ltm = wick.derivative_columns(c.l)
         gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
         if len(idx) == 2:
             p, q = idx
@@ -289,7 +289,7 @@ def test_shared_layout_matches_fresh_evaluator(model, rng):
 @pytest.mark.parametrize("model, scale", [("hubbard-5", 0.0), ("hubbard-5", 3.0), ("random-4", 3.0)])
 def test_evaluator_from_an_existing_layout_wraps_nothing(model, scale, monkeypatch, rng):
     # the layout wraps its phase vectors once (at scale 3 the raw sums of
-    # couplings leave (-pi, pi]); contract takes a stack with a plan as it is
+    # couplings leave (-pi, pi]); contract takes every stack as it is
     hamil = hubbard_model(5, 1.0, 4.0, 2.0) if model == "hubbard-5" else random_hamiltonian(4, rng)
     n = hamil.n_modes
     w = random_symmetric_zero_diag(n, rng, scale=scale)
@@ -307,9 +307,6 @@ def test_evaluator_from_an_existing_layout_wraps_nothing(model, scale, monkeypat
     ev = StateEvaluator(random_pure_covariance(n, rng), w, hamil, layout)
     ev.energy(), ev.gradient(), ev.mean_field_h()
     assert ev.layout is layout and calls == []
-    # a stack without a plan is still wrapped
-    wick.contract(ev.gamma, layout.alphas)
-    assert calls == [layout.alphas.shape]
 
 
 def test_frozen_run_builds_one_layout_and_keeps_omega(monkeypatch, rng):

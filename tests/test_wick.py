@@ -30,7 +30,6 @@ from ngfermi.wick import (
     expectation_from,
     g_matrix,
     gamma_F,
-    l_matrix,
     q_matrix,
     sign_prefactor,
     wrap_angles,
@@ -408,13 +407,13 @@ class TestExpectation:
 class TestLMatrix:
     def test_zero_phase_is_identity(self, rng):
         cov = random_pure_covariance(3, rng)
-        np.testing.assert_allclose(l_matrix(cov, np.zeros(3)), np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(contract(cov, np.zeros(3)).l, np.eye(6), atol=1e-12)
 
     def test_derivative_of_contraction_matrix(self, rng):
         # d g_matrix / d gamma_ij (ordered-entry) = (1/2) L Delta_ij L^T
         cov = random_pure_covariance(3, rng)
         alpha = rng.uniform(-np.pi, np.pi, size=3)
-        lmat = l_matrix(cov, alpha)
+        lmat = contract(cov, alpha).l
         step = 1e-6
         for i, j in ((0, 3), (1, 2)):
             d = np.zeros((6, 6))
@@ -462,7 +461,7 @@ class TestGuardIdentities:
         for alpha, lmat in zip(alphas, stacked):
             ref = np.linalg.inv(_denominator(cov, alpha)).T
             assert np.max(np.abs(lmat - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
-            np.testing.assert_array_equal(lmat, l_matrix(cov, alpha))
+            np.testing.assert_array_equal(lmat, contract(cov, alpha).l)
 
 
     @pytest.mark.parametrize("n", [2, 5, 9, 12])
@@ -481,6 +480,31 @@ class TestGuardIdentities:
         alpha = np.array([np.pi, 0.0, 0.7])
         assert abs(np.linalg.det(gamma_F(cov, alpha))) < 1e-14
         assert abs(np.linalg.det(_denominator(cov, alpha))) < 1e-14
+
+
+class TestPhaseVectorsAsGiven:
+    def test_shifted_phase_vector_is_kept_and_gives_the_same_bundle(self, rng):
+        # every quantity depends on alpha only through e^{i alpha}; nothing is wrapped
+        cov = random_pure_covariance(4, rng)
+        alphas = rng.uniform(-np.pi, np.pi, (3, 4))
+        alphas[1] = 0.0
+        for alpha in (alphas, alphas[0]):
+            shifted = alpha + 2.0 * np.pi
+            c, ref = contract(cov, shifted), contract(cov, alpha)
+            np.testing.assert_array_equal(c.alpha, shifted)
+            for name in ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
+                np.testing.assert_allclose(getattr(c, name), getattr(ref, name), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q_matrix(cov, shifted), q_matrix(cov, alpha), rtol=0, atol=1e-12)
+        string = ((0, True), (2, False), (1, True), (3, False))
+        assert abs(expectation(cov, alphas[0] + 2.0 * np.pi, string) - expectation(cov, alphas[0], string)) < 1e-12
+
+    def test_default_plan_is_the_zero_row_split(self, rng):
+        cov = random_pure_covariance(4, rng)
+        alphas = rng.uniform(-np.pi, np.pi, (4, 4))
+        alphas[[0, 2]] = 0.0
+        plain, planned = contract(cov, alphas), contract(cov, alphas, wick.RowPlan([-1, 1, -1, 3]))
+        for name in ("alpha", "coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(planned, name))
 
 
 class TestZeroPhaseClosedForm:
@@ -512,6 +536,12 @@ class TestZeroPhaseClosedForm:
             np.testing.assert_allclose(c.g[k], single.g, rtol=0, atol=1e-12)
             np.testing.assert_allclose(q[k], q_matrix(cov, alphas[k]), rtol=0, atol=1e-12)
 
+    def test_sign_prefactor_makes_the_zero_phase_coefficient_one(self, rng):
+        # (-1)^ceil(N/2)
+        assert [sign_prefactor(n) for n in range(1, 9)] == [-1, -1, 1, 1, -1, -1, 1, 1]
+        for n in range(1, 9):
+            assert abs(a_coeff(random_pure_covariance(n, rng), np.zeros(n)) - 1.0) < 1e-12
+
     def test_zero_phase_needs_no_pfaffian_solve_or_svd(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("linear algebra ran for a zero phase vector")
@@ -522,7 +552,6 @@ class TestZeroPhaseClosedForm:
         monkeypatch.setattr(wick, "a_coeff", forbidden)
         c = contract(cov, np.zeros((1, 4)))
         assert c.coeff[0] == 1.0
-        assert not q_matrix(cov, np.zeros(4)).any()
 
     def test_row_plan_must_cover_the_stack(self, rng):
         cov = random_pure_covariance(3, rng)
