@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ResourceLimitError, ValidationError
 from .gaussian import GaussianParams
@@ -116,7 +115,8 @@ def flux_unitary_diagonal(omega: np.ndarray) -> np.ndarray:
 
 
 def gaussian_unitary(xi: np.ndarray | GaussianParams) -> np.ndarray:
-    """Dense unitary exp((i/4) sum_jk A_j xi_jk A_k)."""
+    """Dense unitary exp((i/4) G) of the Hermitian G = sum_jk A_j xi_jk A_k,
+    taken as V e^{iw/4} V^H from G = V diag(w) V^H."""
     params = xi if isinstance(xi, GaussianParams) else GaussianParams(np.asarray(xi))
     n = params.n_modes
     if n > MAX_EXPONENTIAL_MODES:
@@ -132,7 +132,8 @@ def gaussian_unitary(xi: np.ndarray | GaussianParams) -> np.ndarray:
         for k in range(2 * n):
             if xi_mat[j, k] != 0.0:
                 gen += xi_mat[j, k] * (majorana[j] @ majorana[k])
-    return scipy.linalg.expm(0.25j * gen)
+    w, v = np.linalg.eigh(gen)
+    return (v * np.exp(0.25j * w)) @ v.conj().T
 
 
 def dense_state(xi, omega) -> DenseState:

@@ -684,3 +684,39 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: ngfermi" in proc.stdout
+
+
+_SCIPY_FREE_CHILD = """
+import json, sys
+import ngfermi
+from ngfermi import cli
+json.dump({"hamiltonian": {"model": "hubbard", "sites": 2, "t": 1.0, "u": 4.0, "mu": 2.0},
+           "init": {"random_seed": 1}, "max_steps": 2,
+           "outputs": {"checkpoint": "ckpt.json"}}, open("run.json", "w"))
+codes = [
+    cli.main(["run", "--config", "run.json"]),
+    cli.main(["circuit", "--checkpoint", "ckpt.json", "--out-qasm", "c.qasm", "--out-report", "r.json"]),
+    cli.main(["validate", "--n-modes", "2"]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: importing the package, a run with a
+    # checkpoint, a circuit export and validate load no scipy module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_CHILD],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "scipy": []}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ngfermi.errors import DimensionError, SingularUpdateError, ValidationError
-from ngfermi.gaussian import upsilon
+from ngfermi.gaussian import GaussianParams, upsilon
 from ngfermi.linalg import (
     SKEW_TOL,
     BlockContractionKind,
@@ -96,6 +96,55 @@ class TestSkewExp:
     def test_symmetry_violation_rejected(self):
         with pytest.raises(ValidationError):
             skew_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [
+            [np.pi],
+            [0.0, 50.0],
+            [1.3, 1.3, -np.pi],
+            [0.0, 0.0, 2.1, -49.7],
+            [np.pi, np.pi, 0.0, 17.0, -17.0],
+            [50.0, -50.0, 0.4, 0.4, 0.4, 0.0],
+        ],
+        ids=lambda t: f"N={len(t)}",
+    )
+    def test_matches_block_rotations(self, thetas):
+        # A = O (+)_j theta_j J2 O^T has exp(A) = O (+)_j R(theta_j) O^T with
+        # R(theta) = [[cos, sin], [-sin, cos]]; repeated angles, theta and
+        # -theta, 0 and pi give degenerate spectra of iA
+        dim = 2 * len(thetas)
+        q, r = np.linalg.qr(np.random.default_rng(len(thetas)).standard_normal((dim, dim)))
+        o = q * np.sign(np.diag(r))
+        blocks = np.zeros((dim, dim))
+        rotations = np.zeros((dim, dim))
+        for j, theta in enumerate(thetas):
+            c, s = np.cos(theta), np.sin(theta)
+            blocks[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[0.0, theta], [-theta, 0.0]]
+            rotations[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, s], [-s, c]]
+        u = skew_exp(-1j * (o @ blocks @ o.T))
+        np.testing.assert_allclose(u, o @ rotations @ o.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [((0, 1), np.nan), ((1, 0), np.nan)],
+            [((0, 3), -1j * np.inf), ((3, 0), 1j * np.inf)],
+            [((1, 2), np.inf)],
+            [((2, 2), -np.inf)],
+        ],
+        ids=["nan pair", "imaginary inf pair", "real inf", "inf on the diagonal"],
+    )
+    def test_non_finite_generator_rejected(self, entries):
+        # NaN fails no "deviation > tol" comparison; the screen must name it
+        xi = np.zeros((4, 4), dtype=complex)
+        for idx, val in entries:
+            xi[idx] = val
+        with pytest.raises(ValidationError, match="non-finite"):
+            skew_exp(xi)
+        with pytest.raises(ValidationError, match="non-finite"):
+            GaussianParams(xi)
 
 
 class TestBlockContract:

@@ -6,6 +6,7 @@ from ngfermi import oracle
 from ngfermi.errors import DimensionError, ResourceLimitError
 from ngfermi.gaussian import covariance_from_xi, occupation_numbers, random_generator
 from ngfermi.hamiltonian import ManyBodyHamiltonian, hubbard_model
+from ngfermi.linalg import skew_exp
 
 
 class TestFockOperators:
@@ -64,6 +65,23 @@ class TestDenseState:
     def test_exponential_cap(self):
         with pytest.raises(ResourceLimitError):
             oracle.dense_state(np.zeros((22, 22)), np.zeros((11, 11)))
+
+
+class TestGaussianUnitary:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unitary_and_rotates_majoranas_by_skew_exp(self, n, rng):
+        # W^dag A_k W = sum_m U_km A_m with U = skew_exp(xi): the convention of
+        # gamma = -U Upsilon U^T that covariance_from_xi builds
+        params = random_generator(n, rng, scale=3.0)
+        w = oracle.gaussian_unitary(params)
+        u = skew_exp(params.xi)
+        np.testing.assert_allclose(w @ w.conj().T, np.eye(2 ** n), rtol=0, atol=1e-12)
+        ops = oracle.fock_operators(n)
+        majorana = [ops.creator(j) + ops.annihilators[j] for j in range(n)]
+        majorana += [1j * (ops.creator(j) - ops.annihilators[j]) for j in range(n)]
+        for k in range(2 * n):
+            rotated = sum(u[k, m] * majorana[m] for m in range(2 * n))
+            np.testing.assert_allclose(w.conj().T @ majorana[k] @ w, rotated, rtol=0, atol=1e-12)
 
 
 class TestDenseExpectation:
