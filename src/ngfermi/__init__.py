@@ -16,7 +16,6 @@ from .gaussian import (
     covariance_from_xi,
     mean_field_covariance,
     occupation_numbers,
-    purify,
     upsilon,
 )
 from .hamiltonian import (

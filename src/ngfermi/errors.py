@@ -41,10 +41,6 @@ class SingularContractionError(NgfError):
         super().__init__(message)
 
 
-class DegeneracyError(NgfError):
-    """Spectral purification found an eigenvalue too close to zero."""
-
-
 class StagnationError(NgfError):
     """The optimizer cannot decrease the energy even at the minimum step size."""
 

@@ -1,4 +1,4 @@
-"""Gaussian sector: generators, covariance matrices and purity maintenance.
+"""Gaussian sector: generators, covariance matrices and initial states.
 
 The Gaussian part of the Ansatz is held as a real skew-symmetric covariance
 matrix ``gamma`` of the 2N Majorana operators (modes first, conjugate
@@ -13,18 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .linalg import check_generator, check_skew, skew_exp
 
 REAL_TOL = 1e-10
-PURITY_TOL = 1e-8
-# purify's Newton-Schulz branch: the screen on ||gamma^T gamma - 1||_F, the
-# pass cap (from the screen, ||E|| falls 0.5 -> 0.22 -> 0.042 -> 1.5e-3 ->
-# 2e-6 -> 4e-12), and the ||E||_F below which one more pass, without
-# recomputing E, leaves E ~ (3/4) ||E||^2 at rounding level
-POLAR_SCREEN = 0.5
-POLAR_MAX_PASSES = 10
-POLAR_LAST_PASS = 1e-8
+PURITY_TOL = 1e-8  # the largest purity error a checkpoint's gamma may carry
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +56,8 @@ class CovarianceMatrix:
     """Real skew-symmetric Majorana covariance matrix.
 
     Skewness and realness are enforced on construction; purity (gamma^2 = -1)
-    is tracked via :attr:`purity_error` and enforced only where a contract
-    requires it (:func:`purify`, the optimizer state), because finite-difference
+    is tracked via :attr:`purity_error` and checked only on a checkpoint's
+    gamma (the optimizer's rotations keep it), because finite-difference
     probes legitimately evaluate energies slightly off the pure manifold.
     """
 
@@ -123,53 +116,6 @@ def covariance_from_xi(params: GaussianParams | np.ndarray) -> CovarianceMatrix:
     n = params.n_modes
     gamma = -u @ upsilon(n) @ u.T
     return CovarianceMatrix(0.5 * (gamma - gamma.T))
-
-
-def purify(gamma_raw: np.ndarray | CovarianceMatrix, eig_tol: float = PURITY_TOL) -> CovarianceMatrix:
-    """Project a drifting skew matrix back onto the pure-state manifold.
-
-    The nearest pure covariance to a real skew gamma is its orthogonal polar
-    factor gamma (gamma^T gamma)^(-1/2): the sign of each eigenvalue of the
-    Hermitian matrix i*gamma.  The map is idempotent.  Eigenvalues within
-    ``eig_tol`` of zero leave the sign undefined and raise
-    :class:`DegeneracyError` (the caller should shrink its step size).
-
-    Inside a fixed screen, ||E||_F < 1/2 with E = gamma^T gamma - 1, the
-    factor comes from the Newton-Schulz iteration X <- X (1 - E/2), real
-    matrix products only; each iterate is an odd polynomial in gamma, so it
-    stays skew, and E_next = -(3/4) E^2 + (1/4) E^3.  There every singular
-    value has sigma^2 >= 1 - ||E||_F > 1/2, and the branch also requires
-    1 - ||E||_F >= eig_tol^2, so no eigenvalue of i*gamma lies within
-    ``eig_tol`` of zero and the error cannot apply.  Outside the screen (or
-    should the iteration ever reach its pass cap) ``np.linalg.eigh`` of
-    i*gamma gives the factor and the verdict.  An optimizer trial is a
-    tangent step (gamma dgamma + dgamma gamma = 0), so
-    (gamma + t dgamma)^T (gamma + t dgamma) = 1 + t^2 dgamma^T dgamma: every
-    singular value is >= 1, E is O(t^2), and only long steps leave the screen.
-    """
-    g = gamma_raw.gamma if isinstance(gamma_raw, CovarianceMatrix) else np.asarray(gamma_raw, dtype=float)
-    g = check_skew(g, tol=1e-6, what="purify input")
-    eye = np.eye(g.shape[0])
-    e = -(g @ g) - eye
-    dev = float(np.linalg.norm(e))
-    if dev < POLAR_SCREEN and 1.0 - dev >= eig_tol**2:
-        x = g
-        for _ in range(POLAR_MAX_PASSES):
-            x = x - 0.5 * (x @ e)
-            if dev < POLAR_LAST_PASS:
-                # finite (dev is), real, and exactly skew by construction
-                return CovarianceMatrix._of_skew(0.5 * (x - x.T))
-            e = -(x @ x) - eye
-            dev = float(np.linalg.norm(e))
-    herm = 1j * g
-    vals, vecs = np.linalg.eigh(herm)
-    if np.min(np.abs(vals)) < eig_tol:
-        raise DegeneracyError(
-            f"eigenvalue {vals[np.argmin(np.abs(vals))]:.3e} of i*gamma too close to zero"
-        )
-    projected = (vecs * np.sign(vals)) @ vecs.conj().T
-    pure = np.real(-1j * projected)
-    return CovarianceMatrix(0.5 * (pure - pure.T))
 
 
 def occupation_numbers(gamma: CovarianceMatrix | np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Each step computes the coupling gradient, turns it into a coupling velocity
 (either through the pseudo-inverse of the flow tensor, which cancels the
 coupling term in the energy derivative exactly, or through plain gradient
-descent), assembles the two mean-field matrices and integrates the covariance
-flow by one forward-Euler step.  A backtracking guard halves the step until
+descent), assembles the two mean-field matrices and rotates the covariance
+along its imaginary-time flow by a Cayley step, with alternating
+Barzilai-Borwein step lengths.  A backtracking guard halves the step until
 the energy does not increase, so accepted steps are monotone by construction.
 """
 
@@ -16,12 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneracyError, StagnationError, ValidationError
+from .errors import NumericsError, StagnationError, ValidationError
 from .gaussian import (
     CovarianceMatrix,
     _as_gamma,
     mean_field_covariance,
-    purify,
     random_pure_covariance,
     upsilon,
 )
@@ -37,7 +37,7 @@ from .hamiltonian import (
 from .wick import wrap_angles
 
 ENERGY_INCREASE_TOL = 1e-12
-# the next step size after an accepted step, as a multiple of its own (up to dtau_max)
+# the next step size where the Barzilai-Borwein s.y is not positive, as a multiple of the last
 STEP_GROWTH = 1.2
 # the spectral cutoff of the flow matrix's pseudo-inverse, relative to its largest eigenvalue
 PINV_RCOND = 1e-8
@@ -200,6 +200,56 @@ def dtau_gamma(gamma, h_fa_m: np.ndarray, o_m: np.ndarray | None = None) -> np.n
     return 0.5 * (out - out.T)
 
 
+def cayley_generator(gamma, h_fa_m: np.ndarray, o_m: np.ndarray | None = None) -> np.ndarray:
+    """Real skew K = (H gamma - gamma H)/2 + Re(-i O); for a pure gamma, [K, gamma]
+    is :func:`dtau_gamma`'s velocity.  ``o_m`` None stands for O = 0."""
+    g = _as_gamma(gamma)
+    h = np.asarray(h_fa_m, dtype=float)
+    k = 0.5 * (h @ g - g @ h)
+    if o_m is not None:
+        k = k + np.asarray(o_m).imag  # Re(-i O) = Im O
+    return 0.5 * (k - k.T)
+
+
+def cayley_rotate(gamma: CovarianceMatrix, generator: np.ndarray, tau: float) -> CovarianceMatrix:
+    """C gamma C^T with the Cayley rotation C = (1 - tau K/2)^-1 (1 + tau K/2).
+
+    C is orthogonal for every tau, so a pure gamma stays pure; d/dtau at 0 is
+    [K, gamma].  The solve's rounding grows with tau |K| (1.4e-12 at tau = 1e3,
+    N = 5); one Newton-Schulz pass C (3 - C^T C)/2 makes C orthogonal again.
+    """
+    eye = np.eye(generator.shape[0])
+    half = (0.5 * tau) * generator
+    c = np.linalg.solve(eye - half, eye + half)
+    c = c @ (1.5 * eye - 0.5 * (c.T @ c))
+    x = c @ gamma.gamma @ c.T
+    # finite (K is checked), real, and exactly skew by construction
+    return CovarianceMatrix._of_skew(0.5 * (x - x.T))
+
+
+def bb_step_length(state: OptimizerState, options: RunOptions, dgamma: np.ndarray, domega) -> float:
+    """First trial length of the step from ``state``, in [dtau_min, dtau_max].
+
+    With the last step's length tau_k and velocities v_k = (dgamma, domega),
+    s = tau_k v_k and y = v_k - v_{k+1}; the length alternates between s.s/s.y
+    and s.y/y.y (Dai and Fletcher 2005), long first.  domega counts only when
+    both steps moved omega.  The first step, and any with s.y <= 0, takes
+    ``state.step_size`` (dtau0, then STEP_GROWTH times the last step).
+    """
+    if state.last_step is None:
+        return state.step_size
+    tau, dgamma_k, domega_k, long = state.last_step
+    y = dgamma_k - dgamma  # s.s, s.y and y.y below leave out the factors of tau
+    ss, sy, yy = np.vdot(dgamma_k, dgamma_k), np.vdot(dgamma_k, y), np.vdot(y, y)
+    if domega_k is not None and domega is not None:
+        y = domega_k - domega
+        ss, sy, yy = ss + np.vdot(domega_k, domega_k), sy + np.vdot(domega_k, y), yy + np.vdot(y, y)
+    if not sy > 0.0:
+        return state.step_size
+    length = float(tau * ss / sy if long else tau * sy / yy)
+    return min(max(length, options.dtau_min), options.dtau_max)
+
+
 @dataclass(frozen=True)
 class OptimizerState:
     """Live optimizer state: covariance, couplings, time, energy, step size.
@@ -207,7 +257,9 @@ class OptimizerState:
     ``evaluator`` holds the state's contraction bundles, so the gradient and
     the mean-field matrix of the step that starts from this state reuse the
     bundles its energy was computed from.  It is ignored unless it was built
-    from this state's own gamma and omega objects.
+    from this state's own gamma and omega objects.  ``last_step`` is
+    (tau, dgamma, domega or None, long) of the step that reached this state,
+    for :func:`bb_step_length`; a fresh or restarted state has none.
     """
 
     gamma: CovarianceMatrix
@@ -216,6 +268,7 @@ class OptimizerState:
     energy: float
     step_size: float
     evaluator: StateEvaluator | None = field(default=None, repr=False, compare=False)
+    last_step: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -254,12 +307,14 @@ class TrajectoryRecord:
 class RunOptions:
     """Optimizer knobs: update variant, step-size policy, stopping rules.
 
-    The gradient stop needs the coupling gradient and the covariance
-    velocity (:func:`dtau_gamma` with O = 0) both below ``tol_g`` in
-    max-norm, since at omega = 0 the first can vanish off a stationary
-    point.  Setting ``tol_g`` or ``tol_e`` to exactly 0 disables that
-    stopping rule (the comparisons are strict, and a gradient can vanish
-    identically at symmetric points).
+    ``dtau0`` is the first step's length, ``dtau_max`` caps every later one,
+    and halving below ``dtau_min`` raises :class:`StagnationError`, so
+    dtau_min <= dtau_max and dtau0 >= dtau_min.  The gradient stop needs the
+    coupling gradient and the covariance velocity (:func:`dtau_gamma` with
+    O = 0) both below ``tol_g`` in max-norm, since at omega = 0 the first can
+    vanish off a stationary point.  Setting ``tol_g`` or ``tol_e`` to exactly
+    0 disables that stopping rule (the comparisons are strict, and a gradient
+    can vanish identically at symmetric points).
     """
 
     omega_update: str = "hitgd"  # "hitgd" | "simple"
@@ -282,6 +337,10 @@ class RunOptions:
         for name in ("dtau0", "dtau_max", "dtau_min"):
             if not (getattr(self, name) > 0.0):
                 raise ValidationError(f"{name} must be positive")
+        if self.dtau_min > self.dtau_max:
+            raise ValidationError(f"dtau_min {self.dtau_min} exceeds dtau_max {self.dtau_max}")
+        if self.dtau0 < self.dtau_min:
+            raise ValidationError(f"dtau0 {self.dtau0} is below dtau_min {self.dtau_min}")
         for name in ("tol_g", "tol_e"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be non-negative")
@@ -303,15 +362,17 @@ def step(
     options: RunOptions | None = None,
     grad: np.ndarray | None = None,
 ) -> tuple[OptimizerState, StepInfo]:
-    """One accepted forward-Euler step with backtracking on energy increase.
+    """One accepted Cayley step with backtracking on energy increase.
 
     ``grad`` is the state's coupling gradient when the caller has it, as
     :func:`run` does.  The coupling velocity comes first, since the
     covariance flow depends on it through the flux mean-field matrix; under
     ``freeze_omega`` or an exactly vanishing gradient it is zero, and no flow
-    tensor, solve or flux term is built.  A trial is accepted only if the
-    purified energy does not rise by more than 1e-12; otherwise the step size
-    is halved, down to ``dtau_min`` (then :class:`StagnationError`).
+    tensor, solve or flux term is built.  Each trial rotates gamma by
+    :func:`cayley_rotate` with the one generator K and moves omega by
+    tau * domega; the first tau is :func:`bb_step_length`.  A trial is
+    accepted only if the energy does not rise by more than 1e-12; otherwise
+    tau is halved, down to ``dtau_min`` (then :class:`StagnationError`).
     """
     options = options or RunOptions()
     if grad is None and not options.freeze_omega:
@@ -327,41 +388,39 @@ def step(
         domega = dtau_omega_simple(grad, options.simple_c)
     o_m = None if frozen else mean_field_o(state.gamma, domega)
     h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
-    dgamma = dtau_gamma(state.gamma, h_m, o_m)
+    generator = cayley_generator(state.gamma, h_m, o_m)
+    if not np.isfinite(generator).all():
+        raise NumericsError("covariance flow generator has non-finite entries")
+    dgamma = generator @ state.gamma.gamma - state.gamma.gamma @ generator
     layout = state.evaluator.layout if state.evaluator is not None else None
 
-    dtau = state.step_size
+    dtau = bb_step_length(state, options, dgamma, domega)
     backtracks = 0
     while True:
         if dtau < options.dtau_min:
             raise StagnationError(
                 f"step size {dtau:.3e} below {options.dtau_min:.0e} without energy decrease"
             )
-        try:
-            new_omega = state.omega if frozen else NonGaussianParams(
-                wrap_angles(state.omega.omega + dtau * domega)
-            )
-            new_gamma = purify(state.gamma.gamma + dtau * dgamma)
-            trial = StateEvaluator(new_gamma, new_omega, hamil, layout)
-            new_energy = energy(new_gamma, new_omega, hamil, evaluator=trial)[2]
-        except DegeneracyError:
-            dtau *= 0.5
-            backtracks += 1
-            continue
+        new_omega = state.omega if frozen else NonGaussianParams(
+            wrap_angles(state.omega.omega + dtau * domega)
+        )
+        new_gamma = cayley_rotate(state.gamma, generator, dtau)
+        trial = StateEvaluator(new_gamma, new_omega, hamil, layout)
+        new_energy = energy(new_gamma, new_omega, hamil, evaluator=trial)[2]
         # the difference, not E + tol: that sum can round up past E + 1e-12
         if new_energy - state.energy <= ENERGY_INCREASE_TOL:
             break
         dtau *= 0.5
         backtracks += 1
 
-    next_size = min(dtau * STEP_GROWTH, options.dtau_max)
     new_state = OptimizerState(
         gamma=new_gamma,
         omega=new_omega,
         tau=state.tau + dtau,
         energy=new_energy,
-        step_size=next_size,
+        step_size=min(dtau * STEP_GROWTH, options.dtau_max),
         evaluator=trial,
+        last_step=(dtau, dgamma, domega, state.last_step is None or not state.last_step[3]),
     )
     return new_state, StepInfo(dtau=dtau, backtracks=backtracks)
 

@@ -129,6 +129,23 @@ class TestRunCommand:
         assert "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dtau_max", 1e-9, "exceeds dtau_max"),
+            ("dtau0", 1e-9, "below dtau_min"),
+            ("dtau_min", 2.0, "exceeds dtau_max"),
+        ],
+    )
+    def test_impossible_step_sizes_are_config_errors(self, tmp_path, capsys, key, value, message):
+        # each used to run and end in a stagnation (exit 4) at Hubbard L=2
+        config = tmp_path / "run.json"
+        write_config(config, **{key: value})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_checkpoint_mode_count_mismatch_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, initial_state(hubbard_model(3, 1.0, 4.0, 2.0), RunOptions(), seed=3))
@@ -287,6 +304,7 @@ class TestRunCommand:
             cfg,
             init={"random_seed": 1},
             dtau0=50.0,
+            dtau_max=50.0,
             dtau_min=40.0,
             max_steps=50,
         )

@@ -356,7 +356,8 @@ def test_default_mean_field_run_takes_the_frozen_step(monkeypatch):
     # the mean-field start of Hubbard L=3 keeps an exactly vanishing coupling
     # gradient at every step of the default run: no step builds the flow
     # tensor, solves the flow matrix or forms O, and the stop test and the
-    # step read one mean-field matrix per state
+    # step read one mean-field matrix per state (the final state's only by
+    # the stop test, which ends the run there on the gradient)
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     for name in ("b_tensor", "dtau_omega_hitgd", "mean_field_o"):
         monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
@@ -369,9 +370,9 @@ def test_default_mean_field_run_takes_the_frozen_step(monkeypatch):
 
     monkeypatch.setattr(ngfermi.optimizer, "mean_field_h", keeping)
     final, records, reason = run(hamil)
-    assert reason == "energy" and len(records) == 27
-    assert len(matrices) == 52
-    assert len({id(h_m) for h_m in matrices}) == 26
+    assert reason == "gradient" and len(records) == 9
+    assert len(matrices) == 17
+    assert len({id(h_m) for h_m in matrices}) == 9
     assert final.energy < -6.96
 
 

@@ -5,14 +5,18 @@ import pytest
 
 from conftest import random_hamiltonian, random_symmetric_zero_diag
 from ngfermi import hamiltonian as ham
-from ngfermi.errors import StagnationError, ValidationError
-from ngfermi.gaussian import random_pure_covariance, upsilon
+from ngfermi.errors import NumericsError, StagnationError, ValidationError
+from ngfermi.gaussian import CovarianceMatrix, random_pure_covariance, upsilon
 from ngfermi.hamiltonian import ManyBodyHamiltonian, mean_field_o
 import ngfermi.optimizer
 from ngfermi.optimizer import (
     ENERGY_INCREASE_TOL,
+    STEP_GROWTH,
     RunOptions,
     b_tensor,
+    bb_step_length,
+    cayley_generator,
+    cayley_rotate,
     dtau_gamma,
     dtau_omega_hitgd,
     dtau_omega_simple,
@@ -227,7 +231,7 @@ class TestStep:
         assert all(r.grad_norm > 0.0 for r in records[1:])
 
     def test_stagnation_error(self, hubbard):
-        options = RunOptions(dtau0=50.0, dtau_min=40.0, tol_g=1e-12)
+        options = RunOptions(dtau0=50.0, dtau_max=50.0, dtau_min=40.0, tol_g=1e-12)
         state = initial_state(hubbard, options, seed=1)
         with pytest.raises(StagnationError):
             step(state, hubbard, options)
@@ -244,6 +248,130 @@ class TestStep:
             step(state, hubbard, options)
 
 
+class TestCayleyStep:
+    @pytest.mark.parametrize("tau", [1e-3, 50.0], ids=["short", "long"])
+    def test_result_is_an_exactly_skew_read_only_covariance(self, tau, rng):
+        # the rotated gamma is wrapped without the validating constructor, so
+        # it must be exactly what that constructor makes of it
+        hamil = random_hamiltonian(3, rng)
+        gamma = random_pure_covariance(3, rng)
+        h_m = ham.mean_field_h(gamma, np.zeros((3, 3)), hamil)
+        o_m = mean_field_o(gamma, random_symmetric_zero_diag(3, rng, scale=1.0))
+        g = cayley_rotate(gamma, cayley_generator(gamma, h_m, o_m), tau).gamma
+        assert np.array_equal(g, -g.T)
+        assert g.dtype == np.float64 and g.flags.c_contiguous and np.all(np.isfinite(g))
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 1] = 0.0
+        np.testing.assert_array_equal(CovarianceMatrix(g).gamma, g)
+        assert CovarianceMatrix(g).purity_error < 1e-12
+
+    @pytest.mark.parametrize("n, seed", [(3, 36), (5, 13), (5, 33)])
+    def test_long_trials_stay_pure_to_rounding(self, n, seed):
+        # draws where the plain solve leaves C off orthogonal by 2e-13 to
+        # 1.4e-12 at tau = 1e2 or 1e3; the Newton-Schulz pass on C repairs it
+        rng = np.random.default_rng(seed)
+        gamma = random_pure_covariance(n, rng)
+        h_m = ham.mean_field_h(gamma, np.zeros((n, n)), random_hamiltonian(n, rng))
+        o_m = mean_field_o(gamma, random_symmetric_zero_diag(n, rng, scale=1.0))
+        k = cayley_generator(gamma, h_m, o_m)
+        for tau in (1e2, 1e3):
+            assert cayley_rotate(gamma, k, tau).purity_error <= 1e-13
+
+    def test_long_frozen_steps_call_no_eigh_and_stay_pure(self, monkeypatch):
+        # dtau0 = 1 gives long trials; a rotation needs no projection, so no
+        # trial calls eigh and every accepted state is pure
+        hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
+        options = RunOptions(freeze_omega=True, dtau0=1.0)
+        state = initial_state(hamil, options, seed=1)
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or real(mat))
+        _, records, reason = run(hamil, options, state)
+        assert reason == "energy" and len(records) > 10
+        assert calls == []
+        assert all(r.purity_err <= 1e-12 for r in records)
+
+    def test_non_finite_generator_is_a_numerics_error(self, hubbard, monkeypatch):
+        state = initial_state(hubbard, seed=1)
+        nan = np.full(state.gamma.gamma.shape, np.nan)
+        monkeypatch.setattr(ngfermi.optimizer, "mean_field_h", lambda *args, **kwargs: nan)
+        with pytest.raises(NumericsError):
+            step(state, hubbard, RunOptions(freeze_omega=True))
+
+
+def _after_step(tau, dgamma, domega, long, step_size=0.3):
+    """A state reached by a step of length tau with the given velocities."""
+    state = initial_state(ham.hubbard_model(2, 1.0, 4.0, 2.0), seed=1)
+    return dataclasses.replace(
+        state, step_size=step_size, last_step=(tau, dgamma, domega, long)
+    )
+
+
+class TestStepLength:
+    # v_k and v not parallel: |v_k|^2 = 10, v_k.y = 2 and |y|^2 = 4 for y = v_k - v
+    V_K = np.array([[0.0, 2.0, 1.0], [-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    V = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+
+    def test_first_step_uses_step_size(self, hubbard, monkeypatch):
+        options = RunOptions(dtau0=0.05)
+        state = initial_state(hubbard, options, seed=7)
+        assert state.last_step is None
+        assert bb_step_length(state, options, self.V, None) == 0.05
+        taus = []
+        real = ngfermi.optimizer.cayley_rotate
+        monkeypatch.setattr(
+            ngfermi.optimizer, "cayley_rotate", lambda g, k, tau: taus.append(tau) or real(g, k, tau)
+        )
+        new, info = step(state, hubbard, options)
+        assert taus[0] == 0.05 and info.dtau == taus[-1]
+        assert new.last_step[0] == info.dtau and new.last_step[3]
+
+    def test_long_and_short_lengths_alternate(self, hubbard):
+        # s.s = tau^2 |v_k|^2 = 10 tau^2, s.y = tau v_k.y = 2 tau, y.y = 4
+        tau, options = 0.1, RunOptions()
+        long = bb_step_length(_after_step(tau, self.V_K, None, True), options, self.V, None)
+        short = bb_step_length(_after_step(tau, self.V_K, None, False), options, self.V, None)
+        assert long == pytest.approx(10 * tau**2 / (2 * tau))
+        assert short == pytest.approx(2 * tau / 4)
+        # a run flips the choice at every step, starting with the long one
+        state = initial_state(hubbard, options, seed=7)
+        flags = []
+        for _ in range(4):
+            state, _ = step(state, hubbard, options)
+            flags.append(state.last_step[3])
+        assert flags == [True, False, True, False]
+
+    def test_nonpositive_curvature_falls_back_to_growth(self, hubbard):
+        options = RunOptions()
+        # v = 2 v_k: s.y = -tau |v_k|^2 < 0; v = v_k: y = 0 and s.y = 0
+        for v in (2.0 * self.V_K, self.V_K):
+            for long in (True, False):
+                state = _after_step(0.1, self.V_K, None, long, step_size=0.12)
+                assert bb_step_length(state, options, v, None) == 0.12
+        new, info = step(initial_state(hubbard, options, seed=7), hubbard, options)
+        assert new.step_size == min(STEP_GROWTH * info.dtau, options.dtau_max)
+
+    def test_every_length_is_capped_at_dtau_max(self):
+        options = RunOptions(dtau_max=0.5)
+        for long in (True, False):
+            state = _after_step(10.0, self.V_K, None, long)
+            assert bb_step_length(state, options, self.V, None) == 0.5
+
+    def test_couplings_enter_only_when_both_steps_moved_them(self):
+        options = RunOptions()
+        w_k = np.array([[0.0, 3.0], [3.0, 0.0]])
+        w = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        plain = bb_step_length(_after_step(0.1, self.V_K, None, True), options, self.V, None)
+        for last, now in ((None, w), (w_k, None)):
+            state = _after_step(0.1, self.V_K, last, True)
+            assert bb_step_length(state, options, self.V, now) == plain
+        # both moved: s.s = 0.01 (10 + 18), s.y = 0.1 (2 + 24)
+        both = bb_step_length(_after_step(0.1, self.V_K, w_k, True), options, self.V, w)
+        assert both == pytest.approx(0.01 * 28 / (0.1 * 26))
+        assert both != plain
+
+
 class TestRun:
     def test_converged_input_returns_immediately(self, hubbard):
         # the symmetric mean-field point has an exactly vanishing coupling
@@ -257,12 +385,15 @@ class TestRun:
     def test_vanishing_gradient_off_a_stationary_point_does_not_stop(self):
         # the mean-field start of Hubbard L=3 has an exactly vanishing coupling
         # gradient at omega = 0, but a covariance velocity of 1: the run must
-        # go on to the Gaussian optimum, not stop there on the gradient
+        # go on to the Gaussian optimum, and stop on the gradient only there
         hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
         state = initial_state(hamil)
         assert not ham.energy_gradient_omega(state.gamma, state.omega, hamil).any()
-        final, records, reason = run(hamil, RunOptions(), state)
-        assert reason == "energy"
+        options = RunOptions()
+        final, records, reason = run(hamil, options, state)
+        assert reason == "gradient"
+        h_m = ham.mean_field_h(final.gamma, final.omega, hamil)
+        assert np.max(np.abs(dtau_gamma(final.gamma, h_m))) < options.tol_g
         assert len(records) > 1
         assert final.energy < -6.96
 

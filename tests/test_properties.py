@@ -1,7 +1,7 @@
 """Property tests over random draws: the Q sum read from L, bundles at -alpha
 as conjugates of bundles at alpha, the phase layout's charge keys and their
 conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
-zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the purity projection,
+zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the Cayley rotation,
 Pf^2 = det, Wick's theorem with the block tables against the dense oracle,
 and the omega = 0 closed form against the per-term plain-Wick sum, the dense
 oracle and central differences.
@@ -20,22 +20,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_operator_string, random_symmetric_zero_diag, random_two_body
+from conftest import (
+    random_hamiltonian,
+    random_operator_string,
+    random_symmetric_zero_diag,
+    random_two_body,
+)
 from ngfermi import oracle, wick
-from ngfermi.errors import DegeneracyError, ValidationError
+from ngfermi.errors import ValidationError
 from ngfermi.gaussian import (
-    POLAR_SCREEN,
-    PURITY_TOL,
     covariance_from_xi,
     mean_field_covariance,
-    purify,
     random_generator,
     random_pure_covariance,
     upsilon,
 )
-from ngfermi.hamiltonian import ManyBodyHamiltonian, PhaseLayout, StateEvaluator, hubbard_model
+from ngfermi.hamiltonian import (
+    ManyBodyHamiltonian,
+    PhaseLayout,
+    StateEvaluator,
+    hubbard_model,
+    mean_field_o,
+)
 from ngfermi.linalg import BlockContractionKind, block_contract, pfaffian
-from ngfermi.optimizer import BTensor, b_tensor, dtau_omega_hitgd, matricize_b
+from ngfermi.optimizer import (
+    BTensor,
+    b_tensor,
+    cayley_generator,
+    cayley_rotate,
+    dtau_gamma,
+    dtau_omega_hitgd,
+    matricize_b,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -294,57 +310,41 @@ def test_hitgd_velocity_matches_pinv(case):
         assert eigh.call_count == 1
 
 
-@st.composite
-def purify_inputs(draw):
-    """A random pure gamma on 1..12 modes, exactly, plus a tangent
-    perturbation (1/2)(d + gamma d gamma), or plus a non-tangent skew one,
-    sized for a target ||gamma^T gamma - 1||_F on either side of the screen."""
-    n = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(SEEDS))
-    gamma = random_pure_covariance(n, rng).gamma
-    kind = draw(st.sampled_from(["pure", "tangent", "skew"]))
-    if kind == "pure":
-        return gamma
-    d = rng.normal(size=gamma.shape)
-    d = d - d.T
-    if kind == "tangent":
-        d = 0.5 * (d + gamma @ d @ gamma)
-        d = 0.5 * (d - d.T)
-    target = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.49, 0.51, 0.8, 2.0]))
-    # ||E(t)||_F ~ a t + b t^2: a = 0 for a tangent d, whose E is t^2 d^T d
-    a = np.linalg.norm(gamma.T @ d + d.T @ gamma) if kind == "skew" else 0.0
-    b = np.linalg.norm(d.T @ d)
-    if b < 1e-12:  # N = 1: the pure states are two points, with no tangent
-        return gamma
-    t = 2.0 * target / (a + np.sqrt(a * a + 4.0 * b * target))
-    return gamma + t * d
-
-
-@SETTINGS
-@given(gamma=purify_inputs())
-def test_purify_is_the_sign_of_the_spectrum(gamma):
-    vals, vecs = np.linalg.eigh(1j * gamma)
-    ref = np.real(-1j * (vecs * np.sign(vals)) @ vecs.conj().T)
-    dev = np.linalg.norm(gamma.T @ gamma - np.eye(len(gamma)))
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        if np.min(np.abs(vals)) < PURITY_TOL:
-            with pytest.raises(DegeneracyError):
-                purify(gamma)
-            return
-        once = purify(gamma)
-    # inside the screen the iteration alone gives the projection
-    if dev < POLAR_SCREEN:
-        assert eigh.call_count == 0
-    assert np.max(np.abs(once.gamma - ref)) <= 1e-13
-    assert once.purity_error <= 1e-13
-    assert np.max(np.abs(purify(once).gamma - once.gamma)) <= 1e-14
-
-
 def test_hitgd_velocity_rejects_a_non_finite_flow_matrix():
     tensor = b_tensor(random_pure_covariance(3, np.random.default_rng(0)))
     broken = BTensor(tensor.g, np.full((3, 3), np.nan))
     with pytest.raises(ValidationError):
         dtau_omega_hitgd(broken, np.zeros((3, 3)))
+
+
+@st.composite
+def flow_generators(draw):
+    """A random pure gamma on 1..6 modes, the omega = 0 mean-field matrix of a
+    random dense Hamiltonian at it, and O from a random coupling velocity."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(SEEDS))
+    gamma = random_pure_covariance(n, rng)
+    h_m = StateEvaluator(gamma, np.zeros((n, n)), random_hamiltonian(n, rng)).mean_field_h()
+    o_m = mean_field_o(gamma, random_symmetric_zero_diag(n, rng, scale=draw(st.sampled_from([0.0, 0.1, 1.0]))))
+    return gamma, h_m, o_m
+
+
+@SETTINGS
+@given(case=flow_generators(), tau=st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3]))
+def test_cayley_trial_is_pure_and_follows_the_flow(case, tau):
+    gamma, h_m, o_m = case
+    k = cayley_generator(gamma, h_m, o_m)
+    assert np.array_equal(k, -k.T)
+    trial = cayley_rotate(gamma, k, tau).gamma
+    assert np.array_equal(trial, -trial.T)
+    assert np.linalg.norm(trial @ trial + np.eye(len(trial))) <= 1e-13
+    # (gamma' - gamma)/t - v = (t/2) [K, [K, gamma]] + O(t^2), and
+    # |[K, [K, gamma]]| <= 4 |K|^2 for a pure gamma
+    velocity = dtau_gamma(gamma, h_m, o_m)
+    knorm = np.linalg.norm(k, 2)
+    for t in (1e-3, 1e-4, 1e-5):
+        err = np.max(np.abs((cayley_rotate(gamma, k, t).gamma - gamma.gamma) / t - velocity))
+        assert err <= 3.0 * t * knorm**2 + 1e-9
 
 
 @st.composite
