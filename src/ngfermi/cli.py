@@ -185,6 +185,8 @@ def parse_config(payload: dict) -> dict:
     simple_c = None
     if isinstance(update, dict):
         _reject_unknown(update, {"simple"}, "omega_update")
+        if "simple" not in update:
+            raise ConfigError("config needs 'omega_update.simple'")
         simple = update["simple"]
         _reject_unknown(simple, {"c"}, "omega_update.simple")
         simple_c = _typed(simple, "c", float, where="omega_update.simple")
@@ -303,6 +305,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.seed < 0:  # numpy's generators take non-negative seeds only
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     results = validate.run_all(n_modes=args.n_modes, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False

@@ -362,10 +362,6 @@ class StateEvaluator:
         )
         return w1, w1 * gpm[k1, p1, q1], w2, pairs, w2 * (ps * qr - pr * qs + pq * rs)
 
-    def built_for(self, gamma, omega, hamil: ManyBodyHamiltonian) -> bool:
-        """Whether this evaluator was built from exactly these objects."""
-        return self.gamma is gamma and self.omega is omega and self.hamil is hamil
-
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
         if self._forms is None:
@@ -512,29 +508,20 @@ class StateEvaluator:
         return grad
 
 
-def _state_evaluator(gamma, omega, hamil, evaluator: StateEvaluator | None) -> StateEvaluator:
-    if evaluator is not None and evaluator.built_for(gamma, omega, hamil):
-        return evaluator
-    return StateEvaluator(gamma, omega, hamil)
-
-
-def energy(
-    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
-) -> tuple[float, float, float]:
+def energy(gamma, omega, hamil: ManyBodyHamiltonian) -> tuple[float, float, float]:
     """One-body, two-body and total energy of the flux-attached Ansatz.
 
     Returns ``(E1, E2, E1 + E2)``.  The imaginary residue of each part must
     stay below 1e-9 or :class:`NumericsError` is raised.  The result is read
-    from ``evaluator`` when it was built from these same objects, and from a
-    fresh :class:`StateEvaluator` otherwise (likewise for
-    :func:`energy_gradient_omega` and :func:`mean_field_h`).
+    from a fresh :class:`StateEvaluator` (likewise for
+    :func:`energy_gradient_omega` and :func:`mean_field_h`); a caller that
+    needs several of them for one state keeps the evaluator and calls its
+    methods, as the optimizer does.
     """
-    return _state_evaluator(gamma, omega, hamil, evaluator).energy()
+    return StateEvaluator(gamma, omega, hamil).energy()
 
 
-def energy_gradient_omega(
-    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
-) -> np.ndarray:
+def energy_gradient_omega(gamma, omega, hamil: ManyBodyHamiltonian) -> np.ndarray:
     """Gradient of the energy with respect to the flux couplings.
 
     Read by the chain rule from the state's contraction bundles, through
@@ -544,12 +531,10 @@ def energy_gradient_omega(
     parameters of equal value (matching the convention used by the flow
     tensor).
     """
-    return _state_evaluator(gamma, omega, hamil, evaluator).gradient()
+    return StateEvaluator(gamma, omega, hamil).gradient()
 
 
-def mean_field_h(
-    gamma, omega, hamil: ManyBodyHamiltonian, *, evaluator: StateEvaluator | None = None
-) -> np.ndarray:
+def mean_field_h(gamma, omega, hamil: ManyBodyHamiltonian) -> np.ndarray:
     """Mean-field matrix of the rotated Hamiltonian: 4 dE/d(gamma).
 
     The derivative follows the ordered-entry convention for structured skew
@@ -557,7 +542,7 @@ def mean_field_h(
     Output is real skew-symmetric (2N x 2N) and read-only: it is the array
     the evaluator keeps (:meth:`StateEvaluator.mean_field_h`).
     """
-    return _state_evaluator(gamma, omega, hamil, evaluator).mean_field_h()
+    return StateEvaluator(gamma, omega, hamil).mean_field_h()
 
 
 def mean_field_o(gamma, dtau_omega) -> np.ndarray:

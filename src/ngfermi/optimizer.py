@@ -25,15 +25,7 @@ from .gaussian import (
     random_pure_covariance,
     upsilon,
 )
-from .hamiltonian import (
-    ManyBodyHamiltonian,
-    NonGaussianParams,
-    StateEvaluator,
-    energy,
-    energy_gradient_omega,
-    mean_field_h,
-    mean_field_o,
-)
+from .hamiltonian import ManyBodyHamiltonian, NonGaussianParams, StateEvaluator, mean_field_o
 from .wick import wrap_angles
 
 ENERGY_INCREASE_TOL = 1e-12
@@ -233,11 +225,11 @@ def bb_step_length(state: OptimizerState, options: RunOptions, dgamma: np.ndarra
     With the last step's length tau_k and velocities v_k = (dgamma, domega),
     s = tau_k v_k and y = v_k - v_{k+1}; the length alternates between s.s/s.y
     and s.y/y.y (Dai and Fletcher 2005), long first.  domega counts only when
-    both steps moved omega.  The first step, and any with s.y <= 0, takes
-    ``state.step_size`` (dtau0, then STEP_GROWTH times the last step).
+    both steps moved omega.  The first step takes ``dtau0``, and one with
+    s.y <= 0 takes STEP_GROWTH times the last step, capped at ``dtau_max``.
     """
     if state.last_step is None:
-        return state.step_size
+        return options.dtau0
     tau, dgamma_k, domega_k, long = state.last_step
     y = dgamma_k - dgamma  # s.s, s.y and y.y below leave out the factors of tau
     ss, sy, yy = np.vdot(dgamma_k, dgamma_k), np.vdot(dgamma_k, y), np.vdot(y, y)
@@ -245,30 +237,35 @@ def bb_step_length(state: OptimizerState, options: RunOptions, dgamma: np.ndarra
         y = domega_k - domega
         ss, sy, yy = ss + np.vdot(domega_k, domega_k), sy + np.vdot(domega_k, y), yy + np.vdot(y, y)
     if not sy > 0.0:
-        return state.step_size
+        return min(tau * STEP_GROWTH, options.dtau_max)
     length = float(tau * ss / sy if long else tau * sy / yy)
     return min(max(length, options.dtau_min), options.dtau_max)
 
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Live optimizer state: covariance, couplings, time, energy, step size.
+    """Live optimizer state: its evaluator, imaginary time and energy.
 
-    ``evaluator`` holds the state's contraction bundles, so the gradient and
+    ``evaluator`` is the state: its gamma and omega are :attr:`gamma` and
+    :attr:`omega`, and it holds the contraction bundles, so the gradient and
     the mean-field matrix of the step that starts from this state reuse the
-    bundles its energy was computed from.  It is ignored unless it was built
-    from this state's own gamma and omega objects.  ``last_step`` is
+    bundles its energy was computed from.  ``last_step`` is
     (tau, dgamma, domega or None, long) of the step that reached this state,
     for :func:`bb_step_length`; a fresh or restarted state has none.
     """
 
-    gamma: CovarianceMatrix
-    omega: NonGaussianParams
+    evaluator: StateEvaluator
     tau: float
     energy: float
-    step_size: float
-    evaluator: StateEvaluator | None = field(default=None, repr=False, compare=False)
     last_step: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def gamma(self) -> CovarianceMatrix:
+        return self.evaluator.gamma
+
+    @property
+    def omega(self) -> NonGaussianParams:
+        return self.evaluator.omega
 
 
 @dataclass(frozen=True)
@@ -375,8 +372,9 @@ def step(
     tau is halved, down to ``dtau_min`` (then :class:`StagnationError`).
     """
     options = options or RunOptions()
+    ev = state.evaluator
     if grad is None and not options.freeze_omega:
-        grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+        grad = ev.gradient()
     # a zero coupling velocity keeps the omega object, so every trial reuses
     # the state's phase layout, and O = 0
     frozen = options.freeze_omega or not np.any(grad)
@@ -387,12 +385,11 @@ def step(
     else:
         domega = dtau_omega_simple(grad, options.simple_c)
     o_m = None if frozen else mean_field_o(state.gamma, domega)
-    h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    h_m = ev.mean_field_h()
     generator = cayley_generator(state.gamma, h_m, o_m)
     if not np.isfinite(generator).all():
         raise NumericsError("covariance flow generator has non-finite entries")
     dgamma = generator @ state.gamma.gamma - state.gamma.gamma @ generator
-    layout = state.evaluator.layout if state.evaluator is not None else None
 
     dtau = bb_step_length(state, options, dgamma, domega)
     backtracks = 0
@@ -405,8 +402,8 @@ def step(
             wrap_angles(state.omega.omega + dtau * domega)
         )
         new_gamma = cayley_rotate(state.gamma, generator, dtau)
-        trial = StateEvaluator(new_gamma, new_omega, hamil, layout)
-        new_energy = energy(new_gamma, new_omega, hamil, evaluator=trial)[2]
+        trial = StateEvaluator(new_gamma, new_omega, hamil, ev.layout)
+        new_energy = trial.energy()[2]
         # the difference, not E + tol: that sum can round up past E + 1e-12
         if new_energy - state.energy <= ENERGY_INCREASE_TOL:
             break
@@ -414,12 +411,9 @@ def step(
         backtracks += 1
 
     new_state = OptimizerState(
-        gamma=new_gamma,
-        omega=new_omega,
+        trial,
         tau=state.tau + dtau,
         energy=new_energy,
-        step_size=min(dtau * STEP_GROWTH, options.dtau_max),
-        evaluator=trial,
         last_step=(dtau, dgamma, domega, state.last_step is None or not state.last_step[3]),
     )
     return new_state, StepInfo(dtau=dtau, backtracks=backtracks)
@@ -437,31 +431,22 @@ def initial_state(
 
     ``seed`` draws a random pure covariance instead of the mean-field one;
     the couplings start at zero unless given.  Plain arrays are wrapped in
-    :class:`CovarianceMatrix` and :class:`NonGaussianParams`, and the state
-    holds those objects, so its evaluator is the one its calls read.
+    :class:`CovarianceMatrix` and :class:`NonGaussianParams`.  ``options``
+    does not shape the start: the first step reads ``dtau0`` from the
+    options :func:`step` is given.
     """
-    options = options or RunOptions()
     n = hamil.n_modes
     if gamma is None:
         if seed is not None:
             gamma = random_pure_covariance(n, np.random.default_rng(seed))
         else:
             gamma = mean_field_covariance(hamil.f, round(filling * n))
-    elif not isinstance(gamma, CovarianceMatrix):
-        gamma = CovarianceMatrix(gamma)
     if omega is None:
         omega = NonGaussianParams(np.zeros((n, n)))
     elif not isinstance(omega, NonGaussianParams):
         omega = NonGaussianParams(omega)
     ev = StateEvaluator(gamma, omega, hamil)
-    return OptimizerState(
-        gamma=gamma,
-        omega=omega,
-        tau=0.0,
-        energy=energy(gamma, omega, hamil, evaluator=ev)[2],
-        step_size=options.dtau0,
-        evaluator=ev,
-    )
+    return OptimizerState(ev, tau=0.0, energy=ev.energy()[2])
 
 
 def run(
@@ -502,12 +487,12 @@ def run(
         t0 = time.perf_counter()
         grad, grad_norm = None, float("nan")  # NaN fails the stop test below
         if not options.freeze_omega:
-            grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+            grad = state.evaluator.gradient()
             grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm < options.tol_g:
             # a stationary point only if the covariance velocity vanishes too
             # (the step below reads the same h_m, kept by the state's evaluator)
-            h_m = mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+            h_m = state.evaluator.mean_field_h()
             if np.max(np.abs(dtau_gamma(state.gamma, h_m))) < options.tol_g:
                 reason = "gradient"
                 break

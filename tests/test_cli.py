@@ -25,7 +25,7 @@ from ngfermi.cli import (
 )
 from ngfermi.errors import ConfigError
 from ngfermi.hamiltonian import energy, hubbard_model, load_hamiltonian
-from ngfermi.optimizer import OptimizerState, RunOptions, initial_state
+from ngfermi.optimizer import RunOptions, initial_state
 
 
 def write_config(path, **overrides):
@@ -364,6 +364,7 @@ class TestParseConfig:
             ({"hamiltonian": {"model": "hubbard", "sites": 2, "periodic": "false"}}, "hamiltonian.periodic"),
             ({"hamiltonian": {"model": "hubbard", "sites": 2, "periodic": 1}}, "hamiltonian.periodic"),
             ({"hamiltonian": {"path": "."}}, "hamiltonian.path"),
+            ({"omega_update": {}}, "omega_update.simple"),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides, key):
@@ -535,18 +536,15 @@ class TestValidateCommand:
     def test_mode_cap_is_numerical_failure(self, capsys):
         assert main(["validate", "--n-modes", "11"]) == EXIT_NUMERICAL
 
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+
 
 class TestCircuitCommand:
     def make_checkpoint(self, tmp_path, omega):
-        hamil = hubbard_model(2, 1.0, 4.0, 2.0)
-        state = initial_state(hamil)
-        state = OptimizerState(
-            gamma=state.gamma,
-            omega=type(state.omega)(omega),
-            tau=0.0,
-            energy=state.energy,
-            step_size=0.1,
-        )
+        state = initial_state(hubbard_model(2, 1.0, 4.0, 2.0), omega=omega)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, state)
         return path

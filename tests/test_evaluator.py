@@ -33,6 +33,7 @@ from ngfermi.errors import SingularContractionError
 from ngfermi.gaussian import CovarianceMatrix, random_pure_covariance, upsilon
 from ngfermi.hamiltonian import (
     ManyBodyHamiltonian,
+    NonGaussianParams,
     PhaseLayout,
     StateEvaluator,
     energy,
@@ -123,9 +124,6 @@ def test_shared_evaluator_matches_fresh_calls(model, rng):
     assert _rel_dev(e, energy(cov, w, hamil)) < TOL
     assert _rel_dev(e[2], _reference_energy(cov, w, hamil)) < TOL
     assert _rel_dev(h_m, _reference_mean_field(cov, w, hamil)) < TOL
-    # a foreign evaluator is never read
-    other = StateEvaluator(random_pure_covariance(n, rng), w, hamil)
-    assert energy(cov, w, hamil, evaluator=other) == e
 
 
 @pytest.mark.parametrize("model", ["hubbard-6", "random-5"])
@@ -188,7 +186,8 @@ def test_initial_state_wraps_plain_arrays(rng):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     cov = random_pure_covariance(6, rng)
     state = initial_state(hamil, gamma=cov.gamma, omega=np.zeros((6, 6)))
-    assert state.evaluator.built_for(state.gamma, state.omega, hamil)
+    assert isinstance(state.gamma, CovarianceMatrix) and isinstance(state.omega, NonGaussianParams)
+    assert state.gamma is state.evaluator.gamma and state.omega is state.evaluator.omega
     assert state.energy == energy(cov, np.zeros((6, 6)), hamil)[2]
 
 
@@ -362,13 +361,13 @@ def test_default_mean_field_run_takes_the_frozen_step(monkeypatch):
     for name in ("b_tensor", "dtau_omega_hitgd", "mean_field_o"):
         monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
     matrices = []
-    original = ngfermi.optimizer.mean_field_h
+    original = StateEvaluator.mean_field_h
 
-    def keeping(*args, **kwargs):
-        matrices.append(original(*args, **kwargs))
+    def keeping(self):
+        matrices.append(original(self))
         return matrices[-1]
 
-    monkeypatch.setattr(ngfermi.optimizer, "mean_field_h", keeping)
+    monkeypatch.setattr(StateEvaluator, "mean_field_h", keeping)
     final, records, reason = run(hamil)
     assert reason == "gradient" and len(records) == 9
     assert len(matrices) == 17
@@ -380,8 +379,8 @@ def test_frozen_step_ignores_a_given_gradient(monkeypatch, rng):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(freeze_omega=True)
     state = initial_state(hamil, options, seed=5)
-    for name in ("energy_gradient_omega", "b_tensor"):
-        monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
+    monkeypatch.setattr(StateEvaluator, "gradient", _forbid("gradient"))
+    monkeypatch.setattr(ngfermi.optimizer, "b_tensor", _forbid("b_tensor"))
     new, _ = step(state, hamil, options, grad=random_symmetric_zero_diag(6, rng, scale=1.0))
     assert new.omega is state.omega
 
@@ -394,7 +393,6 @@ def test_mean_field_matrix_is_kept_read_only(scale, rng):
     assert (ev.contraction is None) == (scale == 0.0)
     h_m = ev.mean_field_h()
     assert ev.mean_field_h() is h_m
-    assert mean_field_h(ev.gamma, ev.omega, hamil, evaluator=ev) is h_m
     with pytest.raises(ValueError):
         h_m[0, 1] = 1.0
 
@@ -657,10 +655,9 @@ def test_zero_omega_state_builds_its_tables_once(monkeypatch):
     monkeypatch.setattr(wick, "_dirac", counting_dirac)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
     state = initial_state(hamil, options, seed=5)
-    grad = energy_gradient_omega(state.gamma, state.omega, hamil, evaluator=state.evaluator)
-    assert np.any(grad)
+    assert np.any(state.evaluator.gradient())
     assert dirac == [6] and phased == []
-    mean_field_h(state.gamma, state.omega, hamil, evaluator=state.evaluator)
+    state.evaluator.mean_field_h()
     assert phased == []
     _, records, _ = run(hamil, options, state)
     assert len(records) == 2

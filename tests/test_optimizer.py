@@ -243,7 +243,7 @@ class TestStep:
         assert trial - e0 > ENERGY_INCREASE_TOL
         options = RunOptions(dtau0=1e-3, dtau_min=5e-4)
         state = dataclasses.replace(initial_state(hubbard, options, seed=1), energy=e0)
-        monkeypatch.setattr(ngfermi.optimizer, "energy", lambda *args, **kwargs: (0.0, 0.0, trial))
+        monkeypatch.setattr(ham.StateEvaluator, "energy", lambda self: (0.0, 0.0, trial))
         with pytest.raises(StagnationError):
             step(state, hubbard, options)
 
@@ -295,17 +295,15 @@ class TestCayleyStep:
     def test_non_finite_generator_is_a_numerics_error(self, hubbard, monkeypatch):
         state = initial_state(hubbard, seed=1)
         nan = np.full(state.gamma.gamma.shape, np.nan)
-        monkeypatch.setattr(ngfermi.optimizer, "mean_field_h", lambda *args, **kwargs: nan)
+        monkeypatch.setattr(ham.StateEvaluator, "mean_field_h", lambda self: nan)
         with pytest.raises(NumericsError):
             step(state, hubbard, RunOptions(freeze_omega=True))
 
 
-def _after_step(tau, dgamma, domega, long, step_size=0.3):
+def _after_step(tau, dgamma, domega, long):
     """A state reached by a step of length tau with the given velocities."""
     state = initial_state(ham.hubbard_model(2, 1.0, 4.0, 2.0), seed=1)
-    return dataclasses.replace(
-        state, step_size=step_size, last_step=(tau, dgamma, domega, long)
-    )
+    return dataclasses.replace(state, last_step=(tau, dgamma, domega, long))
 
 
 class TestStepLength:
@@ -313,7 +311,7 @@ class TestStepLength:
     V_K = np.array([[0.0, 2.0, 1.0], [-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     V = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
 
-    def test_first_step_uses_step_size(self, hubbard, monkeypatch):
+    def test_first_step_uses_dtau0(self, hubbard, monkeypatch):
         options = RunOptions(dtau0=0.05)
         state = initial_state(hubbard, options, seed=7)
         assert state.last_step is None
@@ -342,15 +340,13 @@ class TestStepLength:
             flags.append(state.last_step[3])
         assert flags == [True, False, True, False]
 
-    def test_nonpositive_curvature_falls_back_to_growth(self, hubbard):
-        options = RunOptions()
+    def test_nonpositive_curvature_falls_back_to_growth(self):
         # v = 2 v_k: s.y = -tau |v_k|^2 < 0; v = v_k: y = 0 and s.y = 0
-        for v in (2.0 * self.V_K, self.V_K):
-            for long in (True, False):
-                state = _after_step(0.1, self.V_K, None, long, step_size=0.12)
-                assert bb_step_length(state, options, v, None) == 0.12
-        new, info = step(initial_state(hubbard, options, seed=7), hubbard, options)
-        assert new.step_size == min(STEP_GROWTH * info.dtau, options.dtau_max)
+        for options, expected in ((RunOptions(), STEP_GROWTH * 0.1), (RunOptions(dtau_max=0.11), 0.11)):
+            for v in (2.0 * self.V_K, self.V_K):
+                for long in (True, False):
+                    state = _after_step(0.1, self.V_K, None, long)
+                    assert bb_step_length(state, options, v, None) == expected
 
     def test_every_length_is_capped_at_dtau_max(self):
         options = RunOptions(dtau_max=0.5)
@@ -438,3 +434,26 @@ class TestRun:
             RunOptions(dtau0=-1.0)
         with pytest.raises(ValidationError):
             RunOptions(omega_update="newton")
+
+
+class TestModuleGlobalHooks:
+    # `run` enters `step` through its module global, where the benchmark times
+    # each iteration, and every state's evaluator is built through the module
+    # global `StateEvaluator`, where states can be counted
+    @pytest.mark.parametrize("freeze", [False, True], ids=["hitgd", "freeze_omega"])
+    def test_steps_and_states_go_through_module_globals(self, hubbard, monkeypatch, freeze):
+        counts = {"step": 0, "StateEvaluator": 0}
+        for name in counts:
+            original = getattr(ngfermi.optimizer, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ngfermi.optimizer, name, counting)
+        options = RunOptions(freeze_omega=freeze, max_steps=15)
+        _, records, _ = run(hubbard, options, initial_state(hubbard, options, seed=2))
+        backtracks = sum(r.backtracks for r in records)
+        assert len(records) > 1 and backtracks > 0
+        assert counts["step"] == len(records) - 1
+        assert counts["StateEvaluator"] == 1 + counts["step"] + backtracks
