@@ -16,7 +16,7 @@ e_exact, _ = oracle.dense_ground(hamil)
 print(f"two-site Hubbard (t=1, U=4, mu=2), exact ground energy {e_exact:.8f}")
 
 options = RunOptions(max_steps=800, tol_g=1e-8, tol_e=1e-12, patience=15)
-state0 = initial_state(hamil, options, seed=42)
+state0 = initial_state(hamil, seed=42)
 print(f"random-init energy {state0.energy:.8f}")
 
 final, records, reason = run(hamil, options, state0)
@@ -39,6 +39,6 @@ print(f"largest flux coupling |omega|: {np.max(np.abs(final.omega.omega)):.4f}")
 options_g = RunOptions(
     freeze_omega=True, max_steps=800, tol_g=1e-8, tol_e=1e-12, patience=15
 )
-final_g, _, _ = run(hamil, options_g, initial_state(hamil, options_g, seed=42))
+final_g, _, _ = run(hamil, options_g, initial_state(hamil, seed=42))
 print(f"\nfrozen-coupling run from the same start: E {final_g.energy:.10f}")
 print(f"flux-coupled final is lower or equal: {final.energy <= final_g.energy + 1e-9}")

@@ -232,12 +232,11 @@ def parse_config(payload: dict) -> dict:
 
 def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
     hamil = resolved["hamiltonian"]
-    options = resolved["options"]
     init = resolved["init"]
     if init == "meanfield":
-        return optimizer.initial_state(hamil, options, filling=resolved["filling"])
+        return optimizer.initial_state(hamil, filling=resolved["filling"])
     if "random_seed" in init:
-        return optimizer.initial_state(hamil, options, seed=int(init["random_seed"]))
+        return optimizer.initial_state(hamil, seed=int(init["random_seed"]))
     gamma, omega, tau, stored = load_checkpoint(init["checkpoint"])
     if gamma.n_modes != hamil.n_modes:
         raise ConfigError(f"checkpoint has {gamma.n_modes} modes, the Hamiltonian {hamil.n_modes}")
@@ -245,7 +244,7 @@ def _build_initial_state(resolved: dict) -> optimizer.OptimizerState:
         purity = gamma.purity_error
     if not purity <= gaussian.PURITY_TOL:  # also NaN
         raise ConfigError(f"checkpoint gamma is not pure: purity error {purity:.3e}")
-    state = optimizer.initial_state(hamil, options, gamma=gamma, omega=omega)
+    state = optimizer.initial_state(hamil, gamma=gamma, omega=omega)
     # a stored energy that the state does not reproduce means another
     # Hamiltonian (or a damaged file): the restart would not continue that run
     if not abs(state.energy - stored) <= CHECKPOINT_ENERGY_TOL:

@@ -5,8 +5,10 @@ Each step computes the coupling gradient, turns it into a coupling velocity
 coupling term in the energy derivative exactly, or through plain gradient
 descent), assembles the two mean-field matrices and rotates the covariance
 along its imaginary-time flow by a Cayley step, with alternating
-Barzilai-Borwein step lengths.  A backtracking guard halves the step until
-the energy does not increase, so accepted steps are monotone by construction.
+Barzilai-Borwein step lengths.  A step that leaves omega where it is (frozen)
+rotates the covariance along the limited-memory BFGS direction of its Cayley
+generator instead.  A backtracking guard halves the step until the energy
+does not increase, so accepted steps are monotone by construction.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from .wick import wrap_angles
 ENERGY_INCREASE_TOL = 1e-12
 # the next step size where the Barzilai-Borwein s.y is not positive, as a multiple of the last
 STEP_GROWTH = 1.2
+# the (s, y) pairs a frozen step's L-BFGS direction remembers
+LBFGS_MEMORY = 5
 # the spectral cutoff of the flow matrix's pseudo-inverse, relative to its largest eigenvalue
 PINV_RCOND = 1e-8
 
@@ -203,6 +208,15 @@ def cayley_generator(gamma, h_fa_m: np.ndarray, o_m: np.ndarray | None = None) -
     return 0.5 * (k - k.T)
 
 
+@lru_cache(maxsize=None)
+def _identity(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and 1.5 times it, read-only, once per size."""
+    eye = np.eye(size)
+    eye_3_2 = 1.5 * eye
+    eye.flags.writeable = eye_3_2.flags.writeable = False
+    return eye, eye_3_2
+
+
 def cayley_rotate(gamma: CovarianceMatrix, generator: np.ndarray, tau: float) -> CovarianceMatrix:
     """C gamma C^T with the Cayley rotation C = (1 - tau K/2)^-1 (1 + tau K/2).
 
@@ -210,27 +224,31 @@ def cayley_rotate(gamma: CovarianceMatrix, generator: np.ndarray, tau: float) ->
     [K, gamma].  The solve's rounding grows with tau |K| (1.4e-12 at tau = 1e3,
     N = 5); one Newton-Schulz pass C (3 - C^T C)/2 makes C orthogonal again.
     """
-    eye = np.eye(generator.shape[0])
+    eye, eye_3_2 = _identity(generator.shape[0])
     half = (0.5 * tau) * generator
     c = np.linalg.solve(eye - half, eye + half)
-    c = c @ (1.5 * eye - 0.5 * (c.T @ c))
+    c = c @ (eye_3_2 - 0.5 * (c.T @ c))
     x = c @ gamma.gamma @ c.T
     # finite (K is checked), real, and exactly skew by construction
     return CovarianceMatrix._of_skew(0.5 * (x - x.T))
 
 
 def bb_step_length(state: OptimizerState, options: RunOptions, dgamma: np.ndarray, domega) -> float:
-    """First trial length of the step from ``state``, in [dtau_min, dtau_max].
+    """First trial length of a step from ``state`` that moves omega, in [dtau_min, dtau_max].
 
     With the last step's length tau_k and velocities v_k = (dgamma, domega),
     s = tau_k v_k and y = v_k - v_{k+1}; the length alternates between s.s/s.y
     and s.y/y.y (Dai and Fletcher 2005), long first.  domega counts only when
     both steps moved omega.  The first step takes ``dtau0``, and one with
-    s.y <= 0 takes STEP_GROWTH times the last step, capped at ``dtau_max``.
+    s.y <= 0, or after a frozen step (which keeps no velocity), takes
+    STEP_GROWTH times the last step, capped at ``dtau_max``.
     """
-    if state.last_step is None:
+    last = state.last_step
+    if last is None:
         return options.dtau0
-    tau, dgamma_k, domega_k, long = state.last_step
+    if last.dgamma is None:
+        return min(last.dtau * STEP_GROWTH, options.dtau_max)
+    tau, dgamma_k, domega_k = last.dtau, last.dgamma, last.domega
     y = dgamma_k - dgamma  # s.s, s.y and y.y below leave out the factors of tau
     ss, sy, yy = np.vdot(dgamma_k, dgamma_k), np.vdot(dgamma_k, y), np.vdot(y, y)
     if domega_k is not None and domega is not None:
@@ -238,8 +256,100 @@ def bb_step_length(state: OptimizerState, options: RunOptions, dgamma: np.ndarra
         ss, sy, yy = ss + np.vdot(domega_k, domega_k), sy + np.vdot(domega_k, y), yy + np.vdot(y, y)
     if not sy > 0.0:
         return min(tau * STEP_GROWTH, options.dtau_max)
-    length = float(tau * ss / sy if long else tau * sy / yy)
+    length = float(tau * ss / sy if last.long else tau * sy / yy)
     return min(max(length, options.dtau_min), options.dtau_max)
+
+
+def lbfgs_direction(memory: np.ndarray) -> tuple[np.ndarray, float]:
+    """The L-BFGS direction p = H K / theta, and theta = s.y / y.y of the newest pair.
+
+    ``memory`` holds m >= 1 pairs and the generator as rows, all flattened:
+    s_0 ... s_{m-1}, then y_0 ... y_{m-1}, oldest first and each with
+    s_i.y_i > 0, then K.  H is the inverse-Hessian estimate the pairs update
+    from H_0 = theta I, so p.K > 0.  The two-loop recursion (Nocedal 1980)
+    runs on inner products alone, since each of its vectors is theta K plus
+    a sum of the s_i and y_i: one product with the y_i and K gives every
+    inner product it reads, and a second one builds p.
+    """
+    m = len(memory) // 2
+    dots = (memory @ memory[m:].T).tolist()  # row i: x_i.y_0, ..., x_i.y_{m-1}, x_i.K
+    s_y, y_y = dots[:m], dots[m:-1]
+    theta = s_y[-1][m - 1] / y_y[-1][m - 1]
+    alpha = [0.0] * m
+    for i in reversed(range(m)):
+        row = s_y[i]
+        a = row[m]
+        for j in range(i + 1, m):
+            a -= row[j] * alpha[j]
+        alpha[i] = a / row[i]
+    diff = [0.0] * m  # alpha_i - beta_i of the second loop
+    for i in range(m):
+        row = y_y[i]
+        y_r = row[m]
+        for j in range(m):
+            y_r -= row[j] * alpha[j]
+        y_r *= theta
+        for j in range(i):
+            y_r += diff[j] * s_y[j][i]
+        diff[i] = alpha[i] - y_r / s_y[i][i]
+    # H K / theta = K + sum_i (diff_i / theta) s_i - alpha_i y_i
+    coef = [d / theta for d in diff] + [-a for a in alpha] + [1.0]
+    return np.dot(coef, memory), theta
+
+
+def lbfgs_step(
+    state: OptimizerState, options: RunOptions, generator: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Direction, first trial length and L-BFGS memory of a frozen step from ``state``.
+
+    A frozen step that reached ``state`` with direction p_k, length tau_k and
+    generator K_k gives the pair s = tau_k p_k, y = K_k - K, kept only when
+    s.y > 0, with the last LBFGS_MEMORY - 1 pairs it remembers.  The
+    generator K is -2 times the energy's gradient in generator coordinates
+    (dE = -<X, K>/2 along a rotation by X), so with the pairs'
+    inverse-Hessian estimate H the step takes p = H K / theta and first
+    tries theta (:func:`lbfgs_direction`), clipped to [dtau_min, dtau_max];
+    unclipped, tau p is the quasi-Newton step H K.  With no pair, p = K and
+    the length is ``dtau0`` on a run's first step, else STEP_GROWTH times
+    the last step, capped at ``dtau_max``.  The memory returned is the
+    pairs and K, as :func:`lbfgs_direction` reads them.
+    """
+    last = state.last_step
+    k = generator.ravel()
+    memory = k[None]
+    if last is not None and last.memory is not None:
+        old, m = last.memory, len(last.memory) // 2
+        s = last.dtau * last.direction.ravel()
+        y = old[-1] - k
+        if s @ y > 0.0:
+            keep = min(m, LBFGS_MEMORY - 1)
+            memory = np.concatenate((old[m - keep:m], s[None], old[2 * m - keep:2 * m], y[None], memory))
+        elif m:
+            memory = np.concatenate((old[:-1], memory))
+    if len(memory) == 1:
+        length = options.dtau0 if last is None else min(last.dtau * STEP_GROWTH, options.dtau_max)
+        return generator, length, memory
+    direction, theta = lbfgs_direction(memory)
+    length = min(max(theta, options.dtau_min), options.dtau_max)
+    return direction.reshape(generator.shape), length, memory
+
+
+class LastStep(NamedTuple):
+    """The step that reached a state, as the next step's length and direction read it.
+
+    A step that moved omega keeps its velocities ``dgamma`` and ``domega`` and
+    whether the next one takes the long Barzilai-Borwein length
+    (:func:`bb_step_length`).  A frozen step keeps its direction p and the
+    L-BFGS ``memory``, its pairs and generator (:func:`lbfgs_step`); a step
+    that moves omega drops them.
+    """
+
+    dtau: float
+    dgamma: np.ndarray | None = None
+    domega: np.ndarray | None = None
+    long: bool = False
+    direction: np.ndarray | None = None
+    memory: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -249,15 +359,15 @@ class OptimizerState:
     ``evaluator`` is the state: its gamma and omega are :attr:`gamma` and
     :attr:`omega`, and it holds the contraction bundles, so the gradient and
     the mean-field matrix of the step that starts from this state reuse the
-    bundles its energy was computed from.  ``last_step`` is
-    (tau, dgamma, domega or None, long) of the step that reached this state,
-    for :func:`bb_step_length`; a fresh or restarted state has none.
+    bundles its energy was computed from.  ``last_step`` is the
+    :class:`LastStep` that reached this state, which the next step's length
+    and direction read; a fresh or restarted state has none.
     """
 
     evaluator: StateEvaluator
     tau: float
     energy: float
-    last_step: tuple | None = field(default=None, repr=False, compare=False)
+    last_step: LastStep | None = field(default=None, repr=False, compare=False)
 
     @property
     def gamma(self) -> CovarianceMatrix:
@@ -306,12 +416,15 @@ class RunOptions:
 
     ``dtau0`` is the first step's length, ``dtau_max`` caps every later one,
     and halving below ``dtau_min`` raises :class:`StagnationError`, so
-    dtau_min <= dtau_max and dtau0 >= dtau_min.  The gradient stop needs the
-    coupling gradient and the covariance velocity (:func:`dtau_gamma` with
-    O = 0) both below ``tol_g`` in max-norm, since at omega = 0 the first can
-    vanish off a stationary point.  Setting ``tol_g`` or ``tol_e`` to exactly
-    0 disables that stopping rule (the comparisons are strict, and a gradient
-    can vanish identically at symmetric points).
+    dtau_min <= dtau_max and dtau0 >= dtau_min.  A length is along the
+    step's direction: K on a step that moves omega, and on a frozen step
+    the L-BFGS direction H K / theta, which is K when no pair is kept.  The
+    gradient stop needs the coupling gradient and the covariance velocity
+    (:func:`dtau_gamma` with O = 0) both below ``tol_g`` in max-norm, since
+    at omega = 0 the first can vanish off a stationary point.  Setting
+    ``tol_g`` or ``tol_e`` to exactly 0 disables that stopping rule (the
+    comparisons are strict, and a gradient can vanish identically at
+    symmetric points).
     """
 
     omega_update: str = "hitgd"  # "hitgd" | "simple"
@@ -366,10 +479,12 @@ def step(
     covariance flow depends on it through the flux mean-field matrix; under
     ``freeze_omega`` or an exactly vanishing gradient it is zero, and no flow
     tensor, solve or flux term is built.  Each trial rotates gamma by
-    :func:`cayley_rotate` with the one generator K and moves omega by
-    tau * domega; the first tau is :func:`bb_step_length`.  A trial is
-    accepted only if the energy does not rise by more than 1e-12; otherwise
-    tau is halved, down to ``dtau_min`` (then :class:`StagnationError`).
+    :func:`cayley_rotate` along one direction and moves omega by
+    tau * domega: a step that moves omega takes the generator K and first
+    tries :func:`bb_step_length`, a frozen step takes the L-BFGS direction
+    and first length of :func:`lbfgs_step`.  A trial is accepted only if the
+    energy does not rise by more than 1e-12; otherwise tau is halved, down
+    to ``dtau_min`` (then :class:`StagnationError`).
     """
     options = options or RunOptions()
     ev = state.evaluator
@@ -389,9 +504,13 @@ def step(
     generator = cayley_generator(state.gamma, h_m, o_m)
     if not np.isfinite(generator).all():
         raise NumericsError("covariance flow generator has non-finite entries")
-    dgamma = generator @ state.gamma.gamma - state.gamma.gamma @ generator
+    if frozen:
+        direction, dtau, memory = lbfgs_step(state, options, generator)
+    else:
+        g = state.gamma.gamma
+        dgamma = generator @ g - g @ generator
+        direction, dtau = generator, bb_step_length(state, options, dgamma, domega)
 
-    dtau = bb_step_length(state, options, dgamma, domega)
     backtracks = 0
     while True:
         if dtau < options.dtau_min:
@@ -401,7 +520,7 @@ def step(
         new_omega = state.omega if frozen else NonGaussianParams(
             wrap_angles(state.omega.omega + dtau * domega)
         )
-        new_gamma = cayley_rotate(state.gamma, generator, dtau)
+        new_gamma = cayley_rotate(state.gamma, direction, dtau)
         trial = StateEvaluator(new_gamma, new_omega, hamil, ev.layout)
         new_energy = trial.energy()[2]
         # the difference, not E + tol: that sum can round up past E + 1e-12
@@ -410,18 +529,18 @@ def step(
         dtau *= 0.5
         backtracks += 1
 
-    new_state = OptimizerState(
-        trial,
-        tau=state.tau + dtau,
-        energy=new_energy,
-        last_step=(dtau, dgamma, domega, state.last_step is None or not state.last_step[3]),
-    )
+    if frozen:
+        last = LastStep(dtau, direction=direction, memory=memory)
+    else:
+        long = state.last_step is None or not state.last_step.long
+        last = LastStep(dtau, dgamma=dgamma, domega=domega, long=long)
+    new_state = OptimizerState(trial, tau=state.tau + dtau, energy=new_energy, last_step=last)
     return new_state, StepInfo(dtau=dtau, backtracks=backtracks)
 
 
 def initial_state(
     hamil: ManyBodyHamiltonian,
-    options: RunOptions | None = None,
+    *,
     gamma: CovarianceMatrix | None = None,
     omega: NonGaussianParams | None = None,
     filling: float = 0.5,
@@ -431,9 +550,9 @@ def initial_state(
 
     ``seed`` draws a random pure covariance instead of the mean-field one;
     the couplings start at zero unless given.  Plain arrays are wrapped in
-    :class:`CovarianceMatrix` and :class:`NonGaussianParams`.  ``options``
-    does not shape the start: the first step reads ``dtau0`` from the
-    options :func:`step` is given.
+    :class:`CovarianceMatrix` and :class:`NonGaussianParams`.  The options
+    do not shape the start (the first step reads ``dtau0`` from the options
+    :func:`step` is given), and every argument after ``hamil`` is keyword-only.
     """
     n = hamil.n_modes
     if gamma is None:
@@ -468,7 +587,7 @@ def run(
     """
     options = options or RunOptions()
     if state is None:
-        state = initial_state(hamil, options)
+        state = initial_state(hamil)
     records = [
         TrajectoryRecord(
             step=0,

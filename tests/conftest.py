@@ -10,11 +10,47 @@ from ngfermi.validate import (
 )
 
 __all__ = [
+    "curvature_pairs",
+    "dense_bfgs_direction",
+    "lbfgs_memory",
     "random_hamiltonian",
     "random_operator_string",
     "random_symmetric_zero_diag",
     "random_two_body",
 ]
+
+
+def curvature_pairs(rng, m: int, size: int) -> list:
+    """m pairs (s, y) with s.y > 0: y = A s plus noise for a random positive
+    definite A."""
+    a = rng.standard_normal((size, size))
+    hess = a @ a.T / size + np.eye(size)
+    pairs = []
+    while len(pairs) < m:
+        s = rng.standard_normal(size)
+        y = hess @ s + 0.3 * rng.standard_normal(size)
+        if s @ y > 0.0:
+            pairs.append((s, y))
+    return pairs
+
+
+def lbfgs_memory(pairs, k) -> np.ndarray:
+    """The rows `optimizer.lbfgs_direction` reads: every s, every y, then K."""
+    return np.array([s for s, _ in pairs] + [y for _, y in pairs] + [k])
+
+
+def dense_bfgs_direction(pairs, k) -> tuple[np.ndarray, float]:
+    """H K / theta and theta = s.y / y.y of the newest pair, with H built from
+    H_0 = theta I by the dense BFGS recursion H <- V^T H V + rho s s^T,
+    V = 1 - rho y s^T, oldest pair first."""
+    s_new, y_new = pairs[-1]
+    theta = (s_new @ y_new) / (y_new @ y_new)
+    h = theta * np.eye(len(k))
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        v = np.eye(len(k)) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    return h @ k / theta, theta
 
 
 @pytest.fixture

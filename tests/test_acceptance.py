@@ -213,7 +213,7 @@ def test_08_monotone_optimization():
 
     # mean-field-initialized run, early stopping disabled to force >= 200 steps
     options = RunOptions(max_steps=210, tol_g=0.0, tol_e=0.0, patience=10_000)
-    state0 = initial_state(hamil, options)
+    state0 = initial_state(hamil)
     e_init = state0.energy
     final, records, _ = run(hamil, options, state0)
     energies = [r.energy for r in records]
@@ -228,8 +228,8 @@ def test_08_monotone_optimization():
     base = dict(max_steps=1500, tol_g=1e-8, tol_e=1e-12, patience=15)
     opts_ngs = RunOptions(**base)
     opts_frozen = RunOptions(freeze_omega=True, **base)
-    final_ngs, recs_ngs, _ = run(hamil, opts_ngs, initial_state(hamil, opts_ngs, seed=11))
-    final_frozen, _, _ = run(hamil, opts_frozen, initial_state(hamil, opts_frozen, seed=11))
+    final_ngs, recs_ngs, _ = run(hamil, opts_ngs, initial_state(hamil, seed=11))
+    final_frozen, _, _ = run(hamil, opts_frozen, initial_state(hamil, seed=11))
     ngs_energies = [r.energy for r in recs_ngs]
     assert all(b <= a + 1e-12 for a, b in zip(ngs_energies, ngs_energies[1:]))
     assert final_ngs.energy <= final_frozen.energy + 1e-9

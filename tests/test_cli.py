@@ -25,7 +25,7 @@ from ngfermi.cli import (
 )
 from ngfermi.errors import ConfigError
 from ngfermi.hamiltonian import energy, hubbard_model, load_hamiltonian
-from ngfermi.optimizer import RunOptions, initial_state
+from ngfermi.optimizer import initial_state
 
 
 def write_config(path, **overrides):
@@ -118,7 +118,7 @@ class TestRunCommand:
     def test_non_finite_checkpoint_is_config_error(self, tmp_path, capsys):
         hamil = hubbard_model(2, 1.0, 4.0, 2.0)
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hamil, seed=3))
         payload = json.loads(ckpt.read_text())
         payload["gamma"][1] = float("nan")
         ckpt.write_text(json.dumps(payload))
@@ -148,7 +148,7 @@ class TestRunCommand:
 
     def test_checkpoint_mode_count_mismatch_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hubbard_model(3, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hubbard_model(3, 1.0, 4.0, 2.0), seed=3))
         config = tmp_path / "run.json"
         write_config(config, init={"checkpoint": str(ckpt)})  # a 4-mode Hamiltonian
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
@@ -159,7 +159,7 @@ class TestRunCommand:
     def test_mixed_checkpoint_is_config_error(self, tmp_path, capsys):
         hamil = hubbard_model(2, 1.0, 4.0, 2.0)
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hamil, seed=3))
         payload = json.loads(ckpt.read_text())
         payload["gamma"] = [0.0] * len(payload["gamma"])  # the maximally mixed state
         ckpt.write_text(json.dumps(payload))
@@ -177,7 +177,7 @@ class TestRunCommand:
         # 1e308 omega pair is a valid, finite state
         hamil = hubbard_model(2, 1.0, 4.0, 2.0)
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hamil, RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hamil, seed=3))
         payload = json.loads(ckpt.read_text())
         dim = 2 * payload["n_modes"] if key == "gamma" else payload["n_modes"]
         sign = -1.0 if key == "gamma" else 1.0
@@ -198,7 +198,7 @@ class TestRunCommand:
     def test_checkpoint_of_another_hamiltonian_is_config_error(self, tmp_path, capsys):
         # same mode count, other interaction: the stored energy is not reproduced
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 2.0, 2.0), RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 2.0, 2.0), seed=3))
         config = tmp_path / "run.json"
         write_config(config, init={"checkpoint": str(ckpt)})  # u = 4
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
@@ -224,7 +224,7 @@ class TestRunCommand:
     )
     def test_malformed_checkpoint_number_is_config_error(self, tmp_path, capsys, key, value):
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), seed=3))
         payload = json.loads(ckpt.read_text())
         payload[key] = value
         ckpt.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
@@ -261,7 +261,7 @@ class TestRunCommand:
     def test_restart_in_place_keeps_the_checkpoint(self, tmp_path):
         # the output probe must not truncate the checkpoint the run restarts from
         ckpt = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), RunOptions(), seed=3))
+        save_checkpoint(ckpt, initial_state(hubbard_model(2, 1.0, 4.0, 2.0), seed=3))
         config = tmp_path / "run.json"
         write_config(config, init={"checkpoint": str(ckpt)}, outputs={"checkpoint": str(ckpt)}, max_steps=2)
         assert main(["run", "--config", str(config)]) == EXIT_OK
@@ -454,7 +454,7 @@ def test_parse_config_resolves_or_names_the_key(key, value, tmp_path, monkeypatc
 
 
 _HAMIL = hubbard_model(2, 1.0, 4.0, 2.0)
-_STATE = initial_state(_HAMIL, RunOptions(), seed=3)
+_STATE = initial_state(_HAMIL, seed=3)
 _CHECKPOINT = {
     "n_modes": 4,
     "gamma": _STATE.gamma.gamma.ravel().tolist(),
@@ -585,7 +585,7 @@ class TestCircuitCommand:
 
     def test_checkpoint_round_trip(self, tmp_path):
         hamil = hubbard_model(2, 1.0, 4.0, 2.0)
-        state = initial_state(hamil, RunOptions(), seed=3)
+        state = initial_state(hamil, seed=3)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, state)
         gamma, omega, tau, energy = load_checkpoint(path)

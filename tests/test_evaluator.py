@@ -220,7 +220,7 @@ def test_evaluator_bundles_match_single_calls_past_dense_cap():
 def test_step_builds_each_bundle_once(monkeypatch):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(max_steps=1, tol_g=0.0)
-    state = initial_state(hamil, options, seed=5)
+    state = initial_state(hamil, seed=5)
     built, contracts = [], []  # keeps the evaluators alive, so their ids stay unique
     original_init = ngfermi.hamiltonian.StateEvaluator.__init__
     original_contract = ngfermi.hamiltonian.contract
@@ -320,7 +320,7 @@ def test_frozen_run_builds_one_layout_and_keeps_omega(monkeypatch, rng):
     monkeypatch.setattr(PhaseLayout, "__init__", counting)
     options = RunOptions(freeze_omega=True, max_steps=6, tol_e=0.0)
     w = random_symmetric_zero_diag(6, rng, scale=1.0)
-    state = initial_state(hamil, options, seed=5, omega=w)
+    state = initial_state(hamil, seed=5, omega=w)
     assert len(state.evaluator.layout.phased) > 1  # nonzero phase keys
     final, records, _ = run(hamil, options, state)
     assert len(records) == 7
@@ -340,7 +340,7 @@ def _forbid(name):
 def test_zero_velocity_step_skips_the_flux_term(case, monkeypatch):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(freeze_omega=case == "freeze_omega", tol_g=0.0)
-    state = initial_state(hamil, options, seed=5)
+    state = initial_state(hamil, seed=5)
     expected, _ = step(state, hamil, options, grad=np.zeros((6, 6)))
     monkeypatch.setattr(ngfermi.optimizer, "mean_field_o", _forbid("mean_field_o"))
     monkeypatch.setattr(ngfermi.optimizer, "NonGaussianParams", _forbid("NonGaussianParams"))
@@ -369,16 +369,16 @@ def test_default_mean_field_run_takes_the_frozen_step(monkeypatch):
 
     monkeypatch.setattr(StateEvaluator, "mean_field_h", keeping)
     final, records, reason = run(hamil)
-    assert reason == "gradient" and len(records) == 9
-    assert len(matrices) == 17
-    assert len({id(h_m) for h_m in matrices}) == 9
+    assert reason == "gradient" and len(records) == 10
+    assert len(matrices) == 19
+    assert len({id(h_m) for h_m in matrices}) == 10
     assert final.energy < -6.96
 
 
 def test_frozen_step_ignores_a_given_gradient(monkeypatch, rng):
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(freeze_omega=True)
-    state = initial_state(hamil, options, seed=5)
+    state = initial_state(hamil, seed=5)
     monkeypatch.setattr(StateEvaluator, "gradient", _forbid("gradient"))
     monkeypatch.setattr(ngfermi.optimizer, "b_tensor", _forbid("b_tensor"))
     new, _ = step(state, hamil, options, grad=random_symmetric_zero_diag(6, rng, scale=1.0))
@@ -629,7 +629,7 @@ def test_gaussian_baseline_calls_no_contract(monkeypatch):
     options = RunOptions(freeze_omega=True, max_steps=20)
     monkeypatch.setattr(wick, "contract", _forbid("wick.contract"))
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", _forbid("wick.contract"))
-    state = initial_state(hamil, options, seed=5)
+    state = initial_state(hamil, seed=5)
     final, records, _ = run(hamil, options, state)
     assert len(records) == 21
     assert final.omega is state.omega and final.evaluator.contraction is None
@@ -654,7 +654,7 @@ def test_zero_omega_state_builds_its_tables_once(monkeypatch):
 
     monkeypatch.setattr(wick, "_dirac", counting_dirac)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
-    state = initial_state(hamil, options, seed=5)
+    state = initial_state(hamil, seed=5)
     assert np.any(state.evaluator.gradient())
     assert dirac == [6] and phased == []
     state.evaluator.mean_field_h()

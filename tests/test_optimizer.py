@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_hamiltonian, random_symmetric_zero_diag
+from conftest import (
+    curvature_pairs,
+    dense_bfgs_direction,
+    lbfgs_memory,
+    random_hamiltonian,
+    random_symmetric_zero_diag,
+)
 from ngfermi import hamiltonian as ham
 from ngfermi.errors import NumericsError, StagnationError, ValidationError
 from ngfermi.gaussian import CovarianceMatrix, random_pure_covariance, upsilon
@@ -11,7 +17,9 @@ from ngfermi.hamiltonian import ManyBodyHamiltonian, mean_field_o
 import ngfermi.optimizer
 from ngfermi.optimizer import (
     ENERGY_INCREASE_TOL,
+    LBFGS_MEMORY,
     STEP_GROWTH,
+    LastStep,
     RunOptions,
     b_tensor,
     bb_step_length,
@@ -21,6 +29,7 @@ from ngfermi.optimizer import (
     dtau_omega_hitgd,
     dtau_omega_simple,
     initial_state,
+    lbfgs_direction,
     matricize_b,
     quadratic_form,
     run,
@@ -211,7 +220,7 @@ class TestStep:
 
     def test_backtracking_recovers_from_large_step(self, hubbard):
         options = RunOptions(dtau0=50.0, tol_g=1e-12)
-        state = initial_state(hubbard, options, seed=1)
+        state = initial_state(hubbard, seed=1)
         new, info = step(state, hubbard, options)
         assert info.backtracks > 0
         assert new.energy <= state.energy + 1e-12
@@ -221,7 +230,7 @@ class TestStep:
         # a frozen run computes no gradient, so it reports none (not 0.0)
         hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
         options = RunOptions(freeze_omega=True, max_steps=3, tol_e=0.0)
-        state = initial_state(hamil, options, seed=1)
+        state = initial_state(hamil, seed=1)
         _, info = step(state, hamil, options)
         _, records, _ = run(hamil, options, state)
         assert len(records) == 4
@@ -232,7 +241,7 @@ class TestStep:
 
     def test_stagnation_error(self, hubbard):
         options = RunOptions(dtau0=50.0, dtau_max=50.0, dtau_min=40.0, tol_g=1e-12)
-        state = initial_state(hubbard, options, seed=1)
+        state = initial_state(hubbard, seed=1)
         with pytest.raises(StagnationError):
             step(state, hubbard, options)
 
@@ -242,7 +251,7 @@ class TestStep:
         trial = e0 + ENERGY_INCREASE_TOL
         assert trial - e0 > ENERGY_INCREASE_TOL
         options = RunOptions(dtau0=1e-3, dtau_min=5e-4)
-        state = dataclasses.replace(initial_state(hubbard, options, seed=1), energy=e0)
+        state = dataclasses.replace(initial_state(hubbard, seed=1), energy=e0)
         monkeypatch.setattr(ham.StateEvaluator, "energy", lambda self: (0.0, 0.0, trial))
         with pytest.raises(StagnationError):
             step(state, hubbard, options)
@@ -283,7 +292,7 @@ class TestCayleyStep:
         # trial calls eigh and every accepted state is pure
         hamil = ham.hubbard_model(3, 1.0, 4.0, 2.0)
         options = RunOptions(freeze_omega=True, dtau0=1.0)
-        state = initial_state(hamil, options, seed=1)
+        state = initial_state(hamil, seed=1)
         calls = []
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or real(mat))
@@ -303,7 +312,7 @@ class TestCayleyStep:
 def _after_step(tau, dgamma, domega, long):
     """A state reached by a step of length tau with the given velocities."""
     state = initial_state(ham.hubbard_model(2, 1.0, 4.0, 2.0), seed=1)
-    return dataclasses.replace(state, last_step=(tau, dgamma, domega, long))
+    return dataclasses.replace(state, last_step=LastStep(tau, dgamma=dgamma, domega=domega, long=long))
 
 
 class TestStepLength:
@@ -313,7 +322,7 @@ class TestStepLength:
 
     def test_first_step_uses_dtau0(self, hubbard, monkeypatch):
         options = RunOptions(dtau0=0.05)
-        state = initial_state(hubbard, options, seed=7)
+        state = initial_state(hubbard, seed=7)
         assert state.last_step is None
         assert bb_step_length(state, options, self.V, None) == 0.05
         taus = []
@@ -323,7 +332,7 @@ class TestStepLength:
         )
         new, info = step(state, hubbard, options)
         assert taus[0] == 0.05 and info.dtau == taus[-1]
-        assert new.last_step[0] == info.dtau and new.last_step[3]
+        assert new.last_step.dtau == info.dtau and new.last_step.long
 
     def test_long_and_short_lengths_alternate(self, hubbard):
         # s.s = tau^2 |v_k|^2 = 10 tau^2, s.y = tau v_k.y = 2 tau, y.y = 4
@@ -333,11 +342,11 @@ class TestStepLength:
         assert long == pytest.approx(10 * tau**2 / (2 * tau))
         assert short == pytest.approx(2 * tau / 4)
         # a run flips the choice at every step, starting with the long one
-        state = initial_state(hubbard, options, seed=7)
+        state = initial_state(hubbard, seed=7)
         flags = []
         for _ in range(4):
             state, _ = step(state, hubbard, options)
-            flags.append(state.last_step[3])
+            flags.append(state.last_step.long)
         assert flags == [True, False, True, False]
 
     def test_nonpositive_curvature_falls_back_to_growth(self):
@@ -368,6 +377,153 @@ class TestStepLength:
         assert both != plain
 
 
+def _frozen_after(state, direction, memory, tau=0.1):
+    """``state`` as if a frozen step of length tau along ``direction`` reached it."""
+    return dataclasses.replace(state, last_step=LastStep(tau, direction=direction, memory=memory))
+
+
+class TestLBFGS:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_two_loop_matches_dense_bfgs(self, m, rng):
+        for _ in range(5):
+            pairs = curvature_pairs(rng, m, 12)
+            k = rng.standard_normal(12)
+            p, theta = lbfgs_direction(lbfgs_memory(pairs, k))
+            expected, expected_theta = dense_bfgs_direction(pairs, k)
+            assert theta == pytest.approx(expected_theta, rel=1e-12)
+            assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert p @ k > 0.0
+
+    def _state_and_generator(self, hubbard):
+        state = initial_state(hubbard, seed=7)
+        h_m = state.evaluator.mean_field_h()
+        return state, cayley_generator(state.gamma, h_m)
+
+    def test_pair_with_nonpositive_curvature_is_skipped(self, hubbard, rng):
+        state, k = self._state_and_generator(hubbard)
+        old = lbfgs_memory(curvature_pairs(rng, 2, k.size), rng.standard_normal(k.size))
+        for direction in (k, np.zeros_like(k)):
+            # the last generator K_k = K - tau p makes y = -s: s.y = -|s|^2 < 0, or 0 for p = 0
+            last_k = k.ravel() - 0.1 * direction.ravel()
+            last = _frozen_after(state, direction, np.concatenate((old[:-1], last_k[None])), tau=0.1)
+            p, length, memory = ngfermi.optimizer.lbfgs_step(last, RunOptions(), k)
+            # the two old pairs stay, with the new K
+            np.testing.assert_array_equal(memory, np.concatenate((old[:-1], k.ravel()[None])))
+            expected, theta = lbfgs_direction(memory)
+            np.testing.assert_array_equal(p, expected.reshape(k.shape))
+            assert length == min(max(theta, 1e-8), 1.0)
+
+    def test_empty_memory_takes_the_generator_and_the_fallback_length(self, hubbard):
+        state, k = self._state_and_generator(hubbard)
+        options = RunOptions(dtau0=0.05, dtau_max=0.5)
+        p, length, memory = ngfermi.optimizer.lbfgs_step(state, options, k)
+        assert p is k and length == 0.05
+        np.testing.assert_array_equal(memory, k.ravel()[None])
+        # after a frozen step whose one pair curves the wrong way (s.y < 0) ...
+        last = _frozen_after(state, k, (k.ravel() - 0.1 * k.ravel())[None], tau=0.1)
+        p, length, _ = ngfermi.optimizer.lbfgs_step(last, options, k)
+        assert p is k and length == STEP_GROWTH * 0.1
+        # ... and after a step that moved omega, which keeps no memory; both capped
+        for tau, expected in ((0.1, STEP_GROWTH * 0.1), (0.45, 0.5)):
+            moved = dataclasses.replace(state, last_step=LastStep(tau, dgamma=k, long=True))
+            p, length, _ = ngfermi.optimizer.lbfgs_step(moved, options, k)
+            assert p is k and length == expected
+
+    @pytest.mark.parametrize("theta, expected", [(1e3, 0.5), (1e-12, 1e-6), (0.25, 0.25)])
+    def test_first_length_is_theta_clipped(self, hubbard, rng, theta, expected):
+        # y = s / theta gives s.y / y.y = theta
+        state, k = self._state_and_generator(hubbard)
+        s = rng.standard_normal(k.size)
+        last = _frozen_after(state, s.reshape(k.shape), (k.ravel() + s / theta)[None], tau=1.0)
+        options = RunOptions(dtau_min=1e-6, dtau_max=0.5)
+        _, length, memory = ngfermi.optimizer.lbfgs_step(last, options, k)
+        assert len(memory) == 3
+        assert lbfgs_direction(memory)[1] == pytest.approx(theta, rel=1e-12)
+        assert length == pytest.approx(expected, rel=1e-12)
+
+    def test_memory_keeps_the_newest_pairs_up_to_its_cap(self, hubbard):
+        options = RunOptions(freeze_omega=True)
+        state = initial_state(hubbard, seed=7)
+        state, _ = step(state, hubbard, options)
+        assert len(state.last_step.memory) == 1  # the first step keeps K alone
+        sizes = []
+        for _ in range(LBFGS_MEMORY + 3):
+            last, k = state.last_step, cayley_generator(state.gamma, state.evaluator.mean_field_h())
+            state, _ = step(state, hubbard, options)
+            old, memory = last.memory, state.last_step.memory
+            m_old, m = len(old) // 2, len(memory) // 2
+            sizes.append(m)
+            # every pair here curves the right way: the new one joins, the oldest leaves at the cap
+            assert m == min(m_old + 1, LBFGS_MEMORY)
+            keep = m - 1
+            np.testing.assert_array_equal(memory[:keep], old[m_old - keep:m_old])
+            np.testing.assert_array_equal(memory[m:m + keep], old[2 * m_old - keep:2 * m_old])
+            np.testing.assert_array_equal(memory[keep], last.dtau * last.direction.ravel())
+            np.testing.assert_array_equal(memory[2 * m - 1], last.memory[-1] - k.ravel())
+            np.testing.assert_array_equal(memory[-1], k.ravel())
+        assert sizes[-1] == LBFGS_MEMORY
+
+    def test_a_step_that_moves_omega_drops_the_memory(self, hubbard, rng, monkeypatch):
+        frozen = RunOptions(freeze_omega=True)
+        state = initial_state(hubbard, seed=7)
+        for _ in range(3):
+            state, _ = step(state, hubbard, frozen)
+        assert len(state.last_step.memory) > 1
+        grad = random_symmetric_zero_diag(4, rng, scale=0.1)
+        moved, _ = step(state, hubbard, RunOptions(), grad=grad)
+        assert moved.last_step.memory is None and moved.last_step.direction is None
+        assert moved.last_step.dgamma is not None
+        # the next frozen step starts over: p = K, the growth length, and no pair
+        trials = []
+        real = ngfermi.optimizer.cayley_rotate
+
+        def recording(gamma, direction, tau):
+            trials.append((direction, tau))
+            return real(gamma, direction, tau)
+
+        monkeypatch.setattr(ngfermi.optimizer, "cayley_rotate", recording)
+        after, _ = step(moved, hubbard, frozen)
+        k = cayley_generator(moved.gamma, moved.evaluator.mean_field_h())
+        np.testing.assert_array_equal(trials[0][0], k)
+        assert trials[0][1] == min(STEP_GROWTH * moved.last_step.dtau, 1.0)
+        assert len(after.last_step.memory) == 1
+
+    def test_a_moving_step_never_enters_the_lbfgs_code(self, hubbard, monkeypatch):
+        for name in ("lbfgs_step", "lbfgs_direction"):
+            monkeypatch.setattr(ngfermi.optimizer, name, _forbid(name))
+        options = RunOptions(max_steps=8, tol_g=0.0)
+        final, records, _ = run(hubbard, options, initial_state(hubbard, seed=7))
+        assert len(records) == 9 and all(r.grad_norm > 0.0 for r in records[1:])
+        assert final.last_step.memory is None
+
+
+class TestFrozenStepCounts:
+    # the Gaussian baseline to its energy stop; alternating Barzilai-Borwein
+    # lengths along K took 112-130 steps at Hubbard L=5 and 153-187 on the
+    # dense N=4 Hamiltonian from these starts
+    E_HUBBARD_5 = -10.697221147958
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_hubbard_chain(self, seed):
+        hamil = ham.hubbard_model(5, 1.0, 4.0, 2.0)
+        final, records, reason = run(hamil, RunOptions(freeze_omega=True), initial_state(hamil, seed=seed))
+        assert reason == "energy" and len(records) - 1 <= 70
+        assert abs(final.energy - self.E_HUBBARD_5) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_dense_hamiltonian(self, seed):
+        hamil = random_hamiltonian(4, np.random.default_rng(7))
+        final, records, reason = run(hamil, RunOptions(freeze_omega=True), initial_state(hamil, seed=seed))
+        assert reason == "energy" and len(records) - 1 <= 60
+
+
+def _forbid(name):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"{name} entered")
+
+    return raise_
+
+
 class TestRun:
     def test_converged_input_returns_immediately(self, hubbard):
         # the symmetric mean-field point has an exactly vanishing coupling
@@ -395,7 +551,7 @@ class TestRun:
 
     def test_monotone_energy(self, hubbard):
         options = RunOptions(max_steps=40, tol_g=1e-10, tol_e=1e-14)
-        final, records, _ = run(hubbard, options, initial_state(hubbard, options, seed=7))
+        final, records, _ = run(hubbard, options, initial_state(hubbard, seed=7))
         energies = [r.energy for r in records]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
         assert final.energy < energies[0]
@@ -404,7 +560,7 @@ class TestRun:
         options = RunOptions(max_steps=15, tol_g=1e-10)
         runs = []
         for _ in range(2):
-            final, records, _ = run(hubbard, options, initial_state(hubbard, options, seed=5))
+            final, records, _ = run(hubbard, options, initial_state(hubbard, seed=5))
             # skip the step-0 record, whose grad_norm placeholder is NaN
             runs.append([(r.tau, r.energy, r.grad_norm, r.dtau) for r in records[1:]])
         assert runs[0] == runs[1]
@@ -414,8 +570,8 @@ class TestRun:
         base = dict(max_steps=1500, tol_g=1e-8, tol_e=1e-12, patience=15)
         opts_ngs = RunOptions(**base)
         opts_g = RunOptions(freeze_omega=True, **base)
-        final_ngs, _, reason_ngs = run(hubbard, opts_ngs, initial_state(hubbard, opts_ngs, seed=11))
-        final_g, _, reason_g = run(hubbard, opts_g, initial_state(hubbard, opts_g, seed=11))
+        final_ngs, _, reason_ngs = run(hubbard, opts_ngs, initial_state(hubbard, seed=11))
+        final_g, _, reason_g = run(hubbard, opts_g, initial_state(hubbard, seed=11))
         assert reason_ngs != "max_steps" and reason_g != "max_steps"
         assert final_ngs.energy <= final_g.energy + 1e-9
 
@@ -426,6 +582,13 @@ class TestRun:
         final, records, _ = run(hubbard, options, state)
         energies = [r.energy for r in records]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_initial_state_takes_keywords_after_the_hamiltonian(self, hubbard):
+        # a stale call passing options second fails instead of binding them to gamma
+        with pytest.raises(TypeError):
+            initial_state(hubbard, RunOptions())
+        with pytest.raises(TypeError):
+            initial_state(hubbard, None, None, None, 0.5, 3)
 
     def test_options_validation(self):
         with pytest.raises(ValidationError):
@@ -452,7 +615,7 @@ class TestModuleGlobalHooks:
 
             monkeypatch.setattr(ngfermi.optimizer, name, counting)
         options = RunOptions(freeze_omega=freeze, max_steps=15)
-        _, records, _ = run(hubbard, options, initial_state(hubbard, options, seed=2))
+        _, records, _ = run(hubbard, options, initial_state(hubbard, seed=2))
         backtracks = sum(r.backtracks for r in records)
         assert len(records) > 1 and backtracks > 0
         assert counts["step"] == len(records) - 1

@@ -2,6 +2,7 @@
 as conjugates of bundles at alpha, the phase layout's charge keys and their
 conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
 zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the Cayley rotation,
+the L-BFGS two-loop against the dense BFGS recursion,
 Pf^2 = det, Wick's theorem with the block tables against the dense oracle,
 and the omega = 0 closed form against the per-term plain-Wick sum, the dense
 oracle and central differences.
@@ -21,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    curvature_pairs,
+    dense_bfgs_direction,
+    lbfgs_memory,
     random_hamiltonian,
     random_operator_string,
     random_symmetric_zero_diag,
@@ -50,6 +54,7 @@ from ngfermi.optimizer import (
     cayley_rotate,
     dtau_gamma,
     dtau_omega_hitgd,
+    lbfgs_direction,
     matricize_b,
 )
 
@@ -345,6 +350,25 @@ def test_cayley_trial_is_pure_and_follows_the_flow(case, tau):
     for t in (1e-3, 1e-4, 1e-5):
         err = np.max(np.abs((cayley_rotate(gamma, k, t).gamma - gamma.gamma) / t - velocity))
         assert err <= 3.0 * t * knorm**2 + 1e-9
+
+
+@st.composite
+def bfgs_pairs(draw):
+    """1..5 pairs with s.y > 0 in 2..40 dimensions, and a vector K."""
+    m, size = draw(st.integers(1, 5)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(SEEDS))
+    return curvature_pairs(rng, m, size), rng.standard_normal(size)
+
+
+@SETTINGS
+@given(case=bfgs_pairs())
+def test_lbfgs_two_loop_is_the_dense_bfgs_recursion(case):
+    pairs, k = case
+    p, theta = lbfgs_direction(lbfgs_memory(pairs, k))
+    expected, expected_theta = dense_bfgs_direction(pairs, k)
+    assert abs(theta / expected_theta - 1.0) <= 1e-14
+    assert _rel_err(p, expected) <= 1e-12
+    assert p @ k > 0.0
 
 
 @st.composite
