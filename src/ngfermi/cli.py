@@ -43,14 +43,15 @@ def save_checkpoint(path, state: optimizer.OptimizerState) -> None:
     n = state.gamma.n_modes
     payload = {
         "n_modes": n,
-        "gamma": [float(x) for x in state.gamma.gamma.ravel()],
-        "omega": [float(x) for x in state.omega.omega.ravel()],
+        "gamma": state.gamma.gamma.ravel().tolist(),
+        "omega": state.omega.omega.ravel().tolist(),
         "tau": state.tau,
         "energy": state.energy,
     }
+    # one dumps call takes the C encoder; json.dump streams through the Python one
+    text = json.dumps(payload) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_checkpoint(path) -> tuple[gaussian.CovarianceMatrix, ham.NonGaussianParams, float, float]:

@@ -128,11 +128,25 @@ class ManyBodyHamiltonian:
         return np.argwhere(self.h != 0.0)
 
     @cached_property
+    def _folded_h(self) -> np.ndarray:
+        """h_pqrs - h_qprs - h_pqsr + h_qpsr, read-only: the signed sum of the
+        four antisymmetric images of an entry as given, with no symmetrization.
+        The images are one operator, so one canonical term (p<q, r<s) carries
+        this coefficient for all four."""
+        h = self.h
+        folded = h - h.transpose(1, 0, 2, 3) - h.transpose(0, 1, 3, 2) + h.transpose(1, 0, 3, 2)
+        folded.flags.writeable = False
+        return folded
+
+    @cached_property
     def _term_indices(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
-        """Nonzero one-body (k1, 2) and two-body (k2, 4) index arrays, and
-        every term's indices as a tuple, one-body terms first."""
+        """Nonzero one-body (k1, 2) and canonical two-body (k2, 4) index
+        arrays, and every term's indices as a tuple, one-body terms first.
+        A two-body term is a canonical (p<q, r<s) with a nonzero folded
+        coefficient (:attr:`_folded_h`), in row-major order."""
         f_idx = np.argwhere(self.f != 0.0)
-        h_idx = self.two_body_entries()
+        upper = np.triu(np.ones((self.n_modes,) * 2, dtype=bool), 1)
+        h_idx = np.argwhere((self._folded_h != 0.0) & upper[:, :, None, None] & upper)
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
     @cached_property
@@ -186,9 +200,10 @@ class ManyBodyHamiltonian:
     @cached_property
     def _term_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The terms' omega-free weights, in the order of :attr:`_term_indices`:
-        (i/4) f_pq per one-body term and -h_pqrs / 32 per two-body term."""
+        (i/4) f_pq per one-body term and -H_pqrs / 32 per two-body term, with
+        H the folded coefficient (:attr:`_folded_h`)."""
         f_idx, h_idx, _ = self._term_indices
-        return _read_only(0.25j * self.f[tuple(f_idx.T)], -(1.0 / 32.0) * self.h[tuple(h_idx.T)])
+        return _read_only(0.25j * self.f[tuple(f_idx.T)], -(1.0 / 32.0) * self._folded_h[tuple(h_idx.T)])
 
     @cached_property
     def _hfb_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +266,8 @@ class PhaseLayout:
     (:func:`~ngfermi.wick.contract` takes them as they are), their phase
     factors :attr:`phase` = e^{i alpha}, taken once here for the gradient
     and the Q sum, and the terms' weights: (i/4) f_pq for a one-body term
-    and -h_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term.  At
+    and -H_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term (H the
+    folded coefficient, :attr:`ManyBodyHamiltonian._folded_h`).  At
     omega = 0 every vector is zero and :attr:`phased` is empty, the one
     place where omega = 0 is decided.  At an omega with exact 0 or +-pi
     entries a nonzero charge can still have an exactly zero vector; its key
@@ -383,8 +399,9 @@ class StateEvaluator:
         read-only (later calls return the same array); see :func:`mean_field_h`.
 
         Each term adds a multiple of its bundle's Q_k and rank-2 skew pieces
-        u v^T - v u^T with u, v columns of the bundle's L^T (one piece per
-        one-body term, three per two-body term).  So the matrix is
+        u v^T - v u^T with u, v columns of the bundle's L^T: one piece per
+        one-body term, and six per two-body term, one per block entry of its
+        contraction (:meth:`_phased_mean_field`).  So the matrix is
         sum_k w_k Q_k + R - R^T, with w_k the summed Q multiples of phase
         vector k and R = (U diag(c))^T V over all pieces' columns and weights c.
         The Q sum is read from the bundles' L (:func:`~ngfermi.wick.q_sum_from_l`),
@@ -422,22 +439,39 @@ class StateEvaluator:
         return h_m
 
     def _phased_mean_field(self) -> np.ndarray:
-        """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`), complex."""
+        """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`), complex.
+
+        A term's Q multiple is 4 E_t.  A one-body term (p, q) gives the piece
+        2w at (q, p) of the L^T(1, +i) and L^T(1, -i) columns.  A two-body
+        term differentiates each of the six block entries of
+        ps qr - pr qs + pq rs, for any h the constructor accepts: 2w times
+        qr, -pr, -qs and ps at (s, p), (s, q), (r, p) and (r, q) of those
+        columns, rs at (q, p) of two L^T(1, -i) columns and pq at (s, r) of
+        two L^T(1, +i) columns.
+        """
         lay = self.layout
         l_mat = self.contraction.l
         lt_plus, lt_minus = wick.derivative_columns(l_mat)
         k1, k2 = lay.k1, lay.k2
-        w1, e1, w2, (ps, qr, _, _, pq, rs), _ = self._terms
+        w1, e1, w2, (ps, qr, pr, qs, pq, rs), e2 = self._terms
         c2 = 2.0 * w2
         (p1, q1), (p, q, r, s) = lay.modes
 
-        # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N)
-        u = np.concatenate([lt_plus[k1, :, q1], lt_plus[k2, :, s], lt_minus[k2, :, q], lt_plus[k2, :, s]])
-        v = np.concatenate([lt_minus[k1, :, p1], lt_minus[k2, :, p], lt_minus[k2, :, p], lt_plus[k2, :, r]])
-        c = np.concatenate([2.0 * w1, 4.0 * c2 * qr, c2 * rs, c2 * pq])
+        # a gather [k, :, m] of a (K, 2N, N) stack is one column per piece: (M, 2N).
+        # Pieces in the order pq, the one-body ones, qr, -pr, -qs, ps, rs: u is
+        # a "+" column but for rs, v a "-" column but for pq
+        u = np.concatenate([
+            lt_plus[np.concatenate([k2, k1, k2, k2, k2, k2]), :, np.concatenate([s, q1, s, s, r, r])],
+            lt_minus[k2, :, q],
+        ])
+        v = np.concatenate([
+            lt_plus[k2, :, r],
+            lt_minus[np.concatenate([k1, k2, k2, k2, k2, k2]), :, np.concatenate([p1, p, q, p, q, p])],
+        ])
+        c = np.concatenate([c2 * pq, 2.0 * w1, c2 * qr, -c2 * pr, -c2 * qs, c2 * ps, c2 * rs])
         rmat = (u * c[:, None]).T @ v
         w_q = np.zeros(len(lay.alphas), dtype=complex)
-        np.add.at(w_q, lay.term_key, np.concatenate([4.0 * e1, c2 * (4.0 * ps * qr + 2.0 * pq * rs)]))
+        np.add.at(w_q, lay.term_key, 4.0 * np.concatenate([e1, e2]))
         ph = lay.phased
         return rmat - rmat.T + wick.q_sum_from_l(l_mat[ph], lay.phase[ph], w_q[ph])
 
@@ -458,8 +492,11 @@ class StateEvaluator:
         which are exact: dA/d alpha_m = i <e^{i alpha n} n_m>, and
         dG/d alpha_m = (i/2) e^{i alpha_m} (G[:, m] G[N+m, :] - G[:, N+m] G[m, :])
         because the solve's numerator and denominator give
-        (Upsilon gamma - 1) D^{-1} = Upsilon G.  With no phased key every
-        key's tables are the closed form's.
+        (Upsilon gamma - 1) D^{-1} = Upsilon G.  A two-body term's derivative
+        is that of w (ps qr - pr qs + pq rs) entry by entry, so it holds for
+        every h the constructor accepts; the one-body gpm entries and the
+        two-body ps, qr, pr and qs are differentiated in one stacked gather.
+        With no phased key every key's tables are the closed form's.
         """
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes
@@ -484,21 +521,20 @@ class StateEvaluator:
         def d_mm(k, p, q):
             return -(gpm[k, :, p] * gmm[k, :, q] + gmm[k, p] * gpm[k, :, q])
 
-        d1 = w1[:, None] * d_pm(k1, p1, q1)
-
+        # the one-body gpm entries and the two-body ps, qr, pr and qs in one
+        # gather, each row times its factor in d E_t
         ps, qr, pr, qs, pq, rs = pairs
-        d2 = w2[:, None] * (
-            d_pm(k2, p, s) * qr[:, None]
-            + ps[:, None] * d_pm(k2, q, r)
-            - d_pm(k2, p, r) * qs[:, None]
-            - pr[:, None] * d_pm(k2, q, s)
-            + d_pp(k2, p, q) * rs[:, None]
-            + pq[:, None] * d_mm(k2, r, s)
+        t1, t2 = len(k1), len(k2)
+        d_gpm = np.concatenate([w1, w2 * qr, w2 * ps, -w2 * qs, -w2 * pr])[:, None] * d_pm(
+            np.concatenate([k1, k2, k2, k2, k2]), np.concatenate([p1, p, q, p, q]), np.concatenate([q1, s, r, r, s])
+        )
+        d2 = d_gpm[t1:].reshape(4, t2, d_gpm.shape[1]).sum(axis=0) + w2[:, None] * (
+            d_pp(k2, p, q) * rs[:, None] + pq[:, None] * d_mm(k2, r, s)
         )
 
         diag = np.diagonal(gpm, axis1=1, axis2=2)
         e_t = np.concatenate([e1, e2])
-        d_alpha = -0.25 * lay.phase[keys] * (diag[keys] * e_t[:, None] + np.concatenate([d1, d2]))
+        d_alpha = -0.25 * lay.phase[keys] * (diag[keys] * e_t[:, None] + np.concatenate([d_gpm[:t1], d2]))
         x = d_alpha.real.T @ self.hamil._charge_rows  # x[m, c] = dE / d omega_mc
         # the two-body scalar phase: d Re(E_t) / d omega_rs = Re(i E_t)
         np.add.at(x, (r, s), -e2.imag)

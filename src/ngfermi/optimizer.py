@@ -44,10 +44,15 @@ PINV_RCOND = 1e-8
 class BTensor:
     """Quadratic form of the coupling velocity in the energy derivative.
 
-    ``g`` is twice the mode-occupation vector and ``blocks_sq`` the N x N sum
-    of the squared blocks of gamma + Upsilon; together they fix the N^4
-    tensor :attr:`entries`.  The matricized form on symmetric zero-diagonal
-    pairs (:func:`matricize_b`) is PSD.
+    ``g`` is twice the mode-occupation vector and ``blocks_sq`` (S) the N x N
+    sum of the squared blocks of gamma + Upsilon.  Together they fix the N^4
+    tensor, with the pair symmetries and zero where k = l or m = n,
+
+        8 B_klmn = g_l g_m d_kn + g_l g_n d_km + g_k g_m d_ln + g_k g_n d_lm
+                   + S_kl (d_km d_ln + d_kn d_lm)
+
+    (d the Kronecker delta), which is read only on the k<l pairs: the
+    matricized form (:func:`matricize_b`) is PSD.
     """
 
     g: np.ndarray
@@ -56,24 +61,6 @@ class BTensor:
     @property
     def n_modes(self) -> int:
         return self.g.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The N^4 tensor with the pair symmetries and zeroed diagonals."""
-        gg = np.outer(self.g, self.g)
-        delta = np.eye(self.n_modes)
-        entries = (
-            np.einsum("lm,kn->klmn", gg, delta)
-            + np.einsum("ln,km->klmn", gg, delta)
-            + np.einsum("km,ln->klmn", gg, delta)
-            + np.einsum("kn,lm->klmn", gg, delta)
-            + np.einsum("kl,km,ln->klmn", self.blocks_sq, delta, delta)
-            + np.einsum("kl,kn,lm->klmn", self.blocks_sq, delta, delta)
-        ) / 8.0
-        idx = np.arange(self.n_modes)
-        entries[idx, idx, :, :] = 0.0
-        entries[:, :, idx, idx] = 0.0
-        return entries
 
 
 def b_tensor(gamma) -> BTensor:
@@ -112,9 +99,14 @@ def matricize_b(tensor: BTensor) -> np.ndarray:
 
 
 def quadratic_form(tensor: BTensor, domega: np.ndarray) -> float:
-    """sum_klmn domega_kl B_klmn domega_mn for a symmetric zero-diagonal domega."""
-    dw = np.asarray(domega, dtype=float)
-    return float(np.einsum("kl,klmn,mn->", dw, tensor.entries, dw))
+    """sum_klmn domega_kl B_klmn domega_mn for a symmetric zero-diagonal domega.
+
+    Each k<l pair stands for the ordered (k, l) and (l, k) on both sides, so
+    the sum is 4 x^T B x over the pairs (:func:`matricize_b`), x_kl = domega_kl.
+    """
+    rows, cols = _pairs(tensor.n_modes)
+    x = np.asarray(domega, dtype=float)[rows, cols]
+    return float(4.0 * (x @ matricize_b(tensor) @ x))
 
 
 def simple_step_bound(tensor: BTensor) -> float:

@@ -10,6 +10,7 @@ from ngfermi.validate import (
 )
 
 __all__ = [
+    "b_tensor_entries",
     "curvature_pairs",
     "dense_bfgs_direction",
     "lbfgs_memory",
@@ -18,6 +19,25 @@ __all__ = [
     "random_symmetric_zero_diag",
     "random_two_body",
 ]
+
+
+def b_tensor_entries(tensor) -> np.ndarray:
+    """The flow tensor's N^4 entries (see ``optimizer.BTensor``), with the
+    pair symmetries and zeroed diagonals: the reference for its pair-space forms."""
+    gg = np.outer(tensor.g, tensor.g)
+    delta = np.eye(tensor.n_modes)
+    entries = (
+        np.einsum("lm,kn->klmn", gg, delta)
+        + np.einsum("ln,km->klmn", gg, delta)
+        + np.einsum("km,ln->klmn", gg, delta)
+        + np.einsum("kn,lm->klmn", gg, delta)
+        + np.einsum("kl,km,ln->klmn", tensor.blocks_sq, delta, delta)
+        + np.einsum("kl,kn,lm->klmn", tensor.blocks_sq, delta, delta)
+    ) / 8.0
+    idx = np.arange(tensor.n_modes)
+    entries[idx, idx, :, :] = 0.0
+    entries[:, :, idx, idx] = 0.0
+    return entries
 
 
 def curvature_pairs(rng, m: int, size: int) -> list:

@@ -583,16 +583,32 @@ class TestCircuitCommand:
         text = qasm.read_text()
         assert text.count("rz(") == report["rz_count"] + report["zz_count"]
 
-    def test_checkpoint_round_trip(self, tmp_path):
-        hamil = hubbard_model(2, 1.0, 4.0, 2.0)
-        state = initial_state(hamil, seed=3)
+    def test_checkpoint_round_trip(self, tmp_path, rng):
+        # one json.dumps of tolist() arrays writes the bytes json.dump wrote,
+        # streaming float() lists, and reads back bit for bit
+        w = rng.normal(size=(10, 10))
+        omega = w + w.T
+        np.fill_diagonal(omega, 0.0)
+        state = initial_state(hubbard_model(5, 1.0, 4.0, 2.0), seed=3, omega=omega)
+        state = optimizer.OptimizerState(state.evaluator, tau=0.1 + 0.2, energy=state.energy)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, state)
-        gamma, omega, tau, energy = load_checkpoint(path)
-        np.testing.assert_array_equal(gamma.gamma, state.gamma.gamma)
-        np.testing.assert_array_equal(omega.omega, state.omega.omega)
-        assert tau == state.tau
-        assert energy == state.energy
+        streamed = io.StringIO()
+        json.dump(
+            {
+                "n_modes": 10,
+                "gamma": [float(x) for x in state.gamma.gamma.ravel()],
+                "omega": [float(x) for x in state.omega.omega.ravel()],
+                "tau": state.tau,
+                "energy": state.energy,
+            },
+            streamed,
+        )
+        assert path.read_bytes() == (streamed.getvalue() + "\n").encode("ascii")
+        gamma, omega_read, tau, energy_read = load_checkpoint(path)
+        assert gamma.gamma.tobytes() == state.gamma.gamma.tobytes()
+        assert omega_read.omega.tobytes() == state.omega.omega.tobytes()
+        assert (tau, energy_read) == (state.tau, state.energy)
 
     def test_bad_checkpoint_keys_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -149,6 +149,81 @@ def test_mean_field_matches_fast_energy_finite_differences(model, rng):
     assert np.array_equal(h_m, -h_m.T)
 
 
+def _perturbed_hamiltonian(n, rng):
+    """A random Hamiltonian with every nonzero h entry off by up to 1e-11:
+    the constructor accepts it (each symmetry holds to SYMMETRY_TOL = 1e-10),
+    and its four antisymmetric images no longer agree."""
+    h = random_two_body(n, rng)
+    nonzero = h != 0.0
+    h[nonzero] += rng.uniform(-1e-11, 1e-11, size=nonzero.sum())
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return ManyBodyHamiltonian(n, f + f.conj().T, h)
+
+
+def test_folded_weight_is_the_signed_sum_of_the_four_entries(rng):
+    hamil = _perturbed_hamiltonian(4, rng)
+    h = hamil.h
+    _, h_idx, _ = hamil._term_indices
+    _, w2 = hamil._term_weights
+    canonical = [(p, q, r, s) for p, q, r, s in np.ndindex(h.shape) if p < q and r < s]
+    assert [tuple(t) for t in h_idx.tolist()] == canonical
+    for (p, q, r, s), w in zip(canonical, w2):
+        assert w == -(1.0 / 32.0) * (h[p, q, r, s] - h[q, p, r, s] - h[p, q, s, r] + h[q, p, s, r])
+
+
+@pytest.mark.parametrize(
+    "model, counts", [("random-4", (16, 36)), ("hubbard-5", (26, 5))]
+)
+def test_one_term_per_canonical_two_body_coefficient(model, counts):
+    # dense N=4: 144 nonzero h entries, 36 canonical (p<q, r<s); Hubbard L=5:
+    # 20 entries, one canonical (i, L+i, i, L+i) per site
+    rng = np.random.default_rng(7)
+    hamil = random_hamiltonian(4, rng) if model == "random-4" else hubbard_model(5, 1.0, 4.0, 2.0)
+    f_idx, h_idx, terms = hamil._term_indices
+    assert (len(f_idx), len(h_idx)) == counts
+    assert len(terms) == sum(counts) == len(hamil._charge_rows)
+
+
+def test_perturbed_h_matches_the_per_entry_reference(rng):
+    # the per-entry loop weighs each of the four images by its own entry; one
+    # canonical term per coefficient must give the same energy and a mean
+    # field that is that energy's derivative
+    hamil = _perturbed_hamiltonian(4, rng)
+    n2 = 2 * hamil.n_modes
+    cov = random_pure_covariance(hamil.n_modes, rng)
+    w = random_symmetric_zero_diag(hamil.n_modes, rng, scale=1.5)
+    ev = StateEvaluator(cov, w, hamil)
+    assert abs(ev.energy()[2] - _reference_energy(cov, w, hamil)) <= 1e-13
+    h_m = ev.mean_field_h()
+    step = 1e-5
+    scale = max(1.0, float(np.max(np.abs(h_m))))
+    for i, j in zip(*np.triu_indices(n2, 1)):
+        d = np.zeros((n2, n2))
+        d[i, j], d[j, i] = step, -step
+        fd = (_reference_energy(cov.gamma + d, w, hamil) - _reference_energy(cov.gamma - d, w, hamil)) / step
+        assert abs(h_m[i, j] - fd) / scale < 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.5])
+def test_one_body_hamiltonian_runs_every_method(scale, rng):
+    # no two-body term: every two-body gather and stack is empty
+    f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    hamil = ManyBodyHamiltonian(4, f + f.conj().T, np.zeros((4, 4, 4, 4)))
+    cov = random_pure_covariance(4, rng)
+    w = random_symmetric_zero_diag(4, rng, scale=scale)
+    ev = StateEvaluator(cov, w, hamil)
+    assert len(hamil._term_indices[1]) == 0
+    assert _rel_dev(ev.energy()[2], _reference_energy(cov, w, hamil)) < TOL
+    assert _rel_dev(ev.mean_field_h(), _reference_mean_field(cov, w, hamil)) < TOL
+    grad = ev.gradient()
+    step = 1e-6
+    for i, j in zip(*np.triu_indices(4, 1)):
+        d = np.zeros((4, 4))
+        d[i, j] = d[j, i] = step
+        fd = (energy(cov, w + d, hamil)[2] - energy(cov, w - d, hamil)[2]) / (2.0 * step)
+        assert abs(2.0 * grad[i, j] - fd) < 1e-7
+
+
 def test_batched_pfaffian_matches_single_and_determinant():
     rng = np.random.default_rng(11)
     k, n = 24, 24
@@ -580,9 +655,11 @@ def test_charge_without_adjoint_term_has_no_mirror(rng):
     lone = label[terms.index((0, 1, 2, 3))]
     assert mirror[lone] == -1
     assert np.flatnonzero(mirror < 0).tolist() == [lone]
-    # every other charge's mirror holds the reversed first term
+    # every other charge's mirror holds its first term's canonical adjoint:
+    # (q,p) of a one-body (p,q), (r,s,p,q) of a two-body (p,q,r,s)
     for c in np.flatnonzero(mirror >= 0):
-        assert label[terms.index(terms[first[c]][::-1])] == mirror[c]
+        t = terms[first[c]]
+        assert label[terms.index(t[len(t) // 2:] + t[: len(t) // 2])] == mirror[c]
     ev = StateEvaluator(random_pure_covariance(4, rng), random_symmetric_zero_diag(4, rng, scale=1.5), hamil)
     k = ev.layout.term_key[terms.index((0, 1, 2, 3))]
     assert k in ev.layout.plan.built

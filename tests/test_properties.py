@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    b_tensor_entries,
     curvature_pairs,
     dense_bfgs_direction,
     lbfgs_memory,
@@ -56,6 +57,7 @@ from ngfermi.optimizer import (
     dtau_omega_hitgd,
     lbfgs_direction,
     matricize_b,
+    quadratic_form,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -282,11 +284,15 @@ def flow_states(draw):
 @SETTINGS
 @given(case=flow_states())
 def test_pair_space_flow_matrix_matches_the_tensor(case):
-    _, cov, _ = case
+    # the N^4 tensor is the test's own reference: the program reads B on pairs only
+    _, cov, dw = case
     tensor = b_tensor(cov)
+    entries = b_tensor_entries(tensor)
     rows, cols = np.triu_indices(tensor.n_modes, 1)
-    gathered = tensor.entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+    gathered = entries[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
     assert _rel_err(matricize_b(tensor), gathered) <= 1e-15
+    full = np.einsum("kl,klmn,mn->", dw, entries, dw)
+    assert abs(quadratic_form(tensor, dw) - full) <= 1e-13 * max(1.0, abs(full))
 
 
 @SETTINGS
