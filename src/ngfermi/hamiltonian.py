@@ -6,9 +6,9 @@ antisymmetrized index symmetries.  Conjugating H with the flux-attachment
 unitary exp((i/2) sum omega_jk :n_j n_k:) turns every term into a phased
 operator string over the Gaussian state, which the wick module evaluates.
 At omega = 0 every string is plain Wick, and the energy is the generalized
-Hartree-Fock-Bogoliubov functional: fixed forms of f and h, built once per
-Hamiltonian, in the block tables of gamma + Upsilon, with no contraction
-bundle (:class:`StateEvaluator`).
+Hartree-Fock-Bogoliubov functional: one real quadratic form in the upper
+entries of gamma + Upsilon, built once per Hamiltonian, so a state costs one
+matrix-vector product and no contraction bundle (:class:`StateEvaluator`).
 
 All mode indices are 0-based in code; the text file format is 1-based.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -206,35 +206,91 @@ class ManyBodyHamiltonian:
         return _read_only(0.25j * self.f[tuple(f_idx.T)], -(1.0 / 32.0) * self._folded_h[tuple(h_idx.T)])
 
     @cached_property
-    def _hfb_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The plain-Wick energy of a layout with no phased key as fixed forms
-        in its block tables (the generalized Hartree-Fock-Bogoliubov
-        functional): the one-body weights (i/4) f_pq as an N^2 row, and the
-        N^2 x N^2 matrices ``pm`` and ``pp`` of the two-body pairings, times -1/32.
+    def _gaussian_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The plain-Wick energy at omega = 0 (the generalized
+        Hartree-Fock-Bogoliubov functional) as one real form in u, the
+        strictly upper entries of G = gamma + Upsilon: E1 = l.u and
+        E2 = u.Q u / 2 (:func:`_plain_wick_form`), from the layouts' terms
+        and weights.  u keeps only the M entries some coefficient reads: all
+        N(2N-1) for a dense h, 46 of 190 for the Hubbard chain at L=5.
+        Read-only: the flat positions of u in a 2N x 2N array, Upsilon's
+        entries there, l (1, M) and Q (M, M).
 
-        With x, y and z the row-major N^2 vectors of the tables gpm, gpp and
-        gmm, an entry h_pqrs adds h_pqrs (x_ps x_qr - x_pr x_qs + y_pq z_rs).
-        Each pairing's matrix is h with its axes reordered, so it holds the
-        entries as given: no symmetry of h is assumed, and the forms equal the
-        per-term sum for every h the constructor accepts.  The two gpm
-        pairings share one matrix K; ``pm`` is the symmetric -(K + K^T)/32,
-        since x.K x = x.K^T x for any K, so E2 = x.pm x / 2 + y.pp z and pm x
-        is also dE2/dx.  Read-only and real (:func:`_real_times` applies them).
+        A Hermitian H has a real energy at every real skew G, so only the
+        non-Hermitian parts (f - f^+)/2 and (h_pqrs - h_srqp)/2 have
+        imaginary parts.  Where either is nonzero (H Hermitian only to
+        SYMMETRY_TOL), their rows are stacked under l and Q, to (2, M) and
+        (2M, M), for the residue checks.
         """
-        n2 = self.n_modes**2
-        h = self.h
-        # K[(p, s), (q, r)] = h_pqrs for x_ps x_qr, minus K'[(p, r), (q, s)] = h_pqrs
-        k = h.transpose(0, 3, 1, 2).reshape(n2, n2) - h.transpose(0, 2, 1, 3).reshape(n2, n2)
-        pm = -(1.0 / 32.0) * (k + k.T)
-        pp = -(1.0 / 32.0) * h.reshape(n2, n2)  # rows (p, q), columns (r, s)
-        return _read_only(0.25j * self.f.ravel(), pm, pp)
+        n = self.n_modes
+        f_idx, h_idx, _ = self._term_indices
+        lin, quad = _plain_wick_form(n, f_idx, h_idx, *self._term_weights, np.real)
+        f_im, h_im = 0.5 * (self.f - self.f.conj().T), 0.5 * (self.h - self.h.transpose(3, 2, 1, 0))
+        if f_im.any() or h_im.any():
+            # every nonzero entry is a term of its own, as given
+            f_idx, h_idx = np.argwhere(f_im), np.argwhere(h_im)
+            weights = 0.25j * f_im[tuple(f_idx.T)], -(1.0 / 32.0) * h_im[tuple(h_idx.T)]
+            lin_im, quad_im = _plain_wick_form(n, f_idx, h_idx, *weights, np.imag)
+            lin, quad = np.concatenate([lin, lin_im]), np.concatenate([quad, quad_im])
+        m = n * (2 * n - 1)
+        lin, quad = lin.reshape(-1, m), quad.reshape(-1, m, m)
+        # the entries no coefficient reads leave the energy and dE/du at zero
+        read = np.flatnonzero(lin.any(axis=0) | quad.any(axis=(0, 1)))
+        flat = _upper_entries(n)[0][read]
+        quad = quad[:, read][:, :, read].reshape(len(lin) * len(read), len(read))
+        return _read_only(flat, upsilon(n).take(flat), lin[:, read], quad)
 
 
-def _real_times(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec for a real matrix and a contiguous complex vector: one real
-    product over the vector's (real, imaginary) columns, with no complex copy
-    of the matrix."""
-    return (mat @ vec.view(float).reshape(-1, 2)).view(complex).ravel()
+@lru_cache(maxsize=None)
+def _upper_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strictly upper entries u of a 2N x 2N skew G, built once per mode
+    count and read-only: their flat positions (M,), each entry's position
+    in u (2N, 2N) and the signs with G_ij = u_k and G_ji = -u_k."""
+    upper = np.arange(2 * n)[:, None] < np.arange(2 * n)
+    flat = np.flatnonzero(upper)
+    pos = np.zeros(upper.size, dtype=np.intp)
+    pos[flat] = np.arange(len(flat))
+    pos = pos.reshape(upper.shape)
+    return _read_only(flat, pos + pos.T, upper.astype(int) - upper.T)
+
+
+def _plain_wick_form(n: int, f_idx, h_idx, w1, w2, part) -> tuple[np.ndarray, np.ndarray]:
+    """``part`` (np.real or np.imag) of the plain-Wick energy of weighted
+    terms as a form in u, the strictly upper entries of G (2N x 2N, skew):
+    the linear row l (M,) and the symmetric Q (M, M), M = N(2N - 1).
+
+    A one-body term (p, q) adds w gpm[p, q], a two-body term (p, q, r, s)
+    w (gpm[p, s] gpm[q, r] - gpm[p, r] gpm[q, s] + gpp[p, q] gmm[r, s]).
+    Each table entry is four entries of G, read from the Dirac transform
+    P^T G P (:func:`~ngfermi.wick._dirac`):
+    T[a, b] = sum_st (i x)^s (i y)^t G[b + sN, a + tN] with (x, y) = (1, -1)
+    for gpm, (-1, -1) for gpp and (1, 1) for gmm.  So a two-body term adds
+    48 products c u_k u_l, and Q is one ``bincount`` over all of them and
+    their mirrors c u_l u_k.
+    """
+    _, pos, sign = _upper_entries(n)
+    m = n * (2 * n - 1)
+    # every table entry the terms read: the one-body gpm[p, q], then the left
+    # factors gpm[p, s], gpm[p, r], gpp[p, q] of the three two-body products
+    # and their right factors gpm[q, r], gpm[q, s], gmm[r, s]
+    (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
+    t1, t2 = len(p1), len(p)
+    a = np.concatenate([p1, p, p, p, q, q, r])
+    b = np.concatenate([q1, s, r, q, r, s, s])
+    x = np.repeat([1, 1, 1, -1, 1, 1, 1], [t1] + [t2] * 6)
+    y = np.repeat([-1, -1, -1, -1, -1, -1, 1], [t1] + [t2] * 6)
+    s_, t_ = np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]])
+    i, j = b + n * s_, a + n * t_
+    k, c = pos[i, j], sign[i, j] * 1j ** (s_ + t_) * x**s_ * y**t_  # (4, t1 + 6 t2) each
+
+    lin = np.bincount(k[:, :t1].ravel(), part(w1 * c[:, :t1]).ravel(), minlength=m)
+    k_a, k_b = k[:, None, t1 : t1 + 3 * t2], k[None, :, t1 + 3 * t2 :]
+    coef = part(c[:, None, t1 : t1 + 3 * t2] * c[None, :, t1 + 3 * t2 :] * np.concatenate([w2, -w2, w2]))
+    # (k, l) and (l, k) receive the same values in the same order: Q is exactly symmetric
+    lo, hi = np.minimum(k_a, k_b).ravel(), np.maximum(k_a, k_b).ravel()
+    flat = np.concatenate([lo * m + hi, hi * m + lo])
+    quad = np.bincount(flat, np.concatenate([coef.ravel()] * 2), minlength=m * m)
+    return lin, quad.reshape(m, m)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -324,14 +380,17 @@ class StateEvaluator:
     A layout with no phased key (every omega = 0 state) calls no
     :func:`~ngfermi.wick.contract`, and :attr:`contraction` is None: every
     key sits at alpha = 0 with coefficient 1, so the energy is the
-    Hamiltonian's fixed Hartree-Fock-Bogoliubov forms
-    (:attr:`ManyBodyHamiltonian._hfb_forms`) in the block tables of
-    G = gamma + Upsilon, read from one Dirac transform X = P^T G P:
-    gpm = X[:N, N:]^T, gpp = X[N:, N:]^T and gmm = X[:N, :N]^T.
-    :meth:`mean_field_h` maps the forms' products back through P, and
-    :meth:`gradient` reads the same tables for every key, through the same
-    gathers as a phased layout; the evaluator keeps only X until its first
-    gradient call, which a Gaussian-baseline run never makes.
+    Hamiltonian's fixed Hartree-Fock-Bogoliubov form
+    (:attr:`ManyBodyHamiltonian._gaussian_form`), E1 = l.u and
+    E2 = u.Q u / 2 in the upper entries u of G = gamma + Upsilon.  The
+    evaluator gathers u and takes one product r = Q u + l, which is dE/du:
+    :meth:`energy` reads E1 and E2 = u.(r - l) / 2 from it and
+    :meth:`mean_field_h` scatters 2r.  A form with imaginary rows (a
+    Hamiltonian Hermitian only to SYMMETRY_TOL) stacks them into the same
+    product.  :meth:`gradient` alone reads the block tables: its first call
+    builds them from one Dirac transform X = P^T G P (gpm = X[:N, N:]^T,
+    gpp = X[N:, N:]^T, gmm = X[:N, :N]^T) for every key, through the same
+    gathers as a phased layout; a Gaussian-baseline run never makes it.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
@@ -344,7 +403,7 @@ class StateEvaluator:
         if layout is None or not (layout.omega is omega and layout.hamil is hamil):
             layout = PhaseLayout(omega, hamil)
         self.layout = lay = layout
-        self.contraction = self._forms = self._h_m = None
+        self.contraction = self._terms = self._h_m = None
         if lay.phased.size:
             try:
                 self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
@@ -353,14 +412,10 @@ class StateEvaluator:
             self._coeff, self._tables = c.coeff, (c.g_dag_plain, c.g_dag_dag, c.g_plain_plain)
             self._terms = self._gather_terms()
             return
-        # gamma and Upsilon are exactly skew, so G = gamma + Upsilon is the closed form's G
-        dirac = wick._dirac(n)
-        self._x = x = (dirac.T @ (self.gamma.gamma + upsilon(n)) @ dirac).T
-        self._terms = None  # the per-key tables and the gathers only for the gradient
-        _, pm, pp = hamil._hfb_forms
-        gpm, gpp, gmm = x[n:, :n].ravel(), x[n:, n:].ravel(), x[:n, :n].ravel()
-        # the products the energy and the mean-field matrix share
-        self._forms = gpm, gpp, _real_times(pm, gpm), _real_times(pp, gmm)
+        # gamma and Upsilon are exactly skew, so u holds all of G = gamma + Upsilon
+        flat, ups, lin, quad = hamil._gaussian_form
+        self._u = u = self.gamma.gamma.take(flat) + ups
+        self._r = (quad @ u).reshape(lin.shape) + lin  # dE/du, and its imaginary row if l has one
 
     def _gather_terms(self) -> tuple:
         """Every term's weight times its key's coefficient and its energy
@@ -380,13 +435,12 @@ class StateEvaluator:
 
     def energy(self) -> tuple[float, float, float]:
         """One-body, two-body and total energy; see :func:`energy`."""
-        if self._forms is None:
+        if self.contraction is None:
+            lin, u = self.hamil._gaussian_form[2], self._u
+            e1, e2 = complex(*(lin @ u)), complex(*((0.5 * (self._r - lin)) @ u))
+        else:
             _, e1, _, _, e2 = self._terms
             e1, e2 = np.sum(e1), np.sum(e2)
-        else:
-            gpm, gpp, pm_x, pp_z = self._forms
-            e1 = self.hamil._hfb_forms[0] @ gpm
-            e2 = 0.5 * (gpm @ pm_x) + gpp @ pp_z
         for label, val in (("one-body", e1), ("two-body", e2)):
             if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
                 raise NumericsError(
@@ -408,32 +462,26 @@ class StateEvaluator:
         with no second inversion; Q is zero on the zero phase vector, so only
         the other keys enter it.
 
-        With no phased key the matrix is 4 skew(dE/dG), G = gamma + Upsilon:
-        the forms' derivatives dE/dgpm, dE/dgpp and dE/dgmm, transposed, fill
-        the upper-right, lower-right and upper-left blocks of W, and
-        dE/dG = P W P^T.
+        With no phased key the energy is the form in u, the upper entries of
+        G = gamma + Upsilon, and the matrix is 2 dE/du = 2r on the upper
+        triangle, minus its transpose; the imaginary row of r, if the form
+        has one, gives the residue.
         """
         if self._h_m is not None:
             return self._h_m
-        if self._forms is None:
-            out = self._phased_mean_field()
+        if self.contraction is None:
+            n2, r2 = 2 * self.hamil.n_modes, 2.0 * self._r
+            upper = np.zeros(n2 * n2)
+            upper[self.hamil._gaussian_form[0]] = r2[0]
+            upper = upper.reshape(n2, n2)
+            real, imag = upper - upper.T, r2[1:]  # the imaginary parts of the upper entries
         else:
-            n = self.hamil.n_modes
-            one, _, pp = self.hamil._hfb_forms
-            gpm, gpp, pm_x, pp_z = self._forms
-            w = np.zeros((2 * n, 2 * n), dtype=complex)
-            w[:n, n:] = (one + pm_x).reshape(n, n).T
-            w[n:, n:] = pp_z.reshape(n, n).T
-            w[:n, :n] = _real_times(pp.T, gpp).reshape(n, n).T
-            dirac = wick._dirac(n)
-            d_g = dirac @ w @ dirac.T
-            out = 2.0 * (d_g - d_g.T)
-
-        scale = max(1.0, float(np.max(np.abs(out.real))))
-        imag_dev = float(np.max(np.abs(out.imag)))
+            out = self._phased_mean_field()
+            real, imag = out.real, out.imag
+        scale = max(1.0, float(np.max(np.abs(real))))
+        imag_dev = float(np.max(np.abs(imag), initial=0.0))
         if imag_dev > IMAG_TOL * scale:
             raise NumericsError(f"mean-field matrix has imaginary residue {imag_dev:.3e}")
-        real = out.real
         self._h_m = h_m = 0.5 * (real - real.T)
         h_m.flags.writeable = False
         return h_m
@@ -501,9 +549,12 @@ class StateEvaluator:
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes
         if self._terms is None:
-            # every key reads the same tables, through a read-only (K, 2N, 2N) view of X
+            # every key reads the tables of one Dirac transform X = P^T G P,
+            # through a read-only (K, 2N, 2N) view
             n, k = self.hamil.n_modes, len(lay.alphas)
-            xk = np.broadcast_to(self._x, (k, 2 * n, 2 * n))
+            dirac = wick._dirac(n)
+            x = (dirac.T @ (self.gamma.gamma + upsilon(n)) @ dirac).T
+            xk = np.broadcast_to(x, (k, 2 * n, 2 * n))
             self._coeff = np.ones(k, dtype=complex)
             self._tables = xk[:, n:, :n], xk[:, n:, n:], xk[:, :n, :n]
             self._terms = self._gather_terms()

@@ -109,18 +109,6 @@ def quadratic_form(tensor: BTensor, domega: np.ndarray) -> float:
     return float(4.0 * (x @ matricize_b(tensor) @ x))
 
 
-def simple_step_bound(tensor: BTensor) -> float:
-    """Smallest descent coefficient guaranteeing a non-increasing coupling term.
-
-    Equals the largest eigenvalue of the flow quadratic form on symmetric
-    zero-diagonal couplings divided by 8, i.e. lambda_max(reduced matrix)/4.
-    """
-    reduced = matricize_b(tensor)
-    if reduced.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.eigvalsh(reduced))) / 4.0
-
-
 def dtau_omega_hitgd(tensor: BTensor, grad: np.ndarray) -> np.ndarray:
     """Coupling velocity from the pseudo-inverse of the reduced flow matrix.
 

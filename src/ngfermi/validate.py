@@ -76,7 +76,7 @@ def check_wick_vs_dense(n_modes: int, rng: np.random.Generator, draws: int = 10)
 def _omega(n_modes: int, rng: np.random.Generator, trial: int, draws: int, scale: float = 1.0) -> np.ndarray:
     """Random couplings for trials 0 .. draws - 1, and zero for one trial more:
     at omega = 0 the evaluator has no phased key and reads the energy from
-    the Hamiltonian's closed forms, not from a contraction bundle."""
+    the Hamiltonian's quadratic form, not from a contraction bundle."""
     if trial == draws:
         return np.zeros((n_modes, n_modes))
     return random_symmetric_zero_diag(n_modes, rng, scale=scale)

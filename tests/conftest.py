@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ngfermi import gaussian, oracle
+from ngfermi import gaussian, optimizer, oracle
 from ngfermi.validate import (
     random_hamiltonian,
     random_operator_string,
@@ -18,6 +18,7 @@ __all__ = [
     "random_operator_string",
     "random_symmetric_zero_diag",
     "random_two_body",
+    "simple_step_bound",
 ]
 
 
@@ -38,6 +39,17 @@ def b_tensor_entries(tensor) -> np.ndarray:
     entries[idx, idx, :, :] = 0.0
     entries[:, :, idx, idx] = 0.0
     return entries
+
+
+def simple_step_bound(tensor) -> float:
+    """Smallest descent coefficient of the simple coupling update that keeps
+    its coupling term non-increasing: the largest eigenvalue of the flow
+    quadratic form on symmetric zero-diagonal couplings divided by 8, i.e.
+    lambda_max(``optimizer.matricize_b``)/4, and 0 with no coupling."""
+    reduced = optimizer.matricize_b(tensor)
+    if reduced.size == 0:
+        return 0.0
+    return float(np.max(np.linalg.eigvalsh(reduced))) / 4.0
 
 
 def curvature_pairs(rng, m: int, size: int) -> list:

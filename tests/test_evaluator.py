@@ -29,7 +29,7 @@ from conftest import (
     random_two_body,
 )
 from ngfermi import wick
-from ngfermi.errors import SingularContractionError
+from ngfermi.errors import NumericsError, SingularContractionError
 from ngfermi.gaussian import CovarianceMatrix, random_pure_covariance, upsilon
 from ngfermi.hamiltonian import (
     ManyBodyHamiltonian,
@@ -63,20 +63,26 @@ def _terms(hamil):
     return out
 
 
-def _reference_energy(cov, w, hamil) -> float:
-    """The per-term loop with one unbatched bundle per term."""
-    total = 0.0 + 0.0j
+def _reference_parts(cov, w, hamil) -> np.ndarray:
+    """The per-term loop with one unbatched bundle per term: the complex
+    one-body and two-body sums."""
+    total = np.zeros(2, dtype=complex)
     for idx, alpha in _terms(hamil):
         c = wick.contract(cov, alpha(w))
         if len(idx) == 2:
             p, q = idx
-            total += hamil.f[p, q] * 0.25j * c.coeff * c.g_dag_plain[p, q]
+            total[0] += hamil.f[p, q] * 0.25j * c.coeff * c.g_dag_plain[p, q]
         else:
             p, q, r, s = idx
             gpm = c.g_dag_plain
             quartic = gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + c.g_dag_dag[p, q] * c.g_plain_plain[r, s]
-            total += -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * c.coeff * quartic
-    return total.real
+            total[1] += -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * c.coeff * quartic
+    return total
+
+
+def _reference_energy(cov, w, hamil) -> float:
+    """The real part of the per-term loop's total."""
+    return float(np.sum(_reference_parts(cov, w, hamil)).real)
 
 
 def _skew2(a, b):
@@ -503,9 +509,9 @@ def test_zero_omega_closed_form_matches_the_per_term_path(model, rng):
 
 
 def test_zero_omega_evaluator_defers_its_gradient_tables(rng):
-    # a Gaussian-baseline state keeps only X for its energy and mean-field
-    # matrix; the per-key tables appear on the first gradient call, which
-    # still matches the per-term path
+    # a Gaussian-baseline state reads its energy and mean-field matrix from
+    # the Hamiltonian's quadratic form; the per-key tables appear on the
+    # first gradient call, which still matches the per-term path
     hamil = random_hamiltonian(4, rng)
     ev = StateEvaluator(random_pure_covariance(4, rng), np.zeros((4, 4)), hamil)
     ev.energy()
@@ -701,7 +707,7 @@ def test_singular_key_and_its_partner_name_the_built_term():
 
 def test_gaussian_baseline_calls_no_contract(monkeypatch):
     # at omega = 0 the layout has no phased key: every state of a freeze_omega
-    # run reads its energy and mean-field matrix from the Hamiltonian's forms
+    # run reads its energy and mean-field matrix from the Hamiltonian's form
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(freeze_omega=True, max_steps=20)
     monkeypatch.setattr(wick, "contract", _forbid("wick.contract"))
@@ -739,3 +745,67 @@ def test_zero_omega_state_builds_its_tables_once(monkeypatch):
     _, records, _ = run(hamil, options, state)
     assert len(records) == 2
     assert phased and all(phased)
+
+
+def _nearly_hermitian_hamiltonian(n, rng):
+    """A random Hamiltonian that the constructor accepts but that is
+    Hermitian only to SYMMETRY_TOL: every nonzero h entry and every f entry
+    off by up to 5e-11, against h_pqrs = h_srqp and f = f^+."""
+    hamil = random_hamiltonian(n, rng)
+    h = hamil.h.copy()
+    nonzero = h != 0.0
+    h[nonzero] += rng.uniform(-5e-11, 5e-11, size=nonzero.sum())
+    f = hamil.f + rng.uniform(-5e-11, 5e-11, size=(n, n))
+    return ManyBodyHamiltonian(n, f, h)
+
+
+def test_nearly_hermitian_zero_omega_state_is_the_real_part_and_guards_its_residues(monkeypatch, rng):
+    # the form's imaginary rows come from the non-Hermitian parts of f and h;
+    # their residues are tiny but nonzero, so a zero IMAG_TOL trips both guards
+    hamil = _nearly_hermitian_hamiltonian(4, rng)
+    flat, ups, lin, quad = hamil._gaussian_form
+    m = len(flat)
+    assert m == 28 and lin.shape == (2, m) and quad.shape == (2 * m, m)
+    w = np.zeros((4, 4))
+    for _ in range(3):
+        cov = random_pure_covariance(4, rng)
+        e1, e2, _ = StateEvaluator(cov, w, hamil).energy()
+        ref = _reference_parts(cov, w, hamil)
+        assert abs(e1 - ref[0].real) <= 1e-13 and abs(e2 - ref[1].real) <= 1e-13
+        # the imaginary rows give the imaginary parts
+        u = cov.gamma.take(flat) + ups
+        assert abs(lin[1] @ u - ref[0].imag) <= 1e-15 and abs(0.5 * u @ quad[m:] @ u - ref[1].imag) <= 1e-15
+        assert np.max(np.abs(ref.imag)) > 1e-13
+    # the energy is quadratic in gamma, so a central difference of the
+    # reference's real part is its exact derivative, up to rounding
+    h_m = StateEvaluator(cov, w, hamil).mean_field_h()
+    step = 1e-2
+    fd = np.zeros_like(h_m)
+    for i, j in zip(*np.triu_indices(8, 1)):
+        d = np.zeros((8, 8))
+        d[i, j], d[j, i] = step, -step
+        fd[i, j] = (_reference_energy(cov.gamma + d, w, hamil) - _reference_energy(cov.gamma - d, w, hamil)) / step
+        fd[j, i] = -fd[i, j]
+    assert _rel_dev(h_m, fd) < 1e-10
+    monkeypatch.setattr(ngfermi.hamiltonian, "IMAG_TOL", 0.0)
+    with pytest.raises(NumericsError, match="energy has imaginary residue"):
+        StateEvaluator(cov, w, hamil).energy()
+    with pytest.raises(NumericsError, match="mean-field matrix has imaginary residue"):
+        StateEvaluator(cov, w, hamil).mean_field_h()
+
+
+@pytest.mark.parametrize("model", ["hubbard-5", "hubbard-3-periodic", "random-4", "random-6"])
+def test_hermitian_form_has_no_imaginary_rows(model, monkeypatch, rng):
+    # an exactly Hermitian H: the form is real, its residues are exact zeros,
+    # and a zero IMAG_TOL raises nothing
+    if model.startswith("hubbard"):
+        hamil = hubbard_model(int(model.split("-")[1]), 1.0, 4.0, 2.0, periodic=model.endswith("periodic"))
+    else:
+        hamil = random_hamiltonian(int(model.split("-")[1]), rng)
+    n = hamil.n_modes
+    flat, _, lin, quad = hamil._gaussian_form
+    assert lin.shape == (1, len(flat)) and quad.shape == (len(flat), len(flat))
+    monkeypatch.setattr(ngfermi.hamiltonian, "IMAG_TOL", 0.0)
+    ev = StateEvaluator(random_pure_covariance(n, rng), np.zeros((n, n)), hamil)
+    ev.energy()
+    ev.mean_field_h()

@@ -10,6 +10,7 @@ from conftest import (
     lbfgs_memory,
     random_hamiltonian,
     random_symmetric_zero_diag,
+    simple_step_bound,
 )
 from ngfermi import hamiltonian as ham
 from ngfermi.errors import NumericsError, StagnationError, ValidationError
@@ -34,7 +35,6 @@ from ngfermi.optimizer import (
     matricize_b,
     quadratic_form,
     run,
-    simple_step_bound,
     step,
 )
 

@@ -5,7 +5,8 @@ zero phase vector against the closed form, the pair-space flow matrix and its ps
 the L-BFGS two-loop against the dense BFGS recursion,
 Pf^2 = det, Wick's theorem with the block tables against the dense oracle,
 and the omega = 0 closed form against the per-term plain-Wick sum, the dense
-oracle and central differences.
+oracle and central differences, with its quadratic form's Q against the
+central-difference Hessian of the per-entry energy.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
 a zero row, zero entries and +-pi entries, sparse Hamiltonians with an entry
@@ -480,24 +481,29 @@ def neutral_states(draw):
     return hamil, gamma, params if kind == "pure" else None
 
 
-def _plain_wick_energy(hamil, gamma) -> complex:
-    """The per-term sum at omega = 0: w_t times the plain-Wick expectation
-    of term t's operator string, from the zero-phase bundle."""
+def _plain_wick_parts(hamil, gamma) -> tuple[complex, complex]:
+    """The per-term one-body and two-body sums at omega = 0: w_t times the
+    plain-Wick expectation of term t's operator string, from the zero-phase
+    bundle."""
     bundle = wick.contract(gamma, np.zeros(hamil.n_modes))
-    total = 0.0 + 0.0j
+    one = two = 0.0 + 0.0j
     for p, q in np.argwhere(hamil.f != 0.0):
-        total += hamil.f[p, q] * wick.expectation_from(bundle, ((p, True), (q, False)))
+        one += hamil.f[p, q] * wick.expectation_from(bundle, ((p, True), (q, False)))
     for p, q, r, s in hamil.two_body_entries():
         string = ((p, True), (q, True), (r, False), (s, False))
-        total += 0.5 * hamil.h[p, q, r, s] * wick.expectation_from(bundle, string)
-    return total
+        two += 0.5 * hamil.h[p, q, r, s] * wick.expectation_from(bundle, string)
+    return one, two
+
+
+def _plain_wick_energy(hamil, gamma) -> complex:
+    return sum(_plain_wick_parts(hamil, gamma))
 
 
 @SETTINGS
 @given(case=neutral_states())
 def test_closed_form_energy_is_the_plain_wick_sum(case):
     # at omega = 0 the evaluator reads the energy from the Hamiltonian's fixed
-    # forms, with no contraction bundle; the reference sums one Wick
+    # form, with no contraction bundle; the reference sums one Wick
     # expectation per term, and the dense oracle measures pure states
     hamil, gamma, params = case
     n = hamil.n_modes
@@ -535,9 +541,10 @@ def test_closed_form_mean_field_is_the_energy_derivative(case):
 
 def test_closed_form_takes_h_as_given():
     # every entry of h off by up to 1e-11: the constructor accepts it (each
-    # symmetry holds to SYMMETRY_TOL = 1e-10), and the forms, built from the
-    # entries as given, still equal the per-term sum.  A form that merges the
-    # two gpm pairings through h_pqrs = -h_pqsr would be off by about 1e-12.
+    # symmetry holds to SYMMETRY_TOL = 1e-10), and the form, built from the
+    # signed sum of each entry's four antisymmetric images as given, still
+    # equals the per-term sum.  A form that merges the two gpm pairings
+    # through h_pqrs = -h_pqsr would be off by about 1e-12.
     rng = np.random.default_rng(41)
     for n in (4, 5):
         f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -549,3 +556,63 @@ def test_closed_form_takes_h_as_given():
             gamma = random_pure_covariance(n, rng).gamma
             e = StateEvaluator(gamma, np.zeros((n, n)), hamil).energy()[2]
             assert abs(e - _plain_wick_energy(hamil, gamma).real) <= 1e-13
+
+
+def _table_energies(hamil, g) -> np.ndarray:
+    """The real per-entry plain-Wick sums on a stack of G = gamma + Upsilon,
+    (B, 2N, 2N), read from the block tables of the Dirac transform P^T G P."""
+    n = hamil.n_modes
+    dirac = wick._dirac(n)
+    x = np.swapaxes(dirac.T @ g @ dirac, -1, -2)
+    gpm, gpp, gmm = x[:, n:, :n], x[:, n:, n:], x[:, :n, :n]
+    p1, q1 = np.nonzero(hamil.f)
+    p, q, r, s = hamil.two_body_entries().T
+    e1 = gpm[:, p1, q1] @ (0.25j * hamil.f[p1, q1])
+    quartic = gpm[:, p, s] * gpm[:, q, r] - gpm[:, p, r] * gpm[:, q, s] + gpp[:, p, q] * gmm[:, r, s]
+    return (e1 + quartic @ (-hamil.h[p, q, r, s] / 32.0)).real
+
+
+@pytest.mark.parametrize(
+    "model", [f"hubbard-{sites}-{ends}" for sites in (2, 3, 4) for ends in ("open", "periodic")]
+    + [f"dense-{n}" for n in range(1, 7)],
+)
+def test_gaussian_form_is_the_plain_wick_energy(model):
+    # the omega = 0 form (l, Q) over u, the strictly upper entries of
+    # G = gamma + Upsilon that some coefficient reads: Q is symmetric and,
+    # zero elsewhere, is the central-difference Hessian of the per-entry
+    # energy in all of them (exact up to rounding, since the energy is
+    # quadratic), and the evaluator's (E1, E2) are the per-term sums; Hubbard
+    # couplings, dense Hamiltonians and gamma are seeded draws
+    kind, size, *ends = model.split("-")
+    rng = np.random.default_rng([int(size), len(ends)])
+    if kind == "hubbard":
+        hamil = hubbard_model(int(size), rng.normal(), rng.uniform(0.0, 8.0), rng.normal(), periodic=ends == ["periodic"])
+    else:
+        hamil = random_hamiltonian(int(size), rng)
+    gamma = random_pure_covariance(hamil.n_modes, rng).gamma
+    n, n2 = hamil.n_modes, 2 * hamil.n_modes
+    flat, ups, lin, quad = hamil._gaussian_form
+    k = len(flat)
+    assert ups.shape == (k,) and lin.shape == (1, k) and quad.shape == (k, k)
+    assert np.array_equal(quad, quad.T)
+
+    e1, e2, _ = StateEvaluator(gamma, np.zeros((n, n)), hamil).energy()
+    one, two = _plain_wick_parts(hamil, gamma)
+    assert abs(e1 - one.real) <= 1e-12 * max(1.0, abs(e1))
+    assert abs(e2 - two.real) <= 1e-12 * max(1.0, abs(e2))
+
+    rows, cols = np.triu_indices(n2, 1)
+    m = len(rows)
+    read = np.searchsorted(rows * n2 + cols, flat)
+    assert np.array_equal(rows[read] * n2 + cols[read], flat)
+    full = np.zeros((m, m))
+    full[np.ix_(read, read)] = quad
+    basis = np.zeros((m, n2, n2))
+    basis[np.arange(m), rows, cols] = 1.0
+    basis[np.arange(m), cols, rows] = -1.0
+    g0, step = gamma + upsilon(n), 0.5
+    hess = np.empty((m, m))
+    for j in range(m):
+        e = [_table_energies(hamil, g0 + a * basis[j] + b * basis) for a in (step, -step) for b in (step, -step)]
+        hess[j] = (e[0] - e[1] - e[2] + e[3]) / (4.0 * step**2)
+    assert _rel_err(full, hess) <= 1e-10
