@@ -261,8 +261,8 @@ def _plain_wick_form(n: int, f_idx, h_idx, w1, w2, part) -> tuple[np.ndarray, np
 
     A one-body term (p, q) adds w gpm[p, q], a two-body term (p, q, r, s)
     w (gpm[p, s] gpm[q, r] - gpm[p, r] gpm[q, s] + gpp[p, q] gmm[r, s]).
-    Each table entry is four entries of G, read from the Dirac transform
-    P^T G P (:func:`~ngfermi.wick._dirac`):
+    Each table entry is four entries of G, as in the block formula of
+    :func:`~ngfermi.wick._block_tables` (the transposed blocks of P^T G P):
     T[a, b] = sum_st (i x)^s (i y)^t G[b + sN, a + tN] with (x, y) = (1, -1)
     for gpm, (-1, -1) for gpp and (1, 1) for gmm.  So a two-body term adds
     48 products c u_k u_l, and Q is one ``bincount`` over all of them and
@@ -388,9 +388,10 @@ class StateEvaluator:
     :meth:`mean_field_h` scatters 2r.  A form with imaginary rows (a
     Hamiltonian Hermitian only to SYMMETRY_TOL) stacks them into the same
     product.  :meth:`gradient` alone reads the block tables: its first call
-    builds them from one Dirac transform X = P^T G P (gpm = X[:N, N:]^T,
-    gpp = X[N:, N:]^T, gmm = X[:N, :N]^T) for every key, through the same
-    gathers as a phased layout; a Gaussian-baseline run never makes it.
+    builds them once from the N x N blocks of gamma + Upsilon
+    (:func:`~ngfermi.wick._block_tables`, exactly :func:`contract`'s tables
+    at alpha = 0), and every key reads them through the same gathers as a
+    phased layout; a Gaussian-baseline run never makes that call.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
@@ -544,19 +545,19 @@ class StateEvaluator:
         is that of w (ps qr - pr qs + pq rs) entry by entry, so it holds for
         every h the constructor accepts; the one-body gpm entries and the
         two-body ps, qr, pr and qs are differentiated in one stacked gather.
-        With no phased key every key's tables are the closed form's.
+        With no phased key every key reads the closed form's tables, built
+        once from the N x N blocks of gamma + Upsilon
+        (:func:`~ngfermi.wick._block_tables`) and broadcast to the K keys.
         """
         lay = self.layout
         (p1, q1), (p, q, r, s) = lay.modes
         if self._terms is None:
-            # every key reads the tables of one Dirac transform X = P^T G P,
-            # through a read-only (K, 2N, 2N) view
+            # every key reads the tables of gamma + Upsilon, through read-only
+            # (K, N, N) views
             n, k = self.hamil.n_modes, len(lay.alphas)
-            dirac = wick._dirac(n)
-            x = (dirac.T @ (self.gamma.gamma + upsilon(n)) @ dirac).T
-            xk = np.broadcast_to(x, (k, 2 * n, 2 * n))
+            tables = wick._block_tables(self.gamma.gamma + upsilon(n))
             self._coeff = np.ones(k, dtype=complex)
-            self._tables = xk[:, n:, :n], xk[:, n:, n:], xk[:, :n, :n]
+            self._tables = tuple(np.broadcast_to(t, (k, n, n)) for t in tables)
             self._terms = self._gather_terms()
         gpm, gpp, gmm = self._tables
         keys, k1, k2 = lay.term_key, lay.k1, lay.k2

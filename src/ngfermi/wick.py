@@ -20,7 +20,9 @@ once per call, through the private helpers that :func:`gamma_F`,
 transposed blocks of ``P^T G P``, with the Dirac transform ``P = [[1, 1],
 [i 1, -i 1]]``: its columns are the row and column selectors (1_q, +-i_q) of
 the four-entry block contractions (:func:`~ngfermi.linalg.block_contract`).
-P is built once per mode count and shared read-only.
+Since P's entries are 0, +-1 and +-i, each table entry is a signed sum of
+four entries of G, taken elementwise from the N x N blocks of G with no
+matrix product (:func:`_block_tables`).
 
 A phase vector that is exactly zero gets its closed form without any
 linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
@@ -34,9 +36,9 @@ made once per omega by the caller (the phase layout pairs the keys of
 charges v and -v): which rows are zero, which are built, and which copy the
 conjugate of an earlier built row; without one, the zero rows take the
 closed form and every other row is built.  The block tables are built once
-from the filled G stack, by two batched products.  The built rows pay for
-the Pfaffian and the inversions, and each inversion is guarded against a
-condition number above ``COND_LIMIT``.  The guard needs no SVD for a
+from the blocks of the filled G stack.  The built rows pay for the Pfaffian
+and the inversions, and each inversion is guarded against a condition
+number above ``COND_LIMIT``.  The guard needs no SVD for a
 well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
 from the inverse already at hand,
 
@@ -204,16 +206,24 @@ def _coeff(g: np.ndarray, phase: np.ndarray):
     return sign_prefactor(n) * (0.5 ** n) * pfaffian(_gamma_f(g, phase))
 
 
-@lru_cache(maxsize=None)
-def _dirac(n_modes: int) -> np.ndarray:
-    """The Dirac transform P = [[1, 1], [i 1, -i 1]], built once per mode
-    count and read-only.  Column j < N of P selects (1_j, +i_j) and column
-    N + j selects (1_j, -i_j), so the blocks of P^T G P are the block tables
-    of G (:func:`contract`)."""
-    one = np.eye(n_modes)
-    out = np.block([[one, one], [1j * one, -1j * one]])
-    out.flags.writeable = False
-    return out
+def _block_tables(gmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block tables (``g_dag_plain``, ``g_dag_dag``, ``g_plain_plain``,
+    the field order of :class:`Contraction`) of one 2N x 2N matrix or a
+    (K, 2N, 2N) stack, from its N x N blocks.
+
+    With a = G11 + i G21, b = G12 + i G22, c = G11 - i G21 and
+    d = G12 - i G22 they are (a - i b)^T, (c - i d)^T and (a + i b)^T: the
+    transposed blocks of P^T G P, P = [[1, 1], [i 1, -i 1]], whose columns
+    are the row and column selectors (1_q, +-i_q) of
+    :func:`~ngfermi.linalg.block_contract`.  Every product with 1 or +-i is
+    exact, so each entry is rounded as a product with P would round it.
+    """
+    n = gmat.shape[-1] // 2
+    g11, g12, g21, g22 = gmat[..., :n, :n], gmat[..., :n, n:], gmat[..., n:, :n], gmat[..., n:, n:]
+    i21, i22 = 1j * g21, 1j * g22
+    a, b, c, d = g11 + i21, g12 + i22, g11 - i21, g12 - i22
+    ib = 1j * b
+    return tuple(np.swapaxes(t, -1, -2) for t in (a - ib, c - 1j * d, a + ib))
 
 
 def _g_denominator(g: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
@@ -457,7 +467,8 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     pass: one (batched) Pfaffian, one (batched) direct solve for G and L,
     and three block tables, transposed blocks of G~ = P^T G P (the Dirac
     transform P): ``g_dag_plain`` = G~[:N, N:]^T, ``g_dag_dag`` =
-    G~[N:, N:]^T and ``g_plain_plain`` = G~[:N, :N]^T.  Phase vectors that
+    G~[N:, N:]^T and ``g_plain_plain`` = G~[:N, :N]^T, read elementwise
+    from the N x N blocks of G (:func:`_block_tables`).  Phase vectors that
     are exactly zero take the closed form (coefficient 1, G = skew part of
     gamma + Upsilon, L = 1) and no part of the Pfaffian or the solve.
 
@@ -494,19 +505,7 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
         out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
     if a.ndim == 1:
         coeff, gmat, lmat = coeff[0], gmat[0], lmat[0]
-    # the block tables are transposed blocks of P^T G P: entry (q, p) of a block
-    # is the row selector of mode q times G times the column selector of mode p
-    dirac = _dirac(n)
-    tables = np.swapaxes(dirac.T @ gmat @ dirac, -1, -2)
-    return Contraction(
-        alpha=a,
-        coeff=coeff,
-        g=gmat,
-        l=lmat,
-        g_dag_plain=tables[..., n:, :n],
-        g_dag_dag=tables[..., n:, n:],
-        g_plain_plain=tables[..., :n, :n],
-    )
+    return Contraction(a, coeff, gmat, lmat, *_block_tables(gmat))
 
 
 def _factors(string: OperatorString | tuple) -> tuple[tuple[int, bool], ...]:

@@ -105,8 +105,11 @@ def _reference_mean_field(cov, w, hamil) -> np.ndarray:
             continue
         p, q, r, s = idx
         coeff = -(1.0 / 16.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q])) * c.coeff
-        term = (4.0 * gpm[p, s] * gpm[q, r] + 2.0 * gpp[p, q] * gmm[r, s]) * q_mat
-        term += 4.0 * gpm[q, r] * _skew2(ltp[:, s], ltm[:, p])
+        # one rank-2 piece per block entry of ps qr - pr qs + pq rs, so the
+        # derivative holds for every h the constructor accepts
+        term = 2.0 * (gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + gpp[p, q] * gmm[r, s]) * q_mat
+        term += gpm[q, r] * _skew2(ltp[:, s], ltm[:, p]) + gpm[p, s] * _skew2(ltp[:, r], ltm[:, q])
+        term -= gpm[q, s] * _skew2(ltp[:, r], ltm[:, p]) + gpm[p, r] * _skew2(ltp[:, s], ltm[:, q])
         term += gmm[r, s] * _skew2(ltm[:, q], ltm[:, p])
         term += gpp[p, q] * _skew2(ltp[:, s], ltp[:, r])
         out += coeff * term
@@ -114,9 +117,13 @@ def _reference_mean_field(cov, w, hamil) -> np.ndarray:
     return 0.5 * (real - real.T)
 
 
-@pytest.mark.parametrize("model", ["hubbard-3", "random-4"])
+@pytest.mark.parametrize("model", ["hubbard-3", "random-4", "nearly-hermitian-4"])
 def test_shared_evaluator_matches_fresh_calls(model, rng):
-    hamil = hubbard_model(3, 1.0, 4.0, 2.0) if model == "hubbard-3" else random_hamiltonian(4, rng)
+    hamil = {
+        "hubbard-3": lambda: hubbard_model(3, 1.0, 4.0, 2.0),
+        "random-4": lambda: random_hamiltonian(4, rng),
+        "nearly-hermitian-4": lambda: _nearly_hermitian_hamiltonian(4, rng),
+    }[model]()
     n = hamil.n_modes
     cov = random_pure_covariance(n, rng)
     w = random_symmetric_zero_diag(n, rng, scale=1.5)
@@ -720,26 +727,28 @@ def test_gaussian_baseline_calls_no_contract(monkeypatch):
 
 def test_zero_omega_state_builds_its_tables_once(monkeypatch):
     # the omega = 0 start of a hitgd run: its energy, mean-field matrix and
-    # first coupling gradient read one Dirac transform of gamma and call no
-    # contract; the trial states of the step, at a nonzero omega, do
+    # first coupling gradient read the block tables of one 2N x 2N matrix,
+    # gamma + Upsilon, and call no contract; the trial states of the step, at
+    # a nonzero omega, do
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     options = RunOptions(max_steps=1, tol_g=0.0)
-    dirac, phased = [], []
-    original_dirac, original_contract = wick._dirac, ngfermi.hamiltonian.contract
+    built, phased = [], []
+    original_tables, original_contract = wick._block_tables, ngfermi.hamiltonian.contract
 
-    def counting_dirac(n):
-        dirac.append(n)
-        return original_dirac(n)
+    def counting_tables(gmat):
+        built.append(gmat.shape)
+        return original_tables(gmat)
 
     def counting_contract(gamma, alpha, plan=None):
         phased.append(bool(np.any(alpha)))
         return original_contract(gamma, alpha, plan)
 
-    monkeypatch.setattr(wick, "_dirac", counting_dirac)
+    monkeypatch.setattr(wick, "_block_tables", counting_tables)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
     state = initial_state(hamil, seed=5)
     assert np.any(state.evaluator.gradient())
-    assert dirac == [6] and phased == []
+    state.evaluator.gradient()
+    assert built == [(2 * hamil.n_modes,) * 2] and phased == []
     state.evaluator.mean_field_h()
     assert phased == []
     _, records, _ = run(hamil, options, state)

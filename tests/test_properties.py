@@ -3,14 +3,16 @@ as conjugates of bundles at alpha, the phase layout's charge keys and their
 conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
 zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the Cayley rotation,
 the L-BFGS two-loop against the dense BFGS recursion,
-Pf^2 = det, Wick's theorem with the block tables against the dense oracle,
+Pf^2 = det, the block tables bit for bit against the product P^T G P,
+Wick's theorem with the block tables against the dense oracle,
 and the omega = 0 closed form against the per-term plain-Wick sum, the dense
 oracle and central differences, with its quadratic form's Q against the
 central-difference Hessian of the per-entry energy.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
 a zero row, zero entries and +-pi entries, sparse Hamiltonians with an entry
-whose adjoint is zero, and complex skew stacks with forced zero pivots;
+whose adjoint is zero, complex skew stacks with forced zero pivots, and
+complex matrices and stacks with zero and conjugate rows;
 hypothesis picks the sizes, the seeds and where the zeros go.
 """
 
@@ -432,7 +434,8 @@ def test_wick_matches_the_dense_oracle(case):
     params, alpha, strings = case
     n = len(alpha)
     bundle = wick.contract(covariance_from_xi(params), alpha)
-    # the block tables, read from P^T G P, are the signed four-entry contractions of G
+    # the block tables, the transposed blocks of P^T G P, are the signed four-entry
+    # contractions of G
     for kind, table in (
         (BlockContractionKind.PLUS_MINUS, bundle.g_dag_plain),
         (BlockContractionKind.PLUS_PLUS, bundle.g_dag_dag),
@@ -448,6 +451,55 @@ def test_wick_matches_the_dense_oracle(case):
     for string in strings:
         dense = oracle.dense_expectation(state, alpha, string)
         assert abs(wick.expectation_from(bundle, string) - dense) <= tol
+
+
+def _dirac_tables(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gpm, gpp, gmm) of one 2N x 2N matrix or a stack, as transposed blocks
+    of the Dirac transform X = P^T G P, P = [[1, 1], [i 1, -i 1]]: gpm =
+    X[:N, N:]^T, gpp = X[N:, N:]^T and gmm = X[:N, :N]^T."""
+    n = g.shape[-1] // 2
+    one = np.eye(n)
+    dirac = np.block([[one, one], [1j * one, -1j * one]])
+    x = np.swapaxes(dirac.T @ g @ dirac, -1, -2)
+    return x[..., n:, :n], x[..., n:, n:], x[..., :n, :n]
+
+
+@st.composite
+def table_inputs(draw):
+    """A complex 2N x 2N matrix or a (K, 2N, 2N) stack on 1..8 modes, with
+    entries spread from 1e-8 to 1e8, zero entries, a zero row, a row that is
+    the conjugate of an earlier row, and in a stack a zero matrix and a
+    matrix that is the conjugate of an earlier one (as :func:`wick.contract`
+    fills its zero and copied rows)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([None, 1, 2, 5]))
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = (2 * n, 2 * n) if k is None else (k, 2 * n, 2 * n)
+    g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-8, 8, shape)
+    g[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    mats = g.reshape((-1, 2 * n, 2 * n))
+    for mat in mats:
+        rows = rng.permutation(2 * n)
+        mat[rows[0]] = 0.0
+        if n > 1:
+            first, later = sorted(rows[1:3])
+            mat[later] = np.conj(mat[first])
+    if k is not None and k > 1:
+        mats[draw(st.integers(0, k - 1))] = 0.0
+        source = draw(st.integers(0, k - 2))
+        mats[draw(st.integers(source + 1, k - 1))] = np.conj(mats[source])
+    return g
+
+
+@SETTINGS
+@given(g=table_inputs())
+def test_block_tables_are_the_dirac_transform(g):
+    # the helper's elementwise block arithmetic against the product P^T G P:
+    # every product with 1 or +-i is exact, so both round the same two-term
+    # sums, first a, b, c, d from G and then the tables from those
+    got = wick._block_tables(g)
+    for table, ref in zip(got, _dirac_tables(g)):
+        assert table.shape == ref.shape and np.array_equal(table, ref)
 
 
 @st.composite
@@ -561,12 +613,9 @@ def test_closed_form_takes_h_as_given():
 def _table_energies(hamil, g) -> np.ndarray:
     """The real per-entry plain-Wick sums on a stack of G = gamma + Upsilon,
     (B, 2N, 2N), read from the block tables of the Dirac transform P^T G P."""
-    n = hamil.n_modes
-    dirac = wick._dirac(n)
-    x = np.swapaxes(dirac.T @ g @ dirac, -1, -2)
-    gpm, gpp, gmm = x[:, n:, :n], x[:, n:, n:], x[:, :n, :n]
     p1, q1 = np.nonzero(hamil.f)
     p, q, r, s = hamil.two_body_entries().T
+    gpm, gpp, gmm = _dirac_tables(g)
     e1 = gpm[:, p1, q1] @ (0.25j * hamil.f[p1, q1])
     quartic = gpm[:, p, s] * gpm[:, q, r] - gpm[:, p, r] * gpm[:, q, s] + gpp[:, p, q] * gmm[:, r, s]
     return (e1 + quartic @ (-hamil.h[p, q, r, s] / 32.0)).real
