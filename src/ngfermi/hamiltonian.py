@@ -5,6 +5,11 @@ with Hermitian ``f`` and a real two-body tensor ``h`` carrying the
 antisymmetrized index symmetries.  Conjugating H with the flux-attachment
 unitary exp((i/2) sum omega_jk :n_j n_k:) turns every term into a phased
 operator string over the Gaussian state, which the wick module evaluates.
+A term and its Hermitian adjoint are one term: for every real gamma and
+omega the adjoint's energy is the conjugate of its term's, so the kept term
+carries the sum of the pair's coefficients for the real energy and their
+difference for the imaginary residue, which is nonzero only for an H
+Hermitian to SYMMETRY_TOL rather than exactly.
 At omega = 0 every string is plain Wick, and the energy is the generalized
 Hartree-Fock-Bogoliubov functional: one real quadratic form in the upper
 entries of gamma + Upsilon, built once per Hamiltonian, so a state costs one
@@ -47,7 +52,7 @@ class NonGaussianParams:
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"omega must be square, got {w.shape}")
         # one reduction screens finiteness too: a non-finite entry makes its
-        # difference with the mirror entry NaN or inf (see linalg.check_skew)
+        # difference with the transposed entry NaN or inf (see linalg.check_skew)
         with np.errstate(invalid="ignore", over="ignore"):
             dev = float(np.max(np.abs(w - w.T), initial=0.0))
         if not dev <= SYMMETRY_TOL:
@@ -139,21 +144,43 @@ class ManyBodyHamiltonian:
         return folded
 
     @cached_property
+    def _adjoint_folds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each term and its Hermitian adjoint as one term, on the upper
+        triangle of two term matrices: f over the one-body terms (p, q), and
+        the folded coefficients (:attr:`_folded_h`) over the canonical pairs
+        (p<q) x (r<s), in row-major pair order, whose transposed entry
+        (r,s,p,q) is the adjoint.  Returns A + A^+ and A - A^+ of each
+        (:func:`_adjoint_fold`): f_pq + conj(f_qp), f_pq - conj(f_qp),
+        H_pqrs + H_rspq and H_pqrs - H_rspq."""
+        p, q = np.triu_indices(self.n_modes, 1)
+        return _adjoint_fold(self.f) + _adjoint_fold(self._folded_h[p[:, None], q[:, None], p, q])
+
+    @cached_property
+    def _kept(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which entries of the two term matrices (:attr:`_adjoint_folds`)
+        are terms: those with a nonzero sum or difference."""
+        f_plus, f_minus, h_plus, h_minus = self._adjoint_folds
+        return (f_plus != 0.0) | (f_minus != 0.0), (h_plus != 0.0) | (h_minus != 0.0)
+
+    @cached_property
     def _term_indices(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
-        """Nonzero one-body (k1, 2) and canonical two-body (k2, 4) index
-        arrays, and every term's indices as a tuple, one-body terms first.
-        A two-body term is a canonical (p<q, r<s) with a nonzero folded
-        coefficient (:attr:`_folded_h`), in row-major order."""
-        f_idx = np.argwhere(self.f != 0.0)
-        upper = np.triu(np.ones((self.n_modes,) * 2, dtype=bool), 1)
-        h_idx = np.argwhere((self._folded_h != 0.0) & upper[:, :, None, None] & upper)
+        """One-body (k1, 2) and two-body (k2, 4) index arrays of the terms
+        (:attr:`_kept`), and every term's indices as a tuple, one-body terms
+        first, each in row-major order: a one-body term is (p <= q), a
+        two-body term canonical (p<q, r<s) with (p,q) <= (r,s)."""
+        f_keep, h_keep = self._kept
+        p, q = np.triu_indices(self.n_modes, 1)
+        f_idx = np.argwhere(f_keep)
+        pq, rs = np.nonzero(h_keep)
+        h_idx = np.stack([p[pq], q[pq], p[rs], q[rs]], axis=1)
         return f_idx, h_idx, [tuple(idx) for idx in f_idx.tolist() + h_idx.tolist()]
 
     @cached_property
     def _charge_rows(self) -> np.ndarray:
         """Each term's charge v_t as a read-only float row (T, N), in the
         order of :attr:`_term_indices`: +1 on the annihilated and -1 on the
-        created modes, so alpha_t = omega v_t."""
+        created modes, so alpha_t = omega v_t.  A nonzero charge's first
+        nonzero entry is -1, so no charge is the negative of another."""
         f_idx, h_idx, _ = self._term_indices
         eye = np.eye(self.n_modes)
         (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
@@ -162,13 +189,12 @@ class ManyBodyHamiltonian:
         return v
 
     @cached_property
-    def _charges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms' charges (:attr:`_charge_rows`), numbered in order of
-        first appearance: each term's charge label, in the order of
-        :attr:`_term_indices`, each charge's first term (so ascending), and
-        each charge's mirror, the label of -v (-1 where no term has it, a
-        Hamiltonian Hermitian only to SYMMETRY_TOL).  The match is exact,
-        so the mirror relation is an involution."""
+    def _keys(self) -> tuple:
+        """The key structure every phase layout shares, at every omega: one
+        key per charge, numbered in order of first appearance, as the keys'
+        first terms (ascending), each term's key, the phased keys (the
+        nonzero charges) and the keys' charge rows V_keys, so the keys'
+        vectors are V_keys omega (:class:`PhaseLayout`)."""
         v = self._charge_rows.astype(np.int8)
         rows = np.dtype((np.void, self.n_modes))  # one key per row, grouped by bytes
         _, first, label = np.unique(v.view(rows).ravel(), return_index=True, return_inverse=True)
@@ -176,69 +202,85 @@ class ManyBodyHamiltonian:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         first, label = first[order], rank[label]
-        # the labels of the charges and of their negatives, in one grouping
-        _, both = np.unique(np.concatenate([v[first], -v[first]]).view(rows).ravel(), return_inverse=True)
-        of_key = np.full(len(both), -1)
-        of_key[both[: len(first)]] = np.arange(len(first))
-        return label, first, of_key[both[len(first):]]
-
-    @cached_property
-    def _keys(self) -> tuple:
-        """The key structure every phase layout shares, at every omega: one
-        key per charge (key = charge label), as the keys' first terms, each
-        term's key, the phased keys (the nonzero charges), the keys' charge
-        rows V_keys (so the keys' vectors are V_keys omega) and the row plan
-        (:class:`PhaseLayout`).  The v = 0 charge is the closed-form row; of
-        each pair v, -v the earlier charge is built, the other copied."""
-        label, first, mirror = self._charges
-        keys = np.arange(len(first))
         v_keys = self._charge_rows[first]
-        uncharged = ~v_keys.any(axis=1)
-        source = np.where(uncharged, -1, np.minimum(keys, np.where(mirror < 0, keys, mirror)))
-        return _read_only(first, label, np.flatnonzero(~uncharged), v_keys) + (wick.RowPlan(source),)
+        return _read_only(first, label, np.flatnonzero(v_keys.any(axis=1)), v_keys)
 
     @cached_property
     def _term_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The terms' omega-free weights, in the order of :attr:`_term_indices`:
-        (i/4) f_pq per one-body term and -H_pqrs / 32 per two-body term, with
-        H the folded coefficient (:attr:`_folded_h`)."""
-        f_idx, h_idx, _ = self._term_indices
-        return _read_only(0.25j * self.f[tuple(f_idx.T)], -(1.0 / 32.0) * self._folded_h[tuple(h_idx.T)])
+        (i/4) F_pq per one-body term and -H_pqrs / 32 per two-body term, with
+        F and H the adjoint sums of :attr:`_adjoint_folds`.  A term's energy
+        at this weight has the real part of the pair's: a Hermitian
+        adjoint's energy is the conjugate of its term's, for every real
+        gamma and omega."""
+        return self._weights(*self._adjoint_folds[::2])
+
+    @cached_property
+    def _residue_weights(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The same terms' weights from the adjoint differences
+        f_pq - conj(f_qp) and H_pqrs - H_rspq: the imaginary part of their
+        energy is the pair's.  None when every difference is zero, as for an
+        exactly Hermitian H, whose residues are zero."""
+        f_minus, h_minus = self._adjoint_folds[1::2]
+        return self._weights(f_minus, h_minus) if f_minus.any() or h_minus.any() else None
+
+    def _weights(self, f_fold: np.ndarray, h_fold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i/4) f_fold and -h_fold / 32 at the terms (:attr:`_kept`), read-only."""
+        f_keep, h_keep = self._kept
+        return _read_only(0.25j * f_fold[f_keep], -(1.0 / 32.0) * h_fold[h_keep])
 
     @cached_property
     def _gaussian_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The plain-Wick energy at omega = 0 (the generalized
         Hartree-Fock-Bogoliubov functional) as one real form in u, the
         strictly upper entries of G = gamma + Upsilon: E1 = l.u and
-        E2 = u.Q u / 2 (:func:`_plain_wick_form`), from the layouts' terms
-        and weights.  u keeps only the M entries some coefficient reads: all
-        N(2N-1) for a dense h, 46 of 190 for the Hubbard chain at L=5.
-        Read-only: the flat positions of u in a 2N x 2N array, Upsilon's
-        entries there, l (1, M) and Q (M, M).
+        E2 = u.Q u / 2, from the layouts' terms and weights.  u keeps only
+        the M entries some coefficient reads: all N(2N-1) for a dense h, 46
+        of 190 for the Hubbard chain at L=5.  Read-only: the flat positions
+        of u in a 2N x 2N array, Upsilon's entries there, l (1, M) and
+        Q (M, M).
 
-        A Hermitian H has a real energy at every real skew G, so only the
-        non-Hermitian parts (f - f^+)/2 and (h_pqrs - h_srqp)/2 have
-        imaginary parts.  Where either is nonzero (H Hermitian only to
-        SYMMETRY_TOL), their rows are stacked under l and Q, to (2, M) and
-        (2M, M), for the residue checks.
+        Where H has residue weights (:attr:`_residue_weights`, H Hermitian
+        only to SYMMETRY_TOL), the imaginary parts of the same terms' energy
+        at those weights are stacked under l and Q, to (2, M) and (2M, M),
+        for the residue checks.  The products are binned over the R entries
+        the terms reference (:func:`_plain_wick_products`), so Q is built
+        R x R, never over all N(2N-1) entries.
         """
         n = self.n_modes
         f_idx, h_idx, _ = self._term_indices
-        lin, quad = _plain_wick_form(n, f_idx, h_idx, *self._term_weights, np.real)
-        f_im, h_im = 0.5 * (self.f - self.f.conj().T), 0.5 * (self.h - self.h.transpose(3, 2, 1, 0))
-        if f_im.any() or h_im.any():
-            # every nonzero entry is a term of its own, as given
-            f_idx, h_idx = np.argwhere(f_im), np.argwhere(h_im)
-            weights = 0.25j * f_im[tuple(f_idx.T)], -(1.0 / 32.0) * h_im[tuple(h_idx.T)]
-            lin_im, quad_im = _plain_wick_form(n, f_idx, h_idx, *weights, np.imag)
-            lin, quad = np.concatenate([lin, lin_im]), np.concatenate([quad, quad_im])
-        m = n * (2 * n - 1)
-        lin, quad = lin.reshape(-1, m), quad.reshape(-1, m, m)
+        k, c = _plain_wick_products(n, f_idx, h_idx)
+        ref, k = np.unique(k, return_inverse=True)
+        k, m, t1, t2 = k.reshape(c.shape), len(ref), len(f_idx), len(h_idx)
+        # (k, l) and (l, k) receive the same values in the same order: Q is exactly symmetric
+        k_a, k_b = k[:, None, t1 : t1 + 3 * t2], k[None, :, t1 + 3 * t2 :]
+        lo, hi = np.minimum(k_a, k_b).ravel(), np.maximum(k_a, k_b).ravel()
+        pairs = np.concatenate([lo * m + hi, hi * m + lo])
+        c_quad = c[:, None, t1 : t1 + 3 * t2] * c[None, :, t1 + 3 * t2 :]
+        rows = [self._term_weights + (np.real,)]
+        if self._residue_weights is not None:
+            rows.append(self._residue_weights + (np.imag,))
+        lin, quad = [], []
+        for w1, w2, part in rows:
+            lin.append(np.bincount(k[:, :t1].ravel(), part(w1 * c[:, :t1]).ravel(), minlength=m))
+            coef = part(c_quad * np.concatenate([w2, -w2, w2])).ravel()
+            quad.append(np.bincount(pairs, np.concatenate([coef, coef]), minlength=m * m).reshape(m, m))
+        lin, quad = np.array(lin), np.array(quad)
         # the entries no coefficient reads leave the energy and dE/du at zero
         read = np.flatnonzero(lin.any(axis=0) | quad.any(axis=(0, 1)))
-        flat = _upper_entries(n)[0][read]
+        flat = _upper_entries(n)[0][ref[read]]
         quad = quad[:, read][:, :, read].reshape(len(lin) * len(read), len(read))
         return _read_only(flat, upsilon(n).take(flat), lin[:, read], quad)
+
+
+def _adjoint_fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A + A^+ and A - A^+ of a square term matrix whose entry (j, i) is the
+    adjoint of term (i, j), on the upper triangle: an entry above the
+    diagonal carries its term and the adjoint, and a diagonal entry, a
+    self-adjoint term, counts once (halved)."""
+    once = np.triu(1.0 - 0.5 * np.eye(len(a)))
+    adj = a.conj().T
+    return (a + adj) * once, (a - adj) * once
 
 
 @lru_cache(maxsize=None)
@@ -254,25 +296,23 @@ def _upper_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(flat, pos + pos.T, upper.astype(int) - upper.T)
 
 
-def _plain_wick_form(n: int, f_idx, h_idx, w1, w2, part) -> tuple[np.ndarray, np.ndarray]:
-    """``part`` (np.real or np.imag) of the plain-Wick energy of weighted
-    terms as a form in u, the strictly upper entries of G (2N x 2N, skew):
-    the linear row l (M,) and the symmetric Q (M, M), M = N(2N - 1).
+def _plain_wick_products(n: int, f_idx, h_idx) -> tuple[np.ndarray, np.ndarray]:
+    """The plain-Wick energy of unit-weight terms in u, the strictly upper
+    entries of G (2N x 2N, skew), as the table entries the terms read: each
+    is sum_s c[s, j] u[k[s, j]] over four entries, with k (4, t1 + 6 t2) the
+    positions in u and c the complex coefficients.
 
-    A one-body term (p, q) adds w gpm[p, q], a two-body term (p, q, r, s)
-    w (gpm[p, s] gpm[q, r] - gpm[p, r] gpm[q, s] + gpp[p, q] gmm[r, s]).
-    Each table entry is four entries of G, as in the block formula of
-    :func:`~ngfermi.wick._block_tables` (the transposed blocks of P^T G P):
-    T[a, b] = sum_st (i x)^s (i y)^t G[b + sN, a + tN] with (x, y) = (1, -1)
-    for gpm, (-1, -1) for gpp and (1, 1) for gmm.  So a two-body term adds
-    48 products c u_k u_l, and Q is one ``bincount`` over all of them and
-    their mirrors c u_l u_k.
+    The columns are the one-body gpm[p, q], then the left factors
+    gpm[p, s], gpm[p, r], gpp[p, q] of the three two-body products and
+    their right factors gpm[q, r], gpm[q, s], gmm[r, s].  So a one-body term
+    (p, q) adds w gpm[p, q], a two-body term (p, q, r, s)
+    w (gpm[p, s] gpm[q, r] - gpm[p, r] gpm[q, s] + gpp[p, q] gmm[r, s]),
+    48 products c u_k u_l.  Each table entry is four entries of G, as in the
+    block formula of :func:`~ngfermi.wick._block_tables` (the transposed
+    blocks of P^T G P): T[a, b] = sum_st (i x)^s (i y)^t G[b + sN, a + tN]
+    with (x, y) = (1, -1) for gpm, (-1, -1) for gpp and (1, 1) for gmm.
     """
     _, pos, sign = _upper_entries(n)
-    m = n * (2 * n - 1)
-    # every table entry the terms read: the one-body gpm[p, q], then the left
-    # factors gpm[p, s], gpm[p, r], gpp[p, q] of the three two-body products
-    # and their right factors gpm[q, r], gpm[q, s], gmm[r, s]
     (p1, q1), (p, q, r, s) = f_idx.T, h_idx.T
     t1, t2 = len(p1), len(p)
     a = np.concatenate([p1, p, p, p, q, q, r])
@@ -281,16 +321,7 @@ def _plain_wick_form(n: int, f_idx, h_idx, w1, w2, part) -> tuple[np.ndarray, np
     y = np.repeat([-1, -1, -1, -1, -1, -1, 1], [t1] + [t2] * 6)
     s_, t_ = np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]])
     i, j = b + n * s_, a + n * t_
-    k, c = pos[i, j], sign[i, j] * 1j ** (s_ + t_) * x**s_ * y**t_  # (4, t1 + 6 t2) each
-
-    lin = np.bincount(k[:, :t1].ravel(), part(w1 * c[:, :t1]).ravel(), minlength=m)
-    k_a, k_b = k[:, None, t1 : t1 + 3 * t2], k[None, :, t1 + 3 * t2 :]
-    coef = part(c[:, None, t1 : t1 + 3 * t2] * c[None, :, t1 + 3 * t2 :] * np.concatenate([w2, -w2, w2]))
-    # (k, l) and (l, k) receive the same values in the same order: Q is exactly symmetric
-    lo, hi = np.minimum(k_a, k_b).ravel(), np.maximum(k_a, k_b).ravel()
-    flat = np.concatenate([lo * m + hi, hi * m + lo])
-    quad = np.bincount(flat, np.concatenate([coef.ravel()] * 2), minlength=m * m)
-    return lin, quad.reshape(m, m)
+    return pos[i, j], sign[i, j] * 1j ** (s_ + t_) * x**s_ * y**t_
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -303,33 +334,32 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 class PhaseLayout:
     """The omega-only half of a state's evaluation, for one (omega, Hamiltonian).
 
-    Every nonzero term of the flux-rotated Hamiltonian is a phased operator
-    string with phase vector alpha_t = omega v_t, where v_t is the term's
-    integer charge (:attr:`ManyBodyHamiltonian._charges`).  So the layout
-    keys the terms by their charge, one key per charge, numbered in order of
-    first appearance, at every omega.  The key structure (the keys' first
-    terms, each term's key, the phased keys, the keys' charge rows and the
-    row plan) is the Hamiltonian's, computed once
-    (:attr:`ManyBodyHamiltonian._keys`), and so are the terms' mode index
-    arrays and their omega-free weights.  :attr:`plan` is each key's row
-    plan for :func:`~ngfermi.wick.contract`: the v = 0 key takes the closed
-    form, and H is Hermitian, so the charge -v of a term's adjoint is a
-    charge of H too, with phase vector -alpha, and of each such key pair
-    only the first is built; the other gets its bundle by conjugation.
+    Every term of the flux-rotated Hamiltonian is a phased operator string
+    with phase vector alpha_t = omega v_t, where v_t is the term's integer
+    charge (:attr:`ManyBodyHamiltonian._charge_rows`).  H has one term per
+    adjoint pair (:attr:`ManyBodyHamiltonian._term_indices`), so no charge
+    is the negative of another.  The layout keys the terms by their charge,
+    one key per charge, numbered in order of first appearance, at every
+    omega.  The key structure (the keys' first terms, each term's key, the
+    phased keys and the keys' charge rows) is the Hamiltonian's, computed
+    once (:attr:`ManyBodyHamiltonian._keys`), and so are the terms' mode
+    index arrays and their omega-free weights.
 
     A layout computes only what moves with omega: the K keys' vectors
     V_keys omega, wrapped into (-pi, pi] once here
     (:func:`~ngfermi.wick.contract` takes them as they are), their phase
     factors :attr:`phase` = e^{i alpha}, taken once here for the gradient
-    and the Q sum, and the terms' weights: (i/4) f_pq for a one-body term
-    and -H_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term (H the
-    folded coefficient, :attr:`ManyBodyHamiltonian._folded_h`).  At
-    omega = 0 every vector is zero and :attr:`phased` is empty, the one
-    place where omega = 0 is decided.  At an omega with exact 0 or +-pi
-    entries a nonzero charge can still have an exactly zero vector; its key
-    is phased and built like any other.  None of this depends on gamma, so
-    the states of a run share one layout for as long as omega stays the
-    same object.
+    and the Q sum, and the terms' weights: (i/4) F_pq for a one-body term
+    and -H_pqrs e^{i(omega_rs - omega_pq)} / 32 for a two-body term (F and
+    H the adjoint sums, :attr:`ManyBodyHamiltonian._term_weights`), and
+    likewise :attr:`residue`, the weights of the adjoint differences, or
+    None where H has none.  At omega = 0 every vector is zero and
+    :attr:`phased` is empty, the one place where omega = 0 is decided.  At
+    an omega with exact 0 or +-pi entries a nonzero charge can still have
+    an exactly zero vector; its key is phased, and
+    :func:`~ngfermi.wick.contract` gives it the closed form.  None of this
+    depends on gamma, so the states of a run share one layout for as long
+    as omega stays the same object.
     """
 
     def __init__(self, omega, hamil: ManyBodyHamiltonian):
@@ -339,7 +369,7 @@ class PhaseLayout:
         f_idx, h_idx, self.terms = hamil._term_indices
         # the modes of the one-body terms (p1, q1) and of the two-body terms (p, q, r, s)
         self.modes = _, (p, q, r, s) = f_idx.T, h_idx.T
-        self.first_term, self.term_key, phased, v_keys, self.plan = hamil._keys
+        self.first_term, self.term_key, phased, v_keys = hamil._keys
         self.phased = phased if w.any() else phased[:0]
         self.k1, self.k2 = self.term_key[: len(f_idx)], self.term_key[len(f_idx):]
         self.alphas = wrap_angles(v_keys @ w)
@@ -347,7 +377,10 @@ class PhaseLayout:
         # the rotated coefficient f_pq e^{-i omega_pq} times the pair phase
         # e^{i alpha(p)} = e^{i omega_pq} is f_pq, so the one-body weights carry no phase
         self.w1, h2 = hamil._term_weights
-        self.w2 = h2 * np.exp(1j * (w[r, s] - w[p, q]))
+        phase2 = np.exp(1j * (w[r, s] - w[p, q]))
+        self.w2 = h2 * phase2
+        residue = hamil._residue_weights
+        self.residue = None if residue is None else (residue[0], residue[1] * phase2)
 
     def term_error(self, exc: SingularContractionError) -> SingularContractionError:
         """The error of a batched routine, naming the failing phase vector's first term."""
@@ -368,14 +401,16 @@ class StateEvaluator:
     distinct phase vectors with one :func:`~ngfermi.wick.contract` call,
     kept as the stacked :attr:`contraction`: the coefficients from one
     batched Pfaffian and the contraction matrices from one batched direct
-    solve, except for the zero phase vector, whose bundle has a closed form,
-    and for the second key of each -alpha pair, whose bundle is the
-    conjugate of the first's (the layout's :attr:`~PhaseLayout.plan`).
-    Every term's energy E_t = w_t x_t (weight times contraction) is then
-    one gather over the (K, N, N) block stacks.  :meth:`energy` sums the E_t,
-    :meth:`gradient` differentiates them, and :meth:`mean_field_h` adds
-    their derivatives with one sum over the Q stack and one product of L
-    columns; no method loops over terms in Python.
+    solve, except for the zero phase vectors, whose bundle has a closed
+    form.  Every term's energy E_t = w_t x_t (weight times contraction) is
+    then one gather over the (K, N, N) block stacks.  :meth:`energy` sums
+    the E_t, :meth:`gradient` differentiates them, and :meth:`mean_field_h`
+    adds their derivatives with one sum over the Q stack and one product of
+    L columns; no method loops over terms in Python.  Each term stands for
+    an adjoint pair, whose energy is E_t + conj E_t' with E_t' the adjoint
+    term's: its real part is Re E_t at the adjoint-sum weights, and its
+    imaginary part, the residue, is Im E_t at the adjoint-difference
+    weights (:attr:`PhaseLayout.residue`), gathered only where H has them.
 
     A layout with no phased key (every omega = 0 state) calls no
     :func:`~ngfermi.wick.contract`, and :attr:`contraction` is None: every
@@ -385,13 +420,14 @@ class StateEvaluator:
     E2 = u.Q u / 2 in the upper entries u of G = gamma + Upsilon.  The
     evaluator gathers u and takes one product r = Q u + l, which is dE/du:
     :meth:`energy` reads E1 and E2 = u.(r - l) / 2 from it and
-    :meth:`mean_field_h` scatters 2r.  A form with imaginary rows (a
-    Hamiltonian Hermitian only to SYMMETRY_TOL) stacks them into the same
-    product.  :meth:`gradient` alone reads the block tables: its first call
-    builds them once from the N x N blocks of gamma + Upsilon
-    (:func:`~ngfermi.wick._block_tables`, exactly :func:`contract`'s tables
-    at alpha = 0), and every key reads them through the same gathers as a
-    phased layout; a Gaussian-baseline run never makes that call.
+    :meth:`mean_field_h` scatters 2r.  A form with imaginary rows (the
+    residue weights of a Hamiltonian Hermitian only to SYMMETRY_TOL) stacks
+    them into the same product.  :meth:`gradient` alone reads the block
+    tables: its first call builds them once from the N x N blocks of
+    gamma + Upsilon (:func:`~ngfermi.wick._block_tables`, exactly
+    :func:`contract`'s tables at alpha = 0), and every key reads them
+    through the same gathers as a phased layout; a Gaussian-baseline run
+    never makes that call.
     """
 
     def __init__(self, gamma, omega, hamil: ManyBodyHamiltonian, layout: PhaseLayout | None = None):
@@ -404,31 +440,33 @@ class StateEvaluator:
         if layout is None or not (layout.omega is omega and layout.hamil is hamil):
             layout = PhaseLayout(omega, hamil)
         self.layout = lay = layout
-        self.contraction = self._terms = self._h_m = None
+        self.contraction = self._terms = self._residue = self._h_m = None
         if lay.phased.size:
             try:
-                self.contraction = c = contract(self.gamma, lay.alphas, lay.plan)
+                self.contraction = c = contract(self.gamma, lay.alphas)
             except SingularContractionError as exc:
                 raise lay.term_error(exc) from exc
             self._coeff, self._tables = c.coeff, (c.g_dag_plain, c.g_dag_dag, c.g_plain_plain)
-            self._terms = self._gather_terms()
+            self._terms = self._gather_terms(lay.w1, lay.w2)
+            if lay.residue is not None:
+                self._residue = self._gather_terms(*lay.residue)
             return
         # gamma and Upsilon are exactly skew, so u holds all of G = gamma + Upsilon
         flat, ups, lin, quad = hamil._gaussian_form
         self._u = u = self.gamma.gamma.take(flat) + ups
         self._r = (quad @ u).reshape(lin.shape) + lin  # dE/du, and its imaginary row if l has one
 
-    def _gather_terms(self) -> tuple:
-        """Every term's weight times its key's coefficient and its energy
-        E_t = w_t x_t, one-body (w1, e1) and two-body (w2, e2), and the six
-        block entries of each two-body contraction x_t (``pairs``), gathered
-        from the (K, N, N) block stacks."""
+    def _gather_terms(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
+        """Every term's weight (one-body w1, two-body w2) times its key's
+        coefficient and its energy E_t = w_t x_t, one-body (w1, e1) and
+        two-body (w2, e2), and the six block entries of each two-body
+        contraction x_t (``pairs``), gathered from the (K, N, N) block stacks."""
         lay = self.layout
         a, (gpm, gpp, gmm) = self._coeff, self._tables
         (p1, q1), (p, q, r, s) = lay.modes
         k1, k2 = lay.k1, lay.k2
-        w1 = lay.w1 * a[k1]
-        w2 = lay.w2 * a[k2]
+        w1 = w1 * a[k1]
+        w2 = w2 * a[k2]
         pairs = ps, qr, pr, qs, pq, rs = (
             gpm[k2, p, s], gpm[k2, q, r], gpm[k2, p, r], gpm[k2, q, s], gpp[k2, p, q], gmm[k2, r, s]
         )
@@ -440,8 +478,11 @@ class StateEvaluator:
             lin, u = self.hamil._gaussian_form[2], self._u
             e1, e2 = complex(*(lin @ u)), complex(*((0.5 * (self._r - lin)) @ u))
         else:
-            _, e1, _, _, e2 = self._terms
-            e1, e2 = np.sum(e1), np.sum(e2)
+            # the real parts of the adjoint sums' terms, the imaginary parts of the differences'
+            res = self._residue
+            e1, e2 = (
+                complex(np.sum(self._terms[i]).real, 0.0 if res is None else np.sum(res[i]).imag) for i in (1, 4)
+            )
         for label, val in (("one-body", e1), ("two-body", e2)):
             if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
                 raise NumericsError(
@@ -461,7 +502,9 @@ class StateEvaluator:
         vector k and R = (U diag(c))^T V over all pieces' columns and weights c.
         The Q sum is read from the bundles' L (:func:`~ngfermi.wick.q_sum_from_l`),
         with no second inversion; Q is zero on the zero phase vector, so only
-        the other keys enter it.
+        the other keys enter it.  The residue is the imaginary part of the
+        same sum at the adjoint-difference weights, formed only where H has
+        them.
 
         With no phased key the energy is the form in u, the upper entries of
         G = gamma + Upsilon, and the matrix is 2 dE/du = 2r on the upper
@@ -477,8 +520,8 @@ class StateEvaluator:
             upper = upper.reshape(n2, n2)
             real, imag = upper - upper.T, r2[1:]  # the imaginary parts of the upper entries
         else:
-            out = self._phased_mean_field()
-            real, imag = out.real, out.imag
+            real = self._phased_mean_field(self._terms).real
+            imag = () if self._residue is None else self._phased_mean_field(self._residue).imag
         scale = max(1.0, float(np.max(np.abs(real))))
         imag_dev = float(np.max(np.abs(imag), initial=0.0))
         if imag_dev > IMAG_TOL * scale:
@@ -487,8 +530,9 @@ class StateEvaluator:
         h_m.flags.writeable = False
         return h_m
 
-    def _phased_mean_field(self) -> np.ndarray:
-        """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`), complex.
+    def _phased_mean_field(self, terms: tuple) -> np.ndarray:
+        """sum_k w_k Q_k + R - R^T from the bundles (:meth:`mean_field_h`),
+        complex, for the gathered ``terms`` (:meth:`_gather_terms`).
 
         A term's Q multiple is 4 E_t.  A one-body term (p, q) gives the piece
         2w at (q, p) of the L^T(1, +i) and L^T(1, -i) columns.  A two-body
@@ -502,7 +546,7 @@ class StateEvaluator:
         l_mat = self.contraction.l
         lt_plus, lt_minus = wick.derivative_columns(l_mat)
         k1, k2 = lay.k1, lay.k2
-        w1, e1, w2, (ps, qr, pr, qs, pq, rs), e2 = self._terms
+        w1, e1, w2, (ps, qr, pr, qs, pq, rs), e2 = terms
         c2 = 2.0 * w2
         (p1, q1), (p, q, r, s) = lay.modes
 
@@ -558,7 +602,7 @@ class StateEvaluator:
             tables = wick._block_tables(self.gamma.gamma + upsilon(n))
             self._coeff = np.ones(k, dtype=complex)
             self._tables = tuple(np.broadcast_to(t, (k, n, n)) for t in tables)
-            self._terms = self._gather_terms()
+            self._terms = self._gather_terms(lay.w1, lay.w2)
         gpm, gpp, gmm = self._tables
         keys, k1, k2 = lay.term_key, lay.k1, lay.k2
         w1, e1, w2, pairs, e2 = self._terms

@@ -40,7 +40,7 @@ def check_skew(mat: np.ndarray, tol: float = SKEW_TOL, what: str = "matrix") -> 
     without hiding genuinely non-skew inputs.
 
     One reduction, dev = max|M + M^T|, screens both conditions: a non-finite
-    entry makes its sum with the mirror entry non-finite (inf + x, inf - inf
+    entry makes its sum with the transposed entry non-finite (inf + x, inf - inf
     and NaN + x are all inf or NaN), so dev is then NaN or inf and fails
     ``dev <= tol``.  Only on that failure path does ``np.isfinite`` tell a
     non-finite entry ("has non-finite entries", reported first) from a

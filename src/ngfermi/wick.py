@@ -28,17 +28,10 @@ A phase vector that is exactly zero gets its closed form without any
 linear algebra: coefficient 1, ``G = ((gamma + Upsilon) - (gamma +
 Upsilon)^T) / 2`` and ``L = 1`` (:func:`contract` splits a stack into these
 rows and the rest; :func:`q_matrix` gives exactly ``Q = 0`` there by its
-general formula).  For a real gamma the bundle at ``-alpha`` is the complex
-conjugate of the bundle at ``alpha`` (coefficient, G and L; D(-alpha) =
-conj D(alpha), and sqrt(1 - e^{-i alpha}) is the conjugate of sqrt(1 -
-e^{i alpha})).  So :func:`contract` takes an optional :class:`RowPlan`,
-made once per omega by the caller (the phase layout pairs the keys of
-charges v and -v): which rows are zero, which are built, and which copy the
-conjugate of an earlier built row; without one, the zero rows take the
-closed form and every other row is built.  The block tables are built once
-from the blocks of the filled G stack.  The built rows pay for the Pfaffian
-and the inversions, and each inversion is guarded against a condition
-number above ``COND_LIMIT``.  The guard needs no SVD for a
+general formula).  The block tables are built once from the blocks of the
+filled G stack.  The nonzero rows pay for the Pfaffian and the inversions,
+and each inversion is guarded against a condition number above
+``COND_LIMIT``.  The guard needs no SVD for a
 well-conditioned matrix: kappa_F = |M|_F |M^-1|_F >= kappa_2 comes
 from the inverse already at hand,
 
@@ -261,24 +254,6 @@ def _check_condition(mats: np.ndarray, a: np.ndarray, what: str, inverses: np.nd
         )
 
 
-class RowPlan:
-    """Which rows of a (K, N) phase stack :func:`contract` builds, made once
-    per stack from ``sources``, one entry per row: -1 for a row that is
-    exactly zero (closed form), the row's own index for a row built by the
-    Pfaffian and the solve, and the index j of an earlier row that is not
-    itself a copy for a row whose phase vector is minus row j's.  For a real
-    gamma that row's coefficient, G and L are the complex conjugates of row
-    j's, so it costs a gather.  The caller vouches for the pairing; the phase
-    layout pairs the keys of the charges v and -v, an exact involution.
-    """
-
-    def __init__(self, sources):
-        self.sources = sources = np.asarray(sources)
-        own = np.arange(len(sources))
-        self.built = np.flatnonzero(sources == own)
-        self.copies = np.flatnonzero((sources >= 0) & (sources != own))
-
-
 def g_matrix(gamma, alpha, method: str = "direct") -> np.ndarray:
     """Skew contraction matrix (gamma + Upsilon) / (1 + (1-e^{i a})(Y gamma - 1)/2).
 
@@ -462,7 +437,7 @@ class Contraction:
         return 0.25j * phase * self.g_dag_plain[m1, m2]
 
 
-def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
+def contract(gamma, alpha) -> Contraction:
     """The contraction bundle of one phase vector or a (K, N) stack, in one
     pass: one (batched) Pfaffian, one (batched) direct solve for G and L,
     and three block tables, transposed blocks of G~ = P^T G P (the Dirac
@@ -472,27 +447,20 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
     are exactly zero take the closed form (coefficient 1, G = skew part of
     gamma + Upsilon, L = 1) and no part of the Pfaffian or the solve.
 
-    ``plan``, for a (K, N) stack, says which rows are zero, which are built
-    and which are the conjugates of built rows (:class:`RowPlan`; the
-    evaluator hands over :attr:`~ngfermi.hamiltonian.PhaseLayout.plan`); by
-    default the zero rows take the closed form and every other row is built.
-    The block tables are built once, from the filled G stack.  Gamma_F, D, G
-    and L of the built rows come from one set of phase factors e^{i alpha}.
-    A :class:`SingularContractionError` names the failing row of the stack.
+    The block tables are built once, from the filled G stack.  Gamma_F, D,
+    G and L of the nonzero rows come from one set of phase factors
+    e^{i alpha}.  A :class:`SingularContractionError` names the failing row
+    of the stack.
     """
     g = _as_gamma(gamma)
     n = g.shape[0] // 2
     a = _check_alpha(alpha, n)
     stack = np.atleast_2d(a)
-    if plan is None:
-        plan = RowPlan(np.where(stack.any(axis=1), np.arange(len(stack)), -1))
-    elif len(plan.sources) != len(stack):
-        raise DimensionError(f"row plan covers {len(plan.sources)} rows, the stack has {len(stack)}")
     g0 = g + upsilon(n)
     coeff = np.ones(len(stack), dtype=complex)
     gmat = np.full((len(stack), 2 * n, 2 * n), 0.5 * (g0 - g0.T), dtype=complex)
     lmat = np.full(gmat.shape, np.eye(2 * n), dtype=complex)
-    rows = plan.built
+    rows = np.flatnonzero(stack.any(axis=1))
     if rows.size:
         phase = np.exp(1j * stack[rows])
         try:
@@ -501,8 +469,6 @@ def contract(gamma, alpha, plan: RowPlan | None = None) -> Contraction:
         except SingularContractionError as exc:
             exc.index = int(rows[exc.index])
             raise
-    for out in (coeff, gmat, lmat):
-        out[plan.copies] = np.conj(out[plan.sources[plan.copies]])
     if a.ndim == 1:
         coeff, gmat, lmat = coeff[0], gmat[0], lmat[0]
     return Contraction(a, coeff, gmat, lmat, *_block_tables(gmat))

@@ -523,7 +523,7 @@ class TestValidateCommand:
     def test_passes_at_three_modes(self, capsys):
         assert main(["validate", "--n-modes", "3", "--seed", "5"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 9
         assert "FAIL" not in out
 
     def test_seed_fixes_draws(self, capsys):

@@ -7,10 +7,11 @@ shared between the states of one omega.  These tests pin that sharing and
 batching change no result, that the mean-field matrix is the energy's
 derivative past the dense oracle's cap, that a step builds each bundle
 once, that a zero coupling velocity skips all coupling work and each
-state's mean-field matrix is computed once, that
-filling the partner of each conjugate key pair by conjugation changes no
-result, and that omega = 0 states, evaluated in closed form through the
-same charge keys, call no contraction at all and match the per-term path.
+state's mean-field matrix is computed once, that one term per adjoint pair
+gives the energy, mean-field matrix and gradient of the unfolded per-entry
+loops (and their imaginary residues), and that omega = 0 states, evaluated
+in closed form through the same charge keys, call no contraction at all and
+match the per-term path.
 """
 
 import copy
@@ -54,7 +55,8 @@ def _rel_dev(a, b) -> float:
 
 
 def _terms(hamil):
-    """(indices, phase vector) of every nonzero term, one-body terms first."""
+    """(indices, phase vector) of every nonzero entry of f and h, one-body
+    entries first: each entry and its adjoint are terms of their own."""
     out = []
     for p, q in np.argwhere(hamil.f != 0.0):
         out.append(((p, q), lambda w, p=p, q=q: w[:, q] - w[:, p]))
@@ -89,8 +91,9 @@ def _skew2(a, b):
     return np.outer(a, b) - np.outer(b, a)
 
 
-def _reference_mean_field(cov, w, hamil) -> np.ndarray:
-    """The per-term loop with unbatched Q and L for every term."""
+def _reference_mean_field(cov, w, hamil, part=np.real) -> np.ndarray:
+    """The per-term loop with unbatched Q and L for every term, and the
+    skew part of its real part (or of ``part``)."""
     n2 = 2 * hamil.n_modes
     out = np.zeros((n2, n2), dtype=complex)
     for idx, alpha_of in _terms(hamil):
@@ -113,8 +116,54 @@ def _reference_mean_field(cov, w, hamil) -> np.ndarray:
         term += gmm[r, s] * _skew2(ltm[:, q], ltm[:, p])
         term += gpp[p, q] * _skew2(ltp[:, s], ltp[:, r])
         out += coeff * term
-    real = out.real
-    return 0.5 * (real - real.T)
+    out = part(out)
+    return 0.5 * (out - out.T)
+
+
+def _reference_gradient(cov, w, hamil) -> np.ndarray:
+    """The per-term loop of the coupling gradient with one unbatched bundle
+    per term: each term's d E_t / d alpha from the bundle derivatives that
+    ``StateEvaluator.gradient`` documents, through its charge, and its
+    scalar phase's derivative, entry by entry."""
+    n = hamil.n_modes
+    x = np.zeros((n, n))
+    for idx, alpha_of in _terms(hamil):
+        alpha = alpha_of(w)
+        c = wick.contract(cov, alpha)
+        gpm, gpp, gmm = c.g_dag_plain, c.g_dag_dag, c.g_plain_plain
+        xm = -0.25 * np.exp(1j * alpha)
+
+        def d_pm(p, q):
+            return xm * (gpp[p] * gmm[:, q] - gpm[p] * gpm[:, q])
+
+        def d_pp(p, q):
+            return -xm * (gpp[p] * gpm[q] + gpm[p] * gpp[:, q])
+
+        def d_mm(p, q):
+            return -xm * (gpm[:, p] * gmm[:, q] + gmm[p] * gpm[:, q])
+
+        charge = np.zeros(n)
+        np.add.at(charge, list(idx[len(idx) // 2:]), 1.0)
+        np.add.at(charge, list(idx[: len(idx) // 2]), -1.0)
+        if len(idx) == 2:
+            p, q = idx
+            weight, value, d_value = 0.25j * hamil.f[p, q], gpm[p, q], d_pm(p, q)
+        else:
+            p, q, r, s = idx
+            weight = -(1.0 / 32.0) * hamil.h[p, q, r, s] * np.exp(1j * (w[r, s] - w[p, q]))
+            value = gpm[p, s] * gpm[q, r] - gpm[p, r] * gpm[q, s] + gpp[p, q] * gmm[r, s]
+            d_value = (
+                d_pm(p, s) * gpm[q, r] + gpm[p, s] * d_pm(q, r) - d_pm(p, r) * gpm[q, s]
+                - gpm[p, r] * d_pm(q, s) + d_pp(p, q) * gmm[r, s] + gpp[p, q] * d_mm(r, s)
+            )
+            e_t = weight * c.coeff * value
+            x[r, s] -= e_t.imag
+            x[p, q] += e_t.imag
+        d_alpha = weight * c.coeff * (xm * np.diag(gpm) * value + d_value)
+        x += np.outer(d_alpha.real, charge)
+    grad = 0.5 * (x + x.T)
+    np.fill_diagonal(grad, 0.0)
+    return grad
 
 
 @pytest.mark.parametrize("model", ["hubbard-3", "random-4", "nearly-hermitian-4"])
@@ -174,27 +223,50 @@ def _perturbed_hamiltonian(n, rng):
 
 
 def test_folded_weight_is_the_signed_sum_of_the_four_entries(rng):
+    # one term per canonical (p<q, r<s) and adjoint pair ((p,q) <= (r,s)):
+    # its weights are the sum and the difference of the signed sums of the
+    # four antisymmetric images of (p,q,r,s) and of its adjoint (r,s,p,q),
+    # a self-adjoint term's halved
     hamil = _perturbed_hamiltonian(4, rng)
     h = hamil.h
     _, h_idx, _ = hamil._term_indices
     _, w2 = hamil._term_weights
-    canonical = [(p, q, r, s) for p, q, r, s in np.ndindex(h.shape) if p < q and r < s]
+    _, r2 = hamil._residue_weights
+    canonical = [
+        (p, q, r, s) for p, q, r, s in np.ndindex(h.shape) if p < q and r < s and (p, q) <= (r, s)
+    ]
     assert [tuple(t) for t in h_idx.tolist()] == canonical
-    for (p, q, r, s), w in zip(canonical, w2):
-        assert w == -(1.0 / 32.0) * (h[p, q, r, s] - h[q, p, r, s] - h[p, q, s, r] + h[q, p, s, r])
+
+    def folded(p, q, r, s):
+        return h[p, q, r, s] - h[q, p, r, s] - h[p, q, s, r] + h[q, p, s, r]
+
+    for (p, q, r, s), w, res in zip(canonical, w2, r2):
+        once = 0.5 if (p, q) == (r, s) else 1.0
+        assert w == -(1.0 / 32.0) * (folded(p, q, r, s) + folded(r, s, p, q)) * once
+        assert res == -(1.0 / 32.0) * (folded(p, q, r, s) - folded(r, s, p, q)) * once
 
 
 @pytest.mark.parametrize(
-    "model, counts", [("random-4", (16, 36)), ("hubbard-5", (26, 5))]
+    "model, counts", [("random-4", (10, 21, 10)), ("hubbard-5", (18, 5, 9)), ("random-6", (21, 120, 61))]
 )
 def test_one_term_per_canonical_two_body_coefficient(model, counts):
-    # dense N=4: 144 nonzero h entries, 36 canonical (p<q, r<s); Hubbard L=5:
-    # 20 entries, one canonical (i, L+i, i, L+i) per site
+    # one term per adjoint pair: dense N=4 has 16 nonzero f entries, 10 with
+    # p <= q, and 144 nonzero h entries, 36 canonical (p<q, r<s), 21 with
+    # (p,q) <= (r,s); dense N=6 21 of 36 and 120 of 225; Hubbard L=5 26 f
+    # entries (18 with p <= q) and 20 h entries, one self-adjoint canonical
+    # (i, L+i, i, L+i) per site.  The keys: the zero charge and one per other
+    # charge (Hubbard: one per bond and spin), as many as the built rows plus one
     rng = np.random.default_rng(7)
-    hamil = random_hamiltonian(4, rng) if model == "random-4" else hubbard_model(5, 1.0, 4.0, 2.0)
+    hamil = {
+        "random-4": lambda: random_hamiltonian(4, rng),
+        "random-6": lambda: random_hamiltonian(6, rng),
+        "hubbard-5": lambda: hubbard_model(5, 1.0, 4.0, 2.0),
+    }[model]()
     f_idx, h_idx, terms = hamil._term_indices
-    assert (len(f_idx), len(h_idx)) == counts
-    assert len(terms) == sum(counts) == len(hamil._charge_rows)
+    first_term, _, phased, _ = hamil._keys
+    assert (len(f_idx), len(h_idx), len(first_term)) == counts
+    assert len(terms) == len(f_idx) + len(h_idx) == len(hamil._charge_rows)
+    assert len(phased) == len(first_term) - 1
 
 
 def test_perturbed_h_matches_the_per_entry_reference(rng):
@@ -286,16 +358,18 @@ def test_evaluator_bundles_match_single_calls_past_dense_cap():
     cov = random_pure_covariance(12, rng)
     w = random_symmetric_zero_diag(12, rng, scale=0.8)
     ev = StateEvaluator(cov, w, hamil)
-    # one key per charge (+1 on the annihilated, -1 on the created modes)
+    # one key per charge pair +-v of the entries (+1 on the annihilated, -1 on
+    # the created modes): an entry and its adjoint are one term
     charges = {
         tuple(np.bincount(idx[len(idx) // 2:], minlength=12) - np.bincount(idx[: len(idx) // 2], minlength=12))
         for idx, _ in _terms(hamil)
     }
     c = ev.contraction
     assert isinstance(c, wick.Contraction)
-    assert c.alpha.shape == (len(charges), 12) and len(charges) > 20
-    for (_, alpha), k in zip(_terms(hamil), ev.layout.term_key):
-        assert np.max(np.abs(c.alpha[k] - wick.wrap_angles(alpha(w)))) < 1e-14
+    assert c.alpha.shape == (len({max(v, tuple(-np.array(v))) for v in charges}), 12) and len(charges) > 20
+    alpha_of = dict(_terms(hamil))
+    for idx, k in zip(hamil._term_indices[2], ev.layout.term_key):
+        assert np.max(np.abs(c.alpha[k] - wick.wrap_angles(alpha_of[idx](w)))) < 1e-14
     for k, alpha in enumerate(c.alpha):
         assert abs(c.coeff[k] - wick.a_coeff(cov, alpha)) < TOL
         g = wick.g_matrix(cov, alpha, method="direct")
@@ -317,9 +391,9 @@ def test_step_builds_each_bundle_once(monkeypatch):
         original_init(self, *args)
         built.append(self)
 
-    def counting_contract(gamma, alpha, plan=None):
+    def counting_contract(gamma, alpha):
         contracts.append(gamma)
-        return original_contract(gamma, alpha, plan)
+        return original_contract(gamma, alpha)
 
     monkeypatch.setattr(ngfermi.hamiltonian.StateEvaluator, "__init__", counting_init)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
@@ -487,13 +561,13 @@ def test_mean_field_matrix_is_kept_read_only(scale, rng):
 
 def test_zero_keys_never_build_q(monkeypatch, rng):
     # at omega = 0 every phase vector is zero, so Q = 0 and no Q sum is formed;
-    # the layout keeps the Hamiltonian's one key per charge and its one plan
+    # the layout keeps the Hamiltonian's one key per charge
     hamil = random_hamiltonian(4, rng)
     cov = random_pure_covariance(4, rng)
     ev = StateEvaluator(cov, np.zeros((4, 4)), hamil)
     assert ev.layout.phased.size == 0 and not ev.layout.alphas.any()
-    assert len(ev.layout.alphas) == len(hamil._charges[1])
-    assert ev.layout.plan is PhaseLayout(random_symmetric_zero_diag(4, rng), hamil).plan
+    assert ev.layout.first_term is PhaseLayout(random_symmetric_zero_diag(4, rng), hamil).first_term
+    assert len(ev.layout.alphas) == len(ev.layout.first_term)
     reference = _reference_mean_field(cov, np.zeros((4, 4)), hamil)
     monkeypatch.setattr(wick, "q_sum_from_l", _forbid("q_sum_from_l"))
     assert _rel_dev(ev.mean_field_h(), reference) < TOL
@@ -508,7 +582,7 @@ def test_zero_omega_closed_form_matches_the_per_term_path(model, rng):
     n = hamil.n_modes
     ev = StateEvaluator(random_pure_covariance(n, rng), np.zeros((n, n)), hamil)
     layout = copy.copy(ev.layout)
-    layout.phased, layout.plan = np.arange(len(layout.alphas)), None
+    layout.phased = np.arange(len(layout.alphas))
     ref = StateEvaluator(ev.gamma, ev.omega, hamil, layout)
     assert ev.contraction is None and ref.contraction is not None
     assert np.any(ev.gradient())
@@ -525,7 +599,7 @@ def test_zero_omega_evaluator_defers_its_gradient_tables(rng):
     ev.mean_field_h()
     assert not {"_coeff", "_tables"} & set(vars(ev))
     layout = copy.copy(ev.layout)
-    layout.phased, layout.plan = np.arange(len(layout.alphas)), None
+    layout.phased = np.arange(len(layout.alphas))
     ref = StateEvaluator(ev.gamma, ev.omega, hamil, layout)
     assert np.any(ev.gradient())
     assert {"_coeff", "_tables"} <= set(vars(ev))
@@ -552,10 +626,9 @@ def test_mean_field_reads_q_from_l_without_inverting(model, monkeypatch, rng):
 def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
     # mean_field_h reads Q from L and has no Gamma_F guard of its own: a key whose
     # Gamma_F is singular must already fail when the evaluator is built, by D's
-    # guard, since det Gamma_F = 4^N det D.  Keys: 0 (f_00), then one per charge:
-    # (0, 0, pi) for f_01 and f_10, whose charges are +-(e1 - e0), the second key
-    # a conjugate copy of the first, and (0, pi, pi) for f_12 (key 3, built) and
-    # f_21 (key 4), singular on the pair state of modes 0, 1
+    # guard, since det Gamma_F = 4^N det D.  Keys: 0 (f_00), then one per
+    # adjoint pair: (0, 0, pi) for f_01 and f_10 (key 1), and (0, pi, pi) for
+    # f_12 and f_21 (key 2), singular on the pair state of modes 0, 1
     f = np.zeros((3, 3), dtype=complex)
     f[0, 0] = 1.0
     f[0, 1] = f[1, 0] = f[1, 2] = f[2, 1] = 0.5
@@ -565,23 +638,16 @@ def test_singular_gamma_f_key_is_rejected_by_the_denominator_guard():
     cov = bell_pair_and_vacuum()
     singular = np.array([0.0, np.pi, np.pi])
     layout = PhaseLayout(w, hamil)
-    np.testing.assert_array_equal(layout.plan.sources, [-1, 1, 1, 3, 3])
-    np.testing.assert_array_equal(layout.alphas[3], singular)
+    assert layout.terms == [(0, 0), (0, 1), (1, 2)]
+    np.testing.assert_array_equal(layout.alphas[2], singular)
     with pytest.raises(SingularContractionError, match="phase-dressed covariance"):
         wick.q_matrix(cov, singular)
     with pytest.raises(SingularContractionError) as info:
         StateEvaluator(cov, w, hamil)
-    assert info.value.index == 3
+    assert info.value.index == 2
     assert "one-body term (p,q)=(1,2)" in str(info.value)
     assert "contraction denominator" in str(info.value)
     np.testing.assert_array_equal(info.value.alpha, singular)
-
-
-def _built_every_key(ev: StateEvaluator) -> StateEvaluator:
-    """The same state from a copy of its layout that builds every phased key."""
-    layout = copy.copy(ev.layout)
-    layout.plan = None
-    return StateEvaluator(ev.gamma, ev.omega, ev.hamil, layout)
 
 
 def _assert_same_results(ev: StateEvaluator, ref: StateEvaluator) -> None:
@@ -590,30 +656,87 @@ def _assert_same_results(ev: StateEvaluator, ref: StateEvaluator) -> None:
     assert _rel_dev(ev.mean_field_h(), ref.mean_field_h()) < TOL
 
 
-@pytest.mark.parametrize("model", ["hubbard-3", "hubbard-6", "random-4", "random-5"])
+def _assert_matches_per_entry(ev: StateEvaluator) -> None:
+    """The folded evaluator against the unfolded per-entry loops, which
+    evaluate every entry and its adjoint on their own: the energy, the
+    mean-field matrix and the gradient to TOL, and the gradient along a
+    random direction against central differences of the per-entry energy
+    (a five-point stencil, whose own error is about 1e-12 at this step)."""
+    gamma, w, hamil = ev.gamma.gamma, ev.omega, ev.hamil
+    assert _rel_dev(ev.energy()[2], _reference_energy(gamma, w, hamil)) < TOL
+    assert _rel_dev(ev.mean_field_h(), _reference_mean_field(gamma, w, hamil)) < TOL
+    grad = ev.gradient()
+    assert _rel_dev(grad, _reference_gradient(gamma, w, hamil)) < TOL
+    d = random_symmetric_zero_diag(hamil.n_modes, np.random.default_rng(hamil.n_modes))
+    eps = 1e-3
+
+    def energy_at(t):
+        return _reference_energy(gamma, w + t * d, hamil)
+
+    fd = (8.0 * (energy_at(eps) - energy_at(-eps)) - (energy_at(2 * eps) - energy_at(-2 * eps))) / (12.0 * eps)
+    assert abs(np.sum(grad * d) - fd) <= 1e-10 * max(1.0, abs(fd))
+
+
+def _one_sided_hamiltonian(n, rng):
+    """A random Hamiltonian, Hermitian only to SYMMETRY_TOL, with terms whose
+    adjoints are zero: f_02 = 5e-11 with f_20 = 0, h_0123 = 5e-11 (and its
+    antisymmetric images) with h_3210 = 0, and a complex f_11."""
+    h = random_two_body(n, rng)
+    for pq in ((0, 1), (1, 0)):
+        for rs in ((2, 3), (3, 2)):
+            h[pq + rs] = h[rs + pq] = 0.0
+    for (p, q), sign in (((0, 1), 1.0), ((1, 0), -1.0)):
+        h[p, q, 2, 3] = sign * 5e-11
+        h[p, q, 3, 2] = -sign * 5e-11
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = f + f.conj().T
+    f[0, 2], f[2, 0] = 5e-11, 0.0
+    f[1, 1] += 5e-11j
+    return ManyBodyHamiltonian(n, f, h)
+
+
+def _model(name, rng):
+    """A Hamiltonian by name: "hubbard-L" (t=1, U=4, mu=2, open ends) or
+    "hubbard-L-periodic", "random-N" (dense), "nearly-hermitian-4" and
+    "one-sided-4"."""
+    if name.startswith("hubbard"):
+        return hubbard_model(int(name.split("-")[1]), 1.0, 4.0, 2.0, periodic=name.endswith("periodic"))
+    kind, size = name.rsplit("-", 1)
+    return {
+        "random": random_hamiltonian,
+        "nearly-hermitian": _nearly_hermitian_hamiltonian,
+        "one-sided": _one_sided_hamiltonian,
+    }[kind](int(size), rng)
+
+
+FOLD_MODELS = (
+    [f"hubbard-{sites}{ends}" for sites in range(2, 9) for ends in ("", "-periodic")]
+    + [f"random-{n}" for n in range(1, 7)]
+    + ["nearly-hermitian-4", "one-sided-4"]
+)
+
+
+@pytest.mark.parametrize("model", FOLD_MODELS)
 def test_conjugate_keys_change_no_result(model, rng):
-    hamil = {
-        "hubbard-3": lambda: hubbard_model(3, 1.0, 4.0, 2.0),
-        "hubbard-6": lambda: hubbard_model(6, 1.0, 4.0, 2.0),
-        "random-4": lambda: random_hamiltonian(4, rng),
-        "random-5": lambda: random_hamiltonian(5, rng),
-    }[model]()
+    # one term per adjoint pair, and no key for the adjoint's charge: the
+    # folded evaluator gives the per-entry results at a nonzero omega, on a
+    # pure, a mixed (0.7 gamma) and an off-manifold (gamma + 0.3 d) real gamma
+    hamil = _model(model, rng)
     n = hamil.n_modes
-    ev = StateEvaluator(random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5), hamil)
-    lay = ev.layout
-    copies = lay.plan.copies
-    assert copies.size >= len(lay.phased) // 2 - 1
-    # a copy's phase vector is minus its source's, and its source is built
-    source = lay.plan.sources[copies]
-    np.testing.assert_allclose(np.exp(1j * lay.alphas[copies]), np.exp(-1j * lay.alphas[source]), atol=1e-13)
-    assert np.all(np.isin(source, lay.plan.built))
-    _assert_same_results(ev, _built_every_key(ev))
+    w = random_symmetric_zero_diag(n, rng, scale=1.5)
+    gamma = random_pure_covariance(n, rng).gamma
+    x = rng.normal(size=gamma.shape)
+    for g in (gamma, 0.7 * gamma, gamma + 0.3 * (x - x.T)):
+        ev = StateEvaluator(g, w, hamil)
+        assert (ev.contraction is None) == (n == 1)  # one mode has no coupling
+        _assert_matches_per_entry(ev)
 
 
 @pytest.mark.parametrize("sites, built", [(5, 8), (6, 10)])
 def test_only_one_key_of_each_conjugate_pair_is_built(sites, built, monkeypatch, rng):
-    # a Hubbard chain has the zero key and one +-alpha pair per bond and spin;
-    # only the built rows reach the batched solve and the batched Pfaffian
+    # a Hubbard chain has the zero key and one key per bond and spin, for the
+    # hopping and its adjoint; only the built rows reach the batched solve and
+    # the batched Pfaffian
     hamil = hubbard_model(sites, 1.0, 4.0, 2.0)
     n = hamil.n_modes
     cov, w = random_pure_covariance(n, rng), random_symmetric_zero_diag(n, rng, scale=1.5)
@@ -629,14 +752,14 @@ def test_only_one_key_of_each_conjugate_pair_is_built(sites, built, monkeypatch,
     monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
     monkeypatch.setattr(ngfermi.linalg, "pfaffian", spy("pfaffian", ngfermi.linalg.pfaffian))
     ev = StateEvaluator(cov, w, hamil)
-    assert len(ev.layout.alphas) == 2 * built + 1
+    assert len(ev.layout.alphas) == built + 1
     assert stacks == [("solve", (built,)), ("pfaffian", (built,))]
 
 
 def test_one_charge_is_one_key_past_rounding():
     # acceptance test 05's seventh draw: the terms (1,3) and (1,2,2,3) have the
     # same charge, and phase vectors 1.1e-16 apart from their different sums;
-    # a key per charge builds that vector once: 19 keys, 9 built rows
+    # a key per charge builds that vector once: 10 keys, 9 built rows
     rng = np.random.default_rng(105)
     for _ in range(7):
         hamil = random_hamiltonian(4, rng)
@@ -646,44 +769,37 @@ def test_one_charge_is_one_key_past_rounding():
     lay = ev.layout
     _, _, terms = hamil._term_indices
     assert lay.term_key[terms.index((1, 3))] == lay.term_key[terms.index((1, 2, 2, 3))]
-    assert len(lay.alphas) == 19
-    assert lay.plan.built.size == 9
-    _assert_same_results(ev, _built_every_key(ev))
+    assert len(lay.alphas) == 10 and len(lay.phased) == 9
+    _assert_matches_per_entry(ev)
 
 
 def test_charge_without_adjoint_term_has_no_mirror(rng):
-    # h_0123 = 5e-11 with its adjoint h_3210 = 0 is Hermitian to SYMMETRY_TOL:
-    # the charge of (0,1,2,3) has no mirror, so its key is built
-    h = random_two_body(4, rng)
-    for pq in ((0, 1), (1, 0)):
-        for rs in ((2, 3), (3, 2)):
-            h[pq + rs] = h[rs + pq] = 0.0
-    for (p, q), sign in (((0, 1), 1.0), ((1, 0), -1.0)):
-        h[p, q, 2, 3] = sign * 5e-11
-        h[p, q, 3, 2] = -sign * 5e-11
-    f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    hamil = ManyBodyHamiltonian(4, f + f.conj().T, h)
+    # h_0123 = 5e-11 with its adjoint h_3210 = 0, and f_02 = 5e-11 with
+    # f_20 = 0, are Hermitian to SYMMETRY_TOL: each is a term of its own,
+    # whose adjoint sum and difference are its own coefficient, and no key's
+    # charge is the negative of another's
+    hamil = _one_sided_hamiltonian(4, rng)
     _, _, terms = hamil._term_indices
-    label, first, mirror = hamil._charges
-    lone = label[terms.index((0, 1, 2, 3))]
-    assert mirror[lone] == -1
-    assert np.flatnonzero(mirror < 0).tolist() == [lone]
-    # every other charge's mirror holds its first term's canonical adjoint:
-    # (q,p) of a one-body (p,q), (r,s,p,q) of a two-body (p,q,r,s)
-    for c in np.flatnonzero(mirror >= 0):
-        t = terms[first[c]]
-        assert label[terms.index(t[len(t) // 2:] + t[: len(t) // 2])] == mirror[c]
+    (w1, w2), (r1, r2) = hamil._term_weights, hamil._residue_weights
+    lone = terms.index((0, 1, 2, 3))
+    assert w2[lone - len(w1)] == r2[lone - len(w1)] == -(1.0 / 32.0) * 4 * 5e-11
+    assert w1[terms.index((0, 2))] == r1[terms.index((0, 2))] == 0.25j * 5e-11
+    # the complex diagonal f_11 counts once: its real and imaginary parts
+    assert (w1[terms.index((1, 1))], r1[terms.index((1, 1))]) == (
+        0.25j * hamil.f[1, 1].real, 0.25j * 1j * hamil.f[1, 1].imag
+    )
+    first_term, _, _, v_keys = hamil._keys
+    charges = {tuple(v) for v in v_keys.astype(int).tolist()}
+    assert not any(tuple(-x for x in v) in charges for v in charges if any(v))
     ev = StateEvaluator(random_pure_covariance(4, rng), random_symmetric_zero_diag(4, rng, scale=1.5), hamil)
-    k = ev.layout.term_key[terms.index((0, 1, 2, 3))]
-    assert k in ev.layout.plan.built
-    _assert_same_results(ev, _built_every_key(ev))
+    _assert_matches_per_entry(ev)
 
 
 def test_singular_key_and_its_partner_name_the_built_term():
     # modes 0, 1 in the equal-weight pair state, modes 2, 3 empty: f_23 has
-    # the phase vector (pi, 0, 0.7, -0.7), singular, and f_32 its negative,
-    # the partner filled by conjugation; the error names key 1 and term (2,3),
-    # as when every key is built
+    # the phase vector (pi, 0, 0.7, -0.7), singular, and its partner f_32 is
+    # folded into the same term; the error names key 1 and term (2,3), as
+    # contract names that row of the stack
     g = -upsilon(4)
     idx = [0, 1, 4, 5]
     g[np.ix_(idx, idx)] = bell_pair_covariance(np.pi / 4).gamma
@@ -697,19 +813,16 @@ def test_singular_key_and_its_partner_name_the_built_term():
     w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5
     w[2, 3] = w[3, 2] = 0.7
     layout = PhaseLayout(w, hamil)
-    np.testing.assert_array_equal(layout.plan.sources, [-1, 1, 1])
-    errors = []
-    for plan in (layout.plan, None):
-        lay = copy.copy(layout)
-        lay.plan = plan
-        with pytest.raises(SingularContractionError) as info:
-            StateEvaluator(cov, w, hamil, lay)
-        errors.append(info.value)
-    for exc in errors:
+    assert layout.terms == [(0, 0), (2, 3)]
+    with pytest.raises(SingularContractionError) as info:
+        StateEvaluator(cov, w, hamil, layout)
+    with pytest.raises(SingularContractionError) as direct:
+        wick.contract(cov, layout.alphas)
+    for exc in (info.value, direct.value):
         assert exc.index == 1
-        assert "one-body term (p,q)=(2,3)" in str(exc)
         np.testing.assert_allclose(exc.alpha, [np.pi, 0.0, 0.7, -0.7], atol=1e-15)
-    assert str(errors[0]) == str(errors[1])
+    assert "one-body term (p,q)=(2,3)" in str(info.value)
+    assert str(info.value).endswith(str(direct.value))
 
 
 def test_gaussian_baseline_calls_no_contract(monkeypatch):
@@ -739,9 +852,9 @@ def test_zero_omega_state_builds_its_tables_once(monkeypatch):
         built.append(gmat.shape)
         return original_tables(gmat)
 
-    def counting_contract(gamma, alpha, plan=None):
+    def counting_contract(gamma, alpha):
         phased.append(bool(np.any(alpha)))
-        return original_contract(gamma, alpha, plan)
+        return original_contract(gamma, alpha)
 
     monkeypatch.setattr(wick, "_block_tables", counting_tables)
     monkeypatch.setattr(ngfermi.hamiltonian, "contract", counting_contract)
@@ -801,6 +914,40 @@ def test_nearly_hermitian_zero_omega_state_is_the_real_part_and_guards_its_resid
         StateEvaluator(cov, w, hamil).energy()
     with pytest.raises(NumericsError, match="mean-field matrix has imaginary residue"):
         StateEvaluator(cov, w, hamil).mean_field_h()
+
+
+@pytest.mark.parametrize("model", ["nearly-hermitian-4", "one-sided-4"])
+def test_nearly_hermitian_phased_state_is_the_real_part_and_guards_its_residues(model, monkeypatch, rng):
+    # the omega != 0 twin: the real parts come from the adjoint sums' weights,
+    # the residues from the same terms at the adjoint differences' weights,
+    # and both match the per-entry loop, which sums every entry on its own
+    hamil = _model(model, rng)
+    w = random_symmetric_zero_diag(4, rng, scale=1.5)
+    for _ in range(3):
+        cov = random_pure_covariance(4, rng)
+        ev = StateEvaluator(cov, w, hamil)
+        assert ev.contraction is not None and ev.layout.residue is not None
+        e1, e2, _ = ev.energy()
+        ref = _reference_parts(cov, w, hamil)
+        assert abs(e1 - ref[0].real) <= 1e-13 and abs(e2 - ref[1].real) <= 1e-13
+        _, r1, _, _, r2 = ev._residue
+        assert abs(np.sum(r1).imag - ref[0].imag) <= 1e-14 and abs(np.sum(r2).imag - ref[1].imag) <= 1e-14
+        assert np.max(np.abs(ref.imag)) > 1e-13
+        assert _rel_dev(ev.mean_field_h(), _reference_mean_field(cov, w, hamil)) < TOL
+        residue = ev._phased_mean_field(ev._residue).imag
+        assert np.max(np.abs(residue - _reference_mean_field(cov, w, hamil, part=np.imag))) <= 1e-14
+        assert np.max(np.abs(residue)) > 1e-13
+    monkeypatch.setattr(ngfermi.hamiltonian, "IMAG_TOL", 0.0)
+    with pytest.raises(NumericsError, match="energy has imaginary residue"):
+        StateEvaluator(cov, w, hamil).energy()
+    with pytest.raises(NumericsError, match="mean-field matrix has imaginary residue"):
+        StateEvaluator(cov, w, hamil).mean_field_h()
+    # an exactly Hermitian H forms no residue at omega != 0 either
+    hermitian = random_hamiltonian(4, rng)
+    ev = StateEvaluator(cov, w, hermitian)
+    assert hermitian._residue_weights is None and ev.layout.residue is None
+    ev.energy()
+    ev.mean_field_h()
 
 
 @pytest.mark.parametrize("model", ["hubbard-5", "hubbard-3-periodic", "random-4", "random-6"])

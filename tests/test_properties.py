@@ -1,7 +1,8 @@
 """Property tests over random draws: the Q sum read from L, bundles at -alpha
-as conjugates of bundles at alpha, the phase layout's charge keys and their
-conjugate pairs, layouts against fresh ones, a nonzero charge on an exactly
-zero phase vector against the closed form, the pair-space flow matrix and its pseudo-inverse, the Cayley rotation,
+as conjugates of bundles at alpha, one term per adjoint pair and the phase
+layout's charge keys, none the negative of another, layouts against fresh
+ones, a nonzero charge on an exactly zero phase vector against the closed
+form, the pair-space flow matrix and its pseudo-inverse, the Cayley rotation,
 the L-BFGS two-loop against the dense BFGS recursion,
 Pf^2 = det, the block tables bit for bit against the product P^T G P,
 Wick's theorem with the block tables against the dense oracle,
@@ -11,12 +12,12 @@ central-difference Hessian of the per-entry energy.
 
 The draws are seeded numpy states (pure and mixed), phase-vector stacks with
 a zero row, zero entries and +-pi entries, sparse Hamiltonians with an entry
-whose adjoint is zero, complex skew stacks with forced zero pivots, and
+whose adjoint is zero, Hubbard chains, dense and nearly Hermitian
+Hamiltonians, complex skew stacks with forced zero pivots, and
 complex matrices and stacks with zero and conjugate rows;
 hypothesis picks the sizes, the seeds and where the zeros go.
 """
 
-import copy
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,7 @@ from ngfermi.hamiltonian import (
     ManyBodyHamiltonian,
     PhaseLayout,
     StateEvaluator,
+    _plain_wick_products,
     hubbard_model,
     mean_field_o,
 )
@@ -125,20 +127,16 @@ FIELDS = ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain")
 @SETTINGS
 @given(case=conjugate_stacks())
 def test_bundle_at_minus_alpha_is_the_conjugate(case):
+    # the reason an adjoint term is its term's conjugate: the charge -v has the
+    # phase vector -alpha, whose coefficient, G and L are the conjugates of
+    # alpha's for every real gamma.  The block tables are not conjugates of
+    # each other (conj turns "+-" into "-+"); they are the tables of conj G
     gamma, alphas = case
     plus, minus = wick.contract(gamma, alphas), wick.contract(gamma, -alphas)
     for name in ("coeff", "g", "l"):
         assert _rel_err(np.conj(getattr(plus, name)), getattr(minus, name)) <= 1e-13
-    # the block tables are not conjugates of each other (conj turns "+-" into
-    # "-+"), so a row filled by conjugation gets its tables from its filled G:
-    # the stack (alpha; -alpha), second half filled, against every row built
-    k = len(alphas)
-    own = np.where(alphas.any(axis=1), np.arange(k), -1)
-    stack = np.concatenate([alphas, -alphas])
-    paired = wick.contract(gamma, stack, wick.RowPlan(np.concatenate([own, own])))
-    built = wick.contract(gamma, stack)
-    for name in FIELDS:
-        assert _rel_err(getattr(paired, name), getattr(built, name)) <= 1e-13
+    for name, table in zip(FIELDS[3:], wick._block_tables(np.conj(plus.g))):
+        assert _rel_err(table, getattr(minus, name)) <= 1e-13
 
 
 # the index images of a two-body entry: h_pqrs = -h_qprs = -h_pqsr = h_srqp
@@ -183,20 +181,14 @@ def _charge(term) -> tuple:
 
 @SETTINGS
 @given(case=charged_states())
-def test_keys_are_charges_and_copies_are_mirrors(case):
+def test_keys_are_charges_and_no_key_is_a_mirror(case):
     hamil, cov, w = case
     _, _, terms = hamil._term_indices
     charges = [_charge(t) for t in terms]
-    label, first, mirror = hamil._charges
-    # one label per charge, and the mirror holds the charge -v, or no term does
+    first, label, _, _ = hamil._keys
+    # one label per charge, and no term has the negative of a nonzero charge
     assert len(set(zip(label.tolist(), charges))) == len(first) == len(set(charges))
-    for c, t in enumerate(first):
-        minus = tuple(-x for x in charges[t])
-        if mirror[c] < 0:
-            assert minus not in charges
-        else:
-            assert mirror[mirror[c]] == c
-            assert charges[first[mirror[c]]] == minus
+    assert not any(tuple(-x for x in v) in charges for v in charges if any(v))
     # labels are numbered in order of first appearance, from each charge's first term
     seen = list(dict.fromkeys(label.tolist()))
     assert seen == list(range(len(first)))
@@ -204,68 +196,121 @@ def test_keys_are_charges_and_copies_are_mirrors(case):
     # a moved generic omega, then generic -> 0 -> generic: each layout matches
     # one of a copy of H that has seen no omega, bit for bit
     moved = np.where(np.isin(w, [0.0, np.pi, -np.pi]), w, 1.1 * w)
-    plans = set()
     for omega in (w, moved, np.zeros_like(w), w):
         layout = PhaseLayout(omega, hamil)
         fresh = PhaseLayout(omega, ManyBodyHamiltonian(hamil.n_modes, hamil.f, hamil.h))
         for field in ("term_key", "first_term", "phased", "alphas", "phase", "w1", "w2"):
             assert _same_bits(getattr(layout, field), getattr(fresh, field)), field
-        assert _same_bits(layout.plan.sources, fresh.plan.sources)
-        # every omega holds the Hamiltonian's one plan and its one key per
-        # charge, the charge's label; the v = 0 charge alone is the zero key,
-        # and a nonzero charge keeps its key even where its wrapped vector is
-        # exactly zero (omega's 0 and +-pi entries)
-        plans.add(id(layout.plan))
-        assert len(plans) == 1
+        for got, ref in zip(layout.residue, fresh.residue):  # the one-sided f entry has a residue
+            assert _same_bits(got, ref)
+        # every omega holds the Hamiltonian's one key per charge, the charge's
+        # label; the v = 0 charge alone is the zero key, and a nonzero charge
+        # keeps its key even where its wrapped vector is exactly zero (omega's
+        # 0 and +-pi entries)
+        assert layout.first_term is first
         np.testing.assert_array_equal(layout.term_key, label)
         neutral = [not any(charges[t]) for t in first]
-        np.testing.assert_array_equal(layout.plan.sources < 0, neutral)
-        copies = layout.plan.copies
-        source = layout.plan.sources[copies]
-        assert np.all(np.isin(source, layout.plan.built))
-        np.testing.assert_allclose(
-            np.exp(1j * layout.alphas[copies]), np.exp(-1j * layout.alphas[source]), atol=1e-13
-        )
         if not omega.any():
             # no key is phased, and every vector is zero
             assert layout.phased.size == 0 and not layout.alphas.any()
             continue
         np.testing.assert_array_equal(layout.phased, np.flatnonzero(~np.array(neutral)))
         ev = StateEvaluator(cov, omega, hamil, layout)
-        every = copy.copy(layout)
-        every.plan = None
-        ref = StateEvaluator(cov, omega, hamil, every)
-        # a copy and a direct build differ by rounding, amplified by the
-        # condition number of the denominator D (L = D^-T): with +-pi entries
-        # the draws reach states with |coeff| ~ 2e-4 and cond(D) ~ 500
-        tol = 1e-12 * max(1.0, float(np.max(np.linalg.cond(ref.contraction.l))))
+        ref = StateEvaluator(cov, omega, ManyBodyHamiltonian(hamil.n_modes, hamil.f, hamil.h))
         for method in ("energy", "gradient", "mean_field_h"):
-            assert _rel_err(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())) <= tol
+            assert _same_bits(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())), method
 
 
-def test_charge_on_an_exactly_zero_vector_keeps_its_built_key():
+@st.composite
+def folded_models(draw):
+    """A Hubbard chain (L = 2..8, open or periodic, seeded couplings), a
+    random dense Hamiltonian on 1..6 modes, or one Hermitian only to
+    SYMMETRY_TOL on 2..6 modes: every f and h entry off by up to 5e-11, one
+    f_pq whose adjoint f_qp is zero, and a complex f_pp; and a generic omega."""
+    rng = np.random.default_rng(draw(SEEDS))
+    kind = draw(st.sampled_from(["hubbard", "dense", "nearly-hermitian"]))
+    if kind == "hubbard":
+        sites, periodic = draw(st.integers(2, 8)), draw(st.booleans())
+        hamil = hubbard_model(sites, rng.normal(), rng.uniform(0.0, 8.0), rng.normal(), periodic=periodic)
+    else:
+        n = draw(st.integers(1 if kind == "dense" else 2, 6))
+        hamil = random_hamiltonian(n, rng)
+    if kind == "nearly-hermitian":
+        h = hamil.h.copy()
+        h[h != 0.0] += rng.uniform(-5e-11, 5e-11, size=np.count_nonzero(h))
+        f = hamil.f + rng.uniform(-5e-11, 5e-11, size=(n, n))
+        p, q = rng.choice(n, size=2, replace=False)
+        f[p, q], f[q, p] = 5e-11, 0.0
+        f[q, q] += 5e-11j
+        hamil = ManyBodyHamiltonian(n, f, h)
+    return hamil, random_symmetric_zero_diag(hamil.n_modes, rng, scale=1.5)
+
+
+@SETTINGS
+@given(case=folded_models())
+def test_one_term_per_adjoint_pair(case):
+    # every nonzero entry of f and of the folded h is a term or its adjoint's
+    # term, each term is canonical, and its weights are the adjoint sum and
+    # difference; no key's charge is the negative of another's, so at a
+    # generic omega the keys are the rows contract builds plus the zero key
+    hamil, w = case
+    f_idx, h_idx, terms = hamil._term_indices
+    assert all(p <= q for p, q in f_idx) and all(p < q and r < s and (p, q) <= (r, s) for p, q, r, s in h_idx)
+    folded = hamil._folded_h
+    for p, q in np.argwhere(hamil.f):
+        assert (min(p, q), max(p, q)) in terms
+    for p, q, r, s in np.argwhere(folded):
+        if p < q and r < s:
+            assert min((p, q, r, s), (r, s, p, q)) in terms
+    (w1, w2), residue = hamil._term_weights, hamil._residue_weights
+    r1, r2 = residue if residue is not None else (np.zeros_like(w1), np.zeros_like(w2))
+    for (p, q), plus, minus in zip(f_idx, w1, r1):
+        once = 0.5 if p == q else 1.0
+        assert plus == 0.25j * (hamil.f[p, q] + np.conj(hamil.f[q, p])) * once
+        assert minus == 0.25j * (hamil.f[p, q] - np.conj(hamil.f[q, p])) * once
+    for (p, q, r, s), plus, minus in zip(h_idx, w2, r2):
+        once = 0.5 if (p, q) == (r, s) else 1.0
+        assert plus == -(folded[p, q, r, s] + folded[r, s, p, q]) / 32.0 * once
+        assert minus == -(folded[p, q, r, s] - folded[r, s, p, q]) / 32.0 * once
+    hermitian = np.array_equal(hamil.f, hamil.f.conj().T) and np.array_equal(folded, folded.transpose(2, 3, 0, 1))
+    assert (residue is None) == hermitian
+    first, _, phased, v_keys = hamil._keys
+    charges = {tuple(v) for v in v_keys.astype(int).tolist()}
+    assert len(charges) == len(first)
+    assert not any(tuple(-x for x in v) in charges for v in charges if any(v))
+    layout = PhaseLayout(w, hamil)
+    built = np.flatnonzero(layout.alphas.any(axis=1))
+    np.testing.assert_array_equal(built, phased)
+    assert len(first) - len(built) == int(any(not any(v) for v in charges))
+
+
+def test_charge_on_an_exactly_zero_vector_takes_the_closed_form(monkeypatch):
     # one nonzero coupling, between modes 0 and 3 of a Hubbard chain at L=3:
-    # the hopping f_12 has charge e_2 - e_1, but omega (e_2 - e_1) = 0 exactly.
-    # Its key is built (f_21's copies it) and equals the closed form, which a
-    # build-every-key evaluator gives that row
+    # the hopping f_12 (one term with f_21) has charge e_2 - e_1, but
+    # omega (e_2 - e_1) = 0 exactly.  Its key stays its own and phased, and
+    # contract gives its row the closed form: the zero key's row, bit for bit,
+    # with no part of the solve
     hamil = hubbard_model(3, 1.0, 4.0, 2.0)
     w = np.zeros((6, 6))
     w[0, 3] = w[3, 0] = 0.9
     cov = random_pure_covariance(6, np.random.default_rng(14))
     layout = PhaseLayout(w, hamil)
     _, _, terms = hamil._term_indices
-    k, mirror = (layout.term_key[terms.index(t)] for t in ((1, 2), (2, 1)))
-    assert not layout.alphas[k].any()
-    assert k in layout.plan.built and layout.plan.sources[mirror] == k
+    k, zero = layout.term_key[terms.index((1, 2))], layout.term_key[terms.index((0, 0))]
+    assert (1, 2) in terms and (2, 1) not in terms
+    assert not layout.alphas[k].any() and k != zero and k in layout.phased
+    solved = []
+    original = wick._g_direct
+
+    def counting(g, a, phase):
+        solved.append(len(a))
+        return original(g, a, phase)
+
+    monkeypatch.setattr(wick, "_g_direct", counting)
     ev = StateEvaluator(cov, w, hamil, layout)
-    every = copy.copy(layout)
-    every.plan = None
-    ref = StateEvaluator(cov, w, hamil, every)
+    assert solved == [int(np.count_nonzero(layout.alphas.any(axis=1)))]
     for field in ("coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
-        np.testing.assert_array_equal(getattr(ev.contraction, field)[k], getattr(ref.contraction, field)[k])
-    tol = 1e-12 * max(1.0, float(np.max(np.linalg.cond(ref.contraction.l))))
-    for method in ("energy", "gradient", "mean_field_h"):
-        assert _rel_err(np.asarray(getattr(ev, method)()), np.asarray(getattr(ref, method)())) <= tol
+        np.testing.assert_array_equal(getattr(ev.contraction, field)[k], getattr(ev.contraction, field)[zero])
 
 
 @st.composite
@@ -589,6 +634,58 @@ def test_closed_form_mean_field_is_the_energy_derivative(case):
         fd[j, i] = -fd[i, j]
     assert _rel_err(h_m, fd) <= 1e-10
     assert np.array_equal(h_m, -h_m.T)
+
+
+def _all_pairs_form(hamil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The omega = 0 form's flat positions, l and Q binned over all
+    M = N(2N-1) upper entries of G, M^2 bins for Q, and then cut to the
+    entries some coefficient reads: the reference for the binning over the
+    entries the terms reference."""
+    n = hamil.n_modes
+    f_idx, h_idx, _ = hamil._term_indices
+    k, c = _plain_wick_products(n, f_idx, h_idx)
+    m, t1, t2 = n * (2 * n - 1), len(f_idx), len(h_idx)
+    rows = [hamil._term_weights + (np.real,)]
+    if hamil._residue_weights is not None:
+        rows.append(hamil._residue_weights + (np.imag,))
+    k_a, k_b = k[:, None, t1 : t1 + 3 * t2], k[None, :, t1 + 3 * t2 :]
+    lo, hi = np.minimum(k_a, k_b).ravel(), np.maximum(k_a, k_b).ravel()
+    lin, quad = [], []
+    for w1, w2, part in rows:
+        lin.append(np.bincount(k[:, :t1].ravel(), part(w1 * c[:, :t1]).ravel(), minlength=m))
+        coef = part(c[:, None, t1 : t1 + 3 * t2] * c[None, :, t1 + 3 * t2 :] * np.concatenate([w2, -w2, w2])).ravel()
+        quad.append(
+            np.bincount(np.concatenate([lo * m + hi, hi * m + lo]), np.concatenate([coef, coef]), minlength=m * m)
+        )
+    lin, quad = np.array(lin), np.array(quad).reshape(len(rows), m, m)
+    read = np.flatnonzero(lin.any(axis=0) | quad.any(axis=(0, 1)))
+    flat = np.flatnonzero(np.triu(np.ones((2 * n, 2 * n), dtype=bool), 1))[read]
+    return flat, lin[:, read], quad[:, read][:, :, read].reshape(len(rows) * len(read), len(read))
+
+
+@pytest.mark.parametrize(
+    "model", [f"hubbard-{sites}-{ends}" for sites in range(2, 9) for ends in ("open", "periodic")]
+    + [f"dense-{n}" for n in range(1, 7)] + ["nearly-hermitian-4"],
+)
+def test_gaussian_form_bins_only_the_referenced_entries(model):
+    # binned over the entries the terms reference, the form is the all-pairs
+    # binning bit for bit: each bin sums the same products in the same order
+    if model.startswith("hubbard"):
+        _, sites, ends = model.split("-")
+        hamil = hubbard_model(int(sites), 1.0, 4.0, 2.0, periodic=ends == "periodic")
+    else:
+        kind, size = model.rsplit("-", 1)
+        rng = np.random.default_rng(int(size))
+        hamil = random_hamiltonian(int(size), rng)
+        if kind == "nearly-hermitian":
+            f, h = hamil.f + rng.uniform(-5e-11, 5e-11, size=hamil.f.shape), hamil.h.copy()
+            h[h != 0.0] += rng.uniform(-5e-11, 5e-11, size=np.count_nonzero(h))
+            hamil = ManyBodyHamiltonian(hamil.n_modes, f, h)
+            assert hamil._residue_weights is not None
+    flat, ups, lin, quad = hamil._gaussian_form
+    ref_flat, ref_lin, ref_quad = _all_pairs_form(hamil)
+    assert np.array_equal(flat, ref_flat) and np.array_equal(lin, ref_lin) and np.array_equal(quad, ref_quad)
+    assert np.array_equal(ups, upsilon(hamil.n_modes).take(flat))
 
 
 def test_closed_form_takes_h_as_given():

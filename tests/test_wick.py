@@ -498,14 +498,6 @@ class TestPhaseVectorsAsGiven:
         string = ((0, True), (2, False), (1, True), (3, False))
         assert abs(expectation(cov, alphas[0] + 2.0 * np.pi, string) - expectation(cov, alphas[0], string)) < 1e-12
 
-    def test_default_plan_is_the_zero_row_split(self, rng):
-        cov = random_pure_covariance(4, rng)
-        alphas = rng.uniform(-np.pi, np.pi, (4, 4))
-        alphas[[0, 2]] = 0.0
-        plain, planned = contract(cov, alphas), contract(cov, alphas, wick.RowPlan([-1, 1, -1, 3]))
-        for name in ("alpha", "coeff", "g", "l", "g_dag_plain", "g_dag_dag", "g_plain_plain"):
-            np.testing.assert_array_equal(getattr(plain, name), getattr(planned, name))
-
 
 class TestZeroPhaseClosedForm:
     def test_zero_rows_match_pfaffian_and_solve(self, rng):
@@ -552,12 +544,6 @@ class TestZeroPhaseClosedForm:
         monkeypatch.setattr(wick, "a_coeff", forbidden)
         c = contract(cov, np.zeros((1, 4)))
         assert c.coeff[0] == 1.0
-
-    def test_row_plan_must_cover_the_stack(self, rng):
-        cov = random_pure_covariance(3, rng)
-        alphas = rng.uniform(-np.pi, np.pi, (2, 3))
-        with pytest.raises(DimensionError, match="row plan"):
-            contract(cov, alphas, wick.RowPlan([0]))
 
     def test_stack_names_the_singular_row(self):
         cov = bell_pair_and_vacuum()
